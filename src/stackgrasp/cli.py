@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# calibrate warns on stderr when a fit leaves more residual than this, in
+# millimetres RMS per point
+CALIBRATION_WARN_RMS_MM = 1.0
+
 
 class DataError(Exception):
     """Input file missing, unreadable, malformed, or inconsistent."""
@@ -59,8 +64,13 @@ def _write_text(path: Path, text: str) -> None:
         raise DataError(f"{path}: {e.strerror or e}") from e
 
 
-def _emit(data: dict, out: str | None, pretty: bool, table: str) -> None:
-    text = json.dumps(data, indent=2) + "\n"
+def _json_text(data) -> str:
+    return json.dumps(data, indent=2) + "\n"
+
+
+def _emit(text: str, out: str | None, pretty: bool, table: str) -> None:
+    """Write the JSON ``text`` to ``out`` or stdout; ``pretty`` prints the
+    human ``table`` instead of the JSON on stdout."""
     if out:
         _write_text(Path(out), text)
         if pretty:
@@ -83,9 +93,9 @@ def _load_predictions_file(path: Path) -> ScenePredictions:
         raise DataError(f"{path}: expected a JSON object at the top level")
     try:
         if "detections" in data:
-            return parse_predictions(text)
+            return parse_predictions(data)
         if "objects" in data:
-            return record_to_predictions(parse_scene(text))
+            return record_to_predictions(parse_scene(data))
     except (SceneParseError, ValueError) as e:
         raise DataError(f"{path}: {e}") from e
     raise DataError(f"{path}: neither a predictions file nor a scene file")
@@ -148,21 +158,29 @@ def _cmd_eval(args) -> int:
         f"object pair precision  {report.relations.precision:.4f}",
         f"image accuracy         {report.relations.image_accuracy:.4f}",
     ]
-    _emit(data, args.out, args.pretty, "\n".join(lines) + "\n")
+    _emit(_json_text(data), args.out, args.pretty, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _graph_json(g: ManipulationGraph) -> dict:
-    return {
-        "nodes": sorted(g.nodes),
-        "edges": [
-            {"above": a, "below": b, "confidence": c} for a, b, c in g.edge_list()
-        ],
-        "deleted_edges": [
-            {"above": a, "below": b, "confidence": c}
-            for a, b, c in g.deleted_edges
-        ],
-    }
+# The plan writer produces exactly the text of json.dumps(plan, indent=2).
+# Each step's graph is the previous one minus an object, so every node and
+# edge is encoded once per plan (scalars through json.dumps) and each step
+# joins the cached text.
+_GRAPH_INDENT = " " * 8
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _edge_text(above: int, below: int, confidence: float) -> str:
+    return (
+        "          {\n"
+        f'            "above": {json.dumps(above)},\n'
+        f'            "below": {json.dumps(below)},\n'
+        f'            "confidence": {json.dumps(confidence)}\n'
+        "          }"
+    )
 
 
 def _induced(g: ManipulationGraph, keep: set[int]) -> ManipulationGraph:
@@ -198,17 +216,35 @@ def _cmd_plan(args) -> int:
             "to plan an uncovering sequence anyway"
         )
 
-    actions = []
+    node_text = [(n, f"{_GRAPH_INDENT}  {json.dumps(n)}") for n in sorted(graph.nodes)]
+    edge_text = [(a, b, _edge_text(a, b, c)) for a, b, c in graph.edge_list()]
+    # only the first step's graph carries the cycle repairs
+    deleted_text = _json_array(
+        [_edge_text(*e) for e in graph.deleted_edges], _GRAPH_INDENT
+    )
+    steps = []
+    lines = []
     current = graph
     remaining = list(perceived)
     while remaining:
         action = next_action(current, remaining, target)
-        actions.append(
-            {
-                "object": action.object_id,
-                "is_final_target": action.is_final_target,
-                "graph": _graph_json(current),
-            }
+        keep = current.nodes
+        nodes = [t for n, t in node_text if n in keep]
+        edges = [t for a, b, t in edge_text if a in keep and b in keep]
+        steps.append(
+            "    {\n"
+            f'      "object": {json.dumps(action.object_id)},\n'
+            f'      "is_final_target": {json.dumps(action.is_final_target)},\n'
+            '      "graph": {\n'
+            f'        "nodes": {_json_array(nodes, _GRAPH_INDENT)},\n'
+            f'        "edges": {_json_array(edges, _GRAPH_INDENT)},\n'
+            f'        "deleted_edges": {deleted_text}\n'
+            "      }\n"
+            "    }"
+        )
+        lines.append(
+            f"step {len(steps)}: grasp object {action.object_id}"
+            + (" (target)" if action.is_final_target else "")
         )
         if action.is_final_target:
             break
@@ -216,17 +252,18 @@ def _cmd_plan(args) -> int:
             p for p in remaining if p.detection.instance_id != action.object_id
         ]
         current = _induced(current, {p.detection.instance_id for p in remaining})
+        deleted_text = "[]"
 
-    data = {
-        "target": {"requested": args.target, "resolved": resolved},
-        "actions": actions,
-    }
-    lines = [
-        f"step {i + 1}: grasp object {a['object']}"
-        + (" (target)" if a["is_final_target"] else "")
-        for i, a in enumerate(actions)
-    ]
-    _emit(data, args.out, args.pretty, "\n".join(lines) + "\n")
+    text = (
+        "{\n"
+        '  "target": {\n'
+        f'    "requested": {json.dumps(args.target)},\n'
+        f'    "resolved": {json.dumps(resolved)}\n'
+        "  },\n"
+        f'  "actions": {_json_array(steps, "  ")}\n'
+        "}\n"
+    )
+    _emit(text, args.out, args.pretty, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -246,12 +283,35 @@ def _parse_sim_config(path: Path) -> tuple[int, list[dict]]:
             raise DataError(
                 f"{path}: regimes[{i}] needs at least 'count_range' and 'trials'"
             )
-    return int(data.get("seed", 0)), regimes
+    try:
+        return int(data.get("seed", 0)), regimes
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{path}: bad 'seed': {e}") from e
 
 
 def _trial_seed(base: int, regime_index: int, trial_index: int) -> int:
     ss = np.random.SeedSequence([base, regime_index, trial_index])
     return int(ss.generate_state(1)[0])
+
+
+def _regime_config(regime: dict, visibility: float | None) -> tuple[int, TrialConfig]:
+    """The trial count and the trial config, seed 0, of one regime."""
+    trials = int(regime["trials"])
+    if trials < 1:
+        raise ValueError("'trials' must be positive")
+    lo, hi = (int(v) for v in regime["count_range"])
+    return trials, TrialConfig(
+        seed=0,
+        count_range=(lo, hi),
+        target_rule=str(regime.get("target_rule", "random")),
+        max_steps=regime.get("max_steps"),
+        noise=NoiseModel.from_json_dict(regime.get("noise", {})),
+        coverage_threshold=float(
+            visibility if visibility is not None else regime.get("coverage_threshold", 0.8)
+        ),
+        max_stack_depth=int(regime.get("max_stack_depth", 4)),
+        top_n=int(regime.get("top_n", 3)),
+    )
 
 
 def _cmd_simulate(args) -> int:
@@ -265,40 +325,19 @@ def _cmd_simulate(args) -> int:
     rows = []
     for ri, regime in enumerate(regimes):
         name = str(regime.get("name", f"regime{ri}"))
-        trials = int(regime["trials"])
-        if trials < 1:
-            raise DataError(f"regimes[{ri}]: 'trials' must be positive")
-        lo, hi = (int(v) for v in regime["count_range"])
         try:
-            noise = NoiseModel.from_json_dict(regime.get("noise", {}))
-        except ValueError as e:
+            trials, config = _regime_config(regime, args.visibility)
+        except (TypeError, ValueError) as e:
             raise DataError(f"regimes[{ri}]: {e}") from e
         successes = 0
         for ti in range(trials):
-            try:
-                cfg = TrialConfig(
-                    seed=_trial_seed(base_seed, ri, ti),
-                    count_range=(lo, hi),
-                    target_rule=str(regime.get("target_rule", "random")),
-                    max_steps=regime.get("max_steps"),
-                    noise=noise,
-                    coverage_threshold=float(
-                        args.visibility
-                        if args.visibility is not None
-                        else regime.get("coverage_threshold", 0.8)
-                    ),
-                    max_stack_depth=int(regime.get("max_stack_depth", 4)),
-                    top_n=int(regime.get("top_n", 3)),
-                )
-            except ValueError as e:
-                raise DataError(f"regimes[{ri}]: {e}") from e
-            log = run_trial(cfg)
+            log = run_trial(replace(config, seed=_trial_seed(base_seed, ri, ti)))
             if sequential_success(log):
                 successes += 1
             if log_dir is not None:
                 _write_text(
                     log_dir / f"{name}_{ti:04d}.json",
-                    json.dumps(log.to_json_dict(), indent=2) + "\n",
+                    _json_text(log.to_json_dict()),
                 )
         rate = successes / trials
         rows.append(
@@ -314,7 +353,7 @@ def _cmd_simulate(args) -> int:
     data = {"seed": base_seed, "regimes": rows}
     width = max(len(r["name"]) for r in rows)
     lines = [f"{r['name']:<{width}}  {r['summary']}" for r in rows]
-    _emit(data, args.out, args.pretty, "\n".join(lines) + "\n")
+    _emit(_json_text(data), args.out, args.pretty, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -327,16 +366,17 @@ def _cmd_calibrate(args) -> int:
     if len(pairs) < 4:
         raise DataError(f"{path}: need at least 4 calibration pairs, got {len(pairs)}")
     affine = fit_affine(pairs)  # CalibrationError propagates as a numeric failure
-    if affine.residual_rms > 5.0:
+    if affine.residual_rms > CALIBRATION_WARN_RMS_MM:
         print(
-            f"warning: calibration residual RMS {affine.residual_rms:.2f} is high",
+            f"warning: calibration residual RMS {affine.residual_rms:.2f} mm per "
+            f"point is above {CALIBRATION_WARN_RMS_MM} mm",
             file=sys.stderr,
         )
     table = (
         f"pairs         {len(pairs)}\n"
         f"residual RMS  {affine.residual_rms:.6f}\n"
     )
-    _emit(affine.to_json_dict(), args.out, args.pretty, table)
+    _emit(_json_text(affine.to_json_dict()), args.out, args.pretty, table)
     return EXIT_OK
 
 
@@ -346,11 +386,7 @@ def _cmd_augment(args) -> int:
         record = rot90(record, args.rot90)
     if args.hflip:
         record = hflip(record)
-    text = serialize_scene(record)
-    if args.out:
-        _write_text(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _emit(serialize_scene(record), args.out, False, "")
     return EXIT_OK
 
 

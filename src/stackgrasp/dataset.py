@@ -91,12 +91,23 @@ def relation_label(record: SceneRecord, a: int, b: int) -> int:
     return 0
 
 
-def parse_scene(text: str) -> SceneRecord:
-    """Parse scene JSON; errors carry the JSON path of the offending field."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SceneParseError("$", f"not valid JSON: {e}") from e
+def _json_list(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise SceneParseError(key, f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def parse_scene(source: str | dict) -> SceneRecord:
+    """Parse scene JSON, given as text or as the decoded document; errors
+    carry the JSON path of the offending field."""
+    if isinstance(source, str):
+        try:
+            data = json.loads(source)
+        except json.JSONDecodeError as e:
+            raise SceneParseError("$", f"not valid JSON: {e}") from e
+    else:
+        data = source
     if not isinstance(data, dict):
         raise SceneParseError("$", "top level must be an object")
     image = data.get("image")
@@ -109,7 +120,7 @@ def parse_scene(text: str) -> SceneRecord:
         raise SceneParseError("image", f"bad width/height: {e}") from e
 
     objects = []
-    for i, o in enumerate(data.get("objects", [])):
+    for i, o in enumerate(_json_list(data, "objects")):
         where = f"objects[{i}]"
         try:
             bbox = [float(v) for v in o["bbox"]]
@@ -126,7 +137,7 @@ def parse_scene(text: str) -> SceneRecord:
             raise SceneParseError(where, str(e)) from e
 
     grasps = []
-    for i, g in enumerate(data.get("grasps", [])):
+    for i, g in enumerate(_json_list(data, "grasps")):
         where = f"grasps[{i}]"
         try:
             rect = [float(v) for v in g["rect"]]
@@ -137,7 +148,7 @@ def parse_scene(text: str) -> SceneRecord:
             raise SceneParseError(where, str(e)) from e
 
     relations = []
-    for i, r in enumerate(data.get("relations", [])):
+    for i, r in enumerate(_json_list(data, "relations")):
         where = f"relations[{i}]"
         try:
             relations.append((int(r["above"]), int(r["below"])))

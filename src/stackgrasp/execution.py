@@ -52,8 +52,10 @@ class DepthImage:
         self.valid = np.asarray(self.valid, dtype=bool)
         if self.values.ndim != 2 or self.values.shape != self.valid.shape:
             raise ValueError("values and valid mask must be equal 2-d shapes")
-        if np.any(self.values[self.valid] <= 0):
-            raise ValueError("valid depths must be positive")
+        depths = self.values[self.valid]
+        # NaN fails both comparisons
+        if depths.size and not (depths.min() > 0 and depths.max() < math.inf):
+            raise ValueError("valid depths must be positive and finite")
 
     @classmethod
     def from_millimeters(cls, values) -> "DepthImage":
@@ -115,9 +117,9 @@ def fit_affine(pairs: Sequence[tuple[Sequence[float], Sequence[float]]]) -> Affi
     """Least-squares fit of the affine map from >= 4 reference pairs.
 
     Each pair is ((u, v, d), (x, y, z)). Raises CalibrationError for fewer
-    than 4 pairs, a rank-deficient design (e.g. coplanar pixels), or a fit
-    whose linear part is singular. The per-point RMS residual of the fit is
-    stored on the returned map.
+    than 4 pairs, a non-finite coordinate, a rank-deficient design (e.g.
+    coplanar pixels), or a fit whose linear part is singular. The per-point
+    RMS residual of the fit is stored on the returned map.
     """
     if len(pairs) < 4:
         raise CalibrationError(f"need at least 4 reference pairs, got {len(pairs)}")
@@ -125,6 +127,10 @@ def fit_affine(pairs: Sequence[tuple[Sequence[float], Sequence[float]]]) -> Affi
     rob = np.array([p[1] for p in pairs], dtype=float)
     if pix.shape[1] != 3 or rob.shape[1] != 3:
         raise CalibrationError("reference pairs must be 3-d points")
+    # lstsq never returns on non-finite input
+    bad = ~(np.isfinite(pix).all(axis=1) & np.isfinite(rob).all(axis=1))
+    if bad.any():
+        raise CalibrationError(f"pair {int(np.argmax(bad))}: non-finite coordinate")
     design = np.hstack([pix, np.ones((len(pairs), 1))])
     params, _, rank, _ = np.linalg.lstsq(design, rob, rcond=None)
     if rank < 4:

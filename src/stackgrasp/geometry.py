@@ -129,9 +129,9 @@ def _edge_intersection(s, e, a, b):
     den = dcx * dpy - dcy * dpx
     # a segment (anti)parallel to the clip line only "crosses" it through
     # rounding noise in the side test; its endpoints already lie on the
-    # line, so returning one keeps the polygon intact
-    scale = abs(dcx * dpy) + abs(dcy * dpx)
-    if abs(den) <= 1e-12 * scale:
+    # line, so returning one keeps the polygon intact. den is the product
+    # of the two lengths and the sine of the angle between the lines.
+    if abs(den) <= 1e-12 * math.hypot(dcx, dcy) * math.hypot(dpx, dpy):
         return e
     n1 = a[0] * b[1] - a[1] * b[0]
     n2 = s[0] * e[1] - s[1] * e[0]

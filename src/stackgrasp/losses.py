@@ -158,14 +158,25 @@ class RelationPrediction:
     probs: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if self.pair[0] == self.pair[1]:
-            raise ValueError("relation pair must join two distinct objects")
-        if len(self.probs) != 3:
-            raise ValueError("need exactly three class probabilities")
-        if any(p < 0 or not math.isfinite(p) for p in self.probs):
-            raise ValueError(f"negative or non-finite probability in {self.probs}")
-        if abs(sum(self.probs) - 1.0) > 1e-6:
-            raise ValueError(f"probabilities sum to {sum(self.probs)}, not 1")
+        check_relation(self.pair, self.probs)
+
+
+def check_relation(pair: Sequence[int], probs: Sequence[float]) -> None:
+    """Raise ValueError unless ``pair`` joins two distinct objects and
+    ``probs`` holds three non-negative finite class probabilities summing
+    to 1 within 1e-6."""
+    if pair[0] == pair[1]:
+        raise ValueError("relation pair must join two distinct objects")
+    if len(probs) != 3:
+        raise ValueError(f"need 3 probabilities, got {len(probs)}")
+    p0, p1, p2 = probs
+    total = p0 + p1 + p2
+    # NaN fails every comparison, and a finite sum of non-negative terms
+    # has no infinite term
+    if not (p0 >= 0 and p1 >= 0 and p2 >= 0 and math.isfinite(total)):
+        raise ValueError(f"negative or non-finite probability in {tuple(probs)}")
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"probabilities sum to {total}, not 1")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .anchors import AnchorConfig, decode_grasp, generate_anchors
 from .geometry import AABox, OrientedRect, aabb_iou
-from .losses import GraspPrediction, softmax2
+from .losses import GraspPrediction, check_relation, softmax2
 
 
 class NoGraspError(ValueError):
@@ -191,19 +191,31 @@ def serialize_predictions(preds: ScenePredictions) -> str:
     return json.dumps(predictions_to_json_dict(preds), indent=2) + "\n"
 
 
-def parse_predictions(text: str) -> ScenePredictions:
-    """Parse the predictions JSON schema; raises ValueError with the JSON
-    path of the offending field."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"not valid JSON: {e}") from e
+def _json_list(data: dict, key: str, where: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def parse_predictions(source: str | dict) -> ScenePredictions:
+    """Parse the predictions JSON schema, given as text or as the decoded
+    document; raises ValueError with the JSON path of the offending field."""
+    if isinstance(source, str):
+        try:
+            data = json.loads(source)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"not valid JSON: {e}") from e
+    else:
+        data = source
     out = ScenePredictions()
     if not isinstance(data, dict) or "detections" not in data:
         raise ValueError("detections: missing")
     seen_ids = set()
-    for i, d in enumerate(data["detections"]):
+    for i, d in enumerate(_json_list(data, "detections", "detections")):
         where = f"detections[{i}]"
+        if not isinstance(d, dict):
+            raise ValueError(f"{where}: expected an object, got {type(d).__name__}")
         try:
             instance_id = int(d["id"])
             box = AABox(*[float(v) for v in d["bbox"]])
@@ -220,7 +232,7 @@ def parse_predictions(text: str) -> ScenePredictions:
         seen_ids.add(instance_id)
         out.detections.append(det)
         grasps = []
-        for j, g in enumerate(d.get("grasps", [])):
+        for j, g in enumerate(_json_list(d, "grasps", f"{where}.grasps")):
             try:
                 rect = OrientedRect(*[float(v) for v in g["rect"]])
                 grasps.append(
@@ -229,18 +241,17 @@ def parse_predictions(text: str) -> ScenePredictions:
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{where}.grasps[{j}]: {e}") from e
         out.grasp_candidates[instance_id] = grasps
-    for i, r in enumerate(data.get("relations", [])):
-        where = f"relations[{i}]"
+    relations = out.relations
+    for i, r in enumerate(_json_list(data, "relations", "relations")):
         try:
-            a, b = (int(v) for v in r["pair"])
-            probs = tuple(float(v) for v in r["probs"])
+            a, b = map(int, r["pair"])
+            probs = tuple(map(float, r["probs"]))
+            check_relation((a, b), probs)
         except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"{where}: {e}") from e
-        if len(probs) != 3:
-            raise ValueError(f"{where}: need 3 probabilities, got {len(probs)}")
+            raise ValueError(f"relations[{i}]: {e}") from e
         if a not in seen_ids or b not in seen_ids:
-            raise ValueError(f"{where}: pair ({a}, {b}) references unknown detection")
-        if (a, b) in out.relations:
-            raise ValueError(f"{where}: duplicate pair ({a}, {b})")
-        out.relations[(a, b)] = probs
+            raise ValueError(f"relations[{i}]: pair ({a}, {b}) references unknown detection")
+        if (a, b) in relations:
+            raise ValueError(f"relations[{i}]: duplicate pair ({a}, {b})")
+        relations[(a, b)] = probs
     return out

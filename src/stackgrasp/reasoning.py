@@ -69,45 +69,6 @@ class ManipulationGraph:
         return [(a, b, c) for (a, b), c in sorted(self.edges.items())]
 
 
-def _find_cycle(nodes, edges) -> list[tuple[int, int]] | None:
-    # Iterative DFS over sorted adjacency; returns the edge list of one
-    # directed cycle, or None.
-    adj: dict[int, list[int]] = {n: [] for n in nodes}
-    for (a, b) in sorted(edges):
-        adj[a].append(b)
-    color = {n: 0 for n in nodes}  # 0 new, 1 on stack, 2 done
-    parent_edge: dict[int, tuple[int, int]] = {}
-    for start in sorted(nodes):
-        if color[start] != 0:
-            continue
-        stack = [(start, iter(adj[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    # walk parents from node back to nxt
-                    cycle = [(node, nxt)]
-                    cur = node
-                    while cur != nxt:
-                        edge = parent_edge[cur]
-                        cycle.append(edge)
-                        cur = edge[0]
-                    cycle.reverse()
-                    return cycle
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    parent_edge[nxt] = (node, nxt)
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return None
-
-
 def build_graph(
     nodes: Sequence[int],
     labels: Mapping[tuple[int, int], tuple[int, float]],
@@ -117,6 +78,13 @@ def build_graph(
     Any directed cycle is repaired by deleting its lowest-confidence edge
     (ties broken by edge endpoints); repairs repeat until acyclic and are
     reported in ``deleted_edges``.
+
+    Cycles are found by one depth-first search over the sorted adjacency,
+    roots in ascending order. The repairs are those of restarting that
+    search after every deletion, without the restarts: the search rewinds
+    to the moment it scanned the deleted edge. Everything before that
+    moment runs the same without the edge, so the restarted search would
+    reach the same state and skip the edge.
     """
     node_set = frozenset(int(n) for n in nodes)
     edges: dict[tuple[int, int], float] = {}
@@ -127,14 +95,65 @@ def build_graph(
             edges[(i, j)] = conf
         elif label == RELATION_BELOW:
             edges[(j, i)] = conf
+    adj: dict[int, list[int]] = {n: [] for n in node_set}
+    for (a, b) in sorted(edges):
+        adj[a].append(b)
+    # 0 new, 1 on the stack, 2 finished. ``order`` lists the nodes in
+    # discovery order, ``found[n]`` is n's place in it, and ``pos[k]`` is
+    # the next adjacency index of ``stack[k]`` to scan.
+    color = dict.fromkeys(node_set, 0)
+    found: dict[int, int] = {}
+    order: list[int] = []
     deleted = []
-    while True:
-        cycle = _find_cycle(node_set, edges)
-        if cycle is None:
-            break
-        victim = min(cycle, key=lambda e: (edges[e], e))
-        deleted.append((victim[0], victim[1], edges[victim]))
-        del edges[victim]
+    for root in sorted(node_set):
+        if color[root]:
+            continue
+        color[root] = 1
+        found[root] = len(order)
+        order.append(root)
+        stack, pos = [root], [0]
+        while stack:
+            node = stack[-1]
+            out = adj[node]
+            i = pos[-1]
+            if i == len(out):
+                color[node] = 2
+                stack.pop()
+                pos.pop()
+                continue
+            nxt = out[i]
+            pos[-1] = i + 1
+            state = color[nxt]
+            if state == 0:
+                color[nxt] = 1
+                found[nxt] = len(order)
+                order.append(nxt)
+                stack.append(nxt)
+                pos.append(0)
+            elif state == 1:
+                # stack[k:] runs from nxt down to node, closed by node -> nxt
+                k = stack.index(nxt)
+                cycle = [(stack[m], stack[m + 1]) for m in range(k, len(stack) - 1)]
+                cycle.append((node, nxt))
+                victim = min(cycle, key=lambda e: (edges[e], e))
+                deleted.append((victim[0], victim[1], edges.pop(victim)))
+                if victim == (node, nxt):
+                    # back edge: rescan node's list from the same index
+                    del out[i]
+                    pos[-1] = i
+                    continue
+                # tree edge: forget everything discovered since b and
+                # resume a's scan where b was
+                a, b = victim
+                depth = stack.index(b)
+                i = pos[depth - 1] - 1
+                del adj[a][i]
+                del stack[depth:]
+                del pos[depth:]
+                pos[-1] = i
+                for n in order[found[b]:]:
+                    color[n] = 0
+                del order[found[b]:]
     return ManipulationGraph(nodes=node_set, edges=edges, deleted_edges=tuple(deleted))
 
 

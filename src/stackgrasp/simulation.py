@@ -19,6 +19,7 @@ that share a seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -80,6 +81,8 @@ class NoiseModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NoiseModel":
+        if not isinstance(data, dict):
+            raise ValueError("noise must be an object")
         known = {f for f in cls.__dataclass_fields__}
         bad = set(data) - known
         if bad:
@@ -153,6 +156,8 @@ class TrialConfig:
         lo, hi = self.count_range
         if lo < 1 or hi < lo:
             raise ValueError(f"bad object count range ({lo}, {hi})")
+        if self.max_steps is not None and not isinstance(self.max_steps, numbers.Integral):
+            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}")
         if self.max_steps is not None and self.max_steps < hi:
             raise ValueError("max_steps must cover at least one step per object")
         if not (0.0 < self.coverage_threshold <= 1.0):

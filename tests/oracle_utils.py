@@ -3,8 +3,10 @@
 Everything in here deliberately avoids the package's own algorithms:
 overlap is estimated by Monte-Carlo point membership instead of polygon
 clipping, the affine fit solves the normal equations instead of calling
-lstsq, removal orders are enumerated by brute force, and the grasp point
-is found by scanning every pixel.
+lstsq, removal orders are enumerated by brute force, the grasp point
+is found by scanning every pixel, cycles are repaired by restarting the
+search after every deletion, and the plan document is built whole and
+encoded by json.dumps.
 """
 
 from __future__ import annotations
@@ -119,3 +121,115 @@ def exhaustive_grasp_point(depth, rect):
             if best is None or key < best[0]:
                 best = (key, (u, v, d))
     return None if best is None else best[1]
+
+
+def _find_cycle(nodes, edges):
+    # Iterative DFS over sorted adjacency; returns the edge list of one
+    # directed cycle, or None.
+    adj = {n: [] for n in nodes}
+    for (a, b) in sorted(edges):
+        adj[a].append(b)
+    color = {n: 0 for n in nodes}  # 0 new, 1 on stack, 2 done
+    parent_edge = {}
+    for start in sorted(nodes):
+        if color[start] != 0:
+            continue
+        stack = [(start, iter(adj[start]))]
+        color[start] = 1
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color[nxt] == 1:
+                    # walk parents from node back to nxt
+                    cycle = [(node, nxt)]
+                    cur = node
+                    while cur != nxt:
+                        edge = parent_edge[cur]
+                        cycle.append(edge)
+                        cur = edge[0]
+                    cycle.reverse()
+                    return cycle
+                if color[nxt] == 0:
+                    color[nxt] = 1
+                    parent_edge[nxt] = (node, nxt)
+                    stack.append((nxt, iter(adj[nxt])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = 2
+                stack.pop()
+    return None
+
+
+def restart_cycle_repair(nodes, edges):
+    """Cycle repair by restarting a full DFS after every deletion: find a
+    cycle, drop its lowest-confidence edge (ties by endpoints), repeat.
+
+    ``edges`` maps (above, below) to confidence. Returns (surviving edges
+    dict, deleted (above, below, confidence) list).
+    """
+    edges = dict(edges)
+    deleted = []
+    while True:
+        cycle = _find_cycle(nodes, edges)
+        if cycle is None:
+            return edges, deleted
+        victim = min(cycle, key=lambda e: (edges[e], e))
+        deleted.append((victim[0], victim[1], edges[victim]))
+        del edges[victim]
+
+
+def plan_document(preds, target: str, top_n: int = 3) -> dict:
+    """The ``stackgrasp plan`` document for ``preds`` as one dict, with each
+    step's whole graph rebuilt and listed. The graph is repaired by
+    :func:`restart_cycle_repair`; the decisions are the package's
+    ``symmetrize`` and ``next_action``."""
+    from stackgrasp.reasoning import ManipulationGraph, next_action, symmetrize
+
+    perceived = preds.perceived(top_n)
+    nodes = frozenset(p.detection.instance_id for p in perceived)
+    edges = {}
+    for (i, j), (label, conf) in symmetrize(preds.relations).items():
+        if label == 1:
+            edges[(i, j)] = conf
+        elif label == 2:
+            edges[(j, i)] = conf
+    edges, deleted = restart_cycle_repair(nodes, edges)
+    current = ManipulationGraph(nodes=nodes, edges=edges, deleted_edges=tuple(deleted))
+    try:
+        goal = int(target)
+        resolved = goal in nodes
+    except ValueError:
+        goal = target
+        resolved = any(p.detection.category == target for p in perceived)
+    actions = []
+    remaining = list(perceived)
+    while remaining:
+        action = next_action(current, remaining, goal)
+        actions.append(
+            {
+                "object": action.object_id,
+                "is_final_target": action.is_final_target,
+                "graph": {
+                    "nodes": sorted(current.nodes),
+                    "edges": [
+                        {"above": a, "below": b, "confidence": c}
+                        for a, b, c in current.edge_list()
+                    ],
+                    "deleted_edges": [
+                        {"above": a, "below": b, "confidence": c}
+                        for a, b, c in current.deleted_edges
+                    ],
+                },
+            }
+        )
+        if action.is_final_target:
+            break
+        remaining = [p for p in remaining if p.detection.instance_id != action.object_id]
+        keep = {p.detection.instance_id for p in remaining}
+        current = ManipulationGraph(
+            nodes=frozenset(keep),
+            edges={e: c for e, c in current.edges.items() if e[0] in keep and e[1] in keep},
+        )
+    return {"target": {"requested": target, "resolved": resolved}, "actions": actions}

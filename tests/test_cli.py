@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stackgrasp.cli import main
+import stackgrasp
+from stackgrasp.cli import CALIBRATION_WARN_RMS_MM, main
 from stackgrasp.dataset import (
     SceneGrasp,
     SceneObject,
@@ -11,9 +17,17 @@ from stackgrasp.dataset import (
     record_to_predictions,
     serialize_scene,
 )
-from stackgrasp.execution import AffineMap
+from stackgrasp.execution import AffineMap, fit_affine
 from stackgrasp.geometry import AABox, OrientedRect
-from stackgrasp.perception import serialize_predictions
+from stackgrasp.perception import (
+    GraspCandidate,
+    ObjectDetection,
+    ScenePredictions,
+    parse_predictions,
+    serialize_predictions,
+)
+
+from oracle_utils import plan_document
 
 
 def chain_scene() -> SceneRecord:
@@ -213,6 +227,62 @@ class TestPlan:
         assert "no detections" in capsys.readouterr().err
 
 
+def dense_predictions(seed: int, n: int = 30) -> ScenePredictions:
+    """n objects with random soft relations for every ordered pair, which
+    leaves many cycles to repair."""
+    rng = np.random.default_rng(seed)
+    preds = ScenePredictions()
+    for i in range(1, n + 1):
+        x, y = (float(v) for v in rng.uniform(0.0, 500.0, 2))
+        preds.detections.append(
+            ObjectDetection(
+                box=AABox(x, y, x + 40.0, y + 30.0),
+                category=("cup", "box", "pen")[i % 3],
+                score=float(rng.uniform(0.1, 1.0)),
+                instance_id=i,
+            )
+        )
+        preds.grasp_candidates[i] = [
+            GraspCandidate(OrientedRect(x + 20.0, y + 15.0, 30.0, 10.0, 0.0), 0.9)
+        ]
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            if a != b:
+                preds.relations[(a, b)] = tuple(float(p) for p in rng.dirichlet([1.0] * 3))
+    return preds
+
+
+class TestPlanWriter:
+    """The plan writer's bytes equal json.dumps of the whole plan document
+    (tests/oracle_utils.plan_document)."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize(
+        "target, flags", [("7", []), ("cup", []), ("99", ["--assume-hidden"])]
+    )
+    def test_bytes_match_whole_document_dump(self, tmp_path, capsys, seed, target, flags):
+        path = tmp_path / "preds.json"
+        path.write_text(serialize_predictions(dense_predictions(seed)))
+        doc = plan_document(parse_predictions(path.read_text()), target)
+        assert doc["actions"][0]["graph"]["deleted_edges"]
+        assert len(doc["actions"]) > 1
+        expected = json.dumps(doc, indent=2) + "\n"
+        argv = ["plan", "--pred", str(path), "--target", target, *flags]
+
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+        out = tmp_path / "plan.json"
+        assert main([*argv, "--out", str(out), "--pretty"]) == 0
+        assert out.read_text() == expected
+        table = [
+            f"step {i + 1}: grasp object {a['object']}"
+            + (" (target)" if a["is_final_target"] else "")
+            for i, a in enumerate(doc["actions"])
+        ]
+        assert capsys.readouterr().out == "\n".join(table) + "\n"
+
+
 def sim_config(tmp_path, **extra):
     cfg = {
         "seed": 5,
@@ -319,6 +389,66 @@ class TestSimulate:
         capsys.readouterr()
 
 
+def _bad_inputs():
+    """(command, input document, JSON path in the message) for inputs that
+    must exit 2: wrong JSON types and invalid relation probabilities in
+    predictions, and wrong types in a simulation config."""
+
+    def preds(mutate):
+        data = json.loads(serialize_predictions(record_to_predictions(chain_scene())))
+        mutate(data)
+        return data
+
+    def relation(**fields):
+        return lambda d: d["relations"][0].update(fields)
+
+    bad_preds = {
+        "detections-not-a-list": (lambda d: d.update(detections=5), "detections:"),
+        "grasps-not-a-list": (
+            lambda d: d["detections"][0].update(grasps=5), "detections[0].grasps:"
+        ),
+        "detection-not-an-object": (
+            lambda d: d["detections"].append([1, 2]), "detections[4]:"
+        ),
+        "relations-not-a-list": (lambda d: d.update(relations={}), "relations:"),
+        "nan-probability": (relation(probs=[float("nan"), 0.5, 0.5]), "relations[0]:"),
+        "negative-probability": (relation(probs=[-0.5, 1.0, 0.5]), "relations[0]:"),
+        "probabilities-sum-past-1": (relation(probs=[0.5, 0.5, 0.5]), "relations[0]:"),
+        "self-pair": (relation(pair=[1, 1]), "relations[0]:"),
+    }
+    for name, (mutate, where) in bad_preds.items():
+        for command in ("plan", "eval"):
+            yield pytest.param(command, preds(mutate), where, id=f"{command}-{name}")
+    bad_regimes = {
+        "noise-null": {"noise": {"drop_prob": None}},
+        "noise-not-an-object": {"noise": []},
+        "max-steps-string": {"max_steps": "x"},
+        "max-steps-fraction": {"max_steps": 4.5},
+        "count-range-scalar": {"count_range": 5},
+        "trials-null": {"trials": None},
+    }
+    for name, fields in bad_regimes.items():
+        regime = {"count_range": [2, 4], "trials": 1, **fields}
+        yield pytest.param(
+            "simulate", {"regimes": [regime]}, "regimes[0]:", id=f"simulate-{name}"
+        )
+
+
+@pytest.mark.parametrize("command, doc, where", list(_bad_inputs()))
+def test_bad_input_is_a_data_error(tmp_path, scene_file, capsys, command, doc, where):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "plan": ["plan", "--pred", str(path), "--target", "1"],
+        "eval": ["eval", "--gt", str(scene_file), "--pred", str(path)],
+        "simulate": ["simulate", "--config", str(path)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert where in err
+    assert "Traceback" not in err
+
+
 def calibration_pairs():
     linear = [[0.002, 0.0, 0.0], [0.0, 0.002, 0.0], [0.0, 0.0, 1.0]]
     offset = [-0.64, -0.48, 0.0]
@@ -376,6 +506,47 @@ class TestCalibrate:
         path.write_text(json.dumps(pairs))
         assert main(["calibrate", "--pairs", str(path)]) == 0
         assert "residual RMS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factor, warns", [(0.99, False), (1.01, True)])
+    def test_warning_threshold_boundary(self, tmp_path, capsys, factor, warns):
+        # the residual of a least-squares fit scales linearly with a
+        # perturbation of exact pairs
+        def perturbed(scale):
+            pairs = calibration_pairs()
+            for p, sign in zip(pairs, [1.0, -1.0, -1.0, 1.0, 0.5, -0.5]):
+                p["robot"][2] += scale * sign
+            return pairs
+
+        unit = fit_affine([(p["pixel"], p["robot"]) for p in perturbed(1.0)]).residual_rms
+        assert unit > 0.1
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(perturbed(factor * CALIBRATION_WARN_RMS_MM / unit)))
+        assert main(["calibrate", "--pairs", str(path)]) == 0
+        captured = capsys.readouterr()
+        rms = json.loads(captured.out)["residual_rms"]
+        assert (rms > CALIBRATION_WARN_RMS_MM) == warns
+        assert ("warning" in captured.err) == warns
+
+    @pytest.mark.parametrize(
+        "where, value", [("robot", "1e400"), ("robot", "NaN"), ("pixel", "-1e400")]
+    )
+    def test_non_finite_pair_is_numeric_failure(self, tmp_path, where, value):
+        # lstsq never returns on non-finite input, so run under a timeout
+        pairs = calibration_pairs()
+        pairs[3][where][2] = "VALUE"
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(pairs).replace('"VALUE"', value))
+        src = str(Path(stackgrasp.__file__).resolve().parents[1])
+        pythonpath = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from stackgrasp.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "calibrate", "--pairs", str(path)],
+            capture_output=True, text=True, timeout=5, env=env,
+        )
+        assert proc.returncode == 3
+        assert "pair 3: non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_pretty_summary(self, tmp_path, capsys):
         path = tmp_path / "pairs.json"

@@ -112,6 +112,10 @@ class TestParseSerialize:
         rec = sample_record()
         assert parse_scene(serialize_scene(rec)) == rec
 
+    def test_decoded_document_parses_like_text(self):
+        text = serialize_scene(sample_record())
+        assert parse_scene(json.loads(text)) == parse_scene(text)
+
     def test_serialize_parse_serialize_byte_identical(self):
         text = serialize_scene(sample_record())
         assert serialize_scene(parse_scene(text)) == text
@@ -184,6 +188,13 @@ class TestParseErrors:
         with pytest.raises(SceneParseError) as exc:
             parse_scene(json.dumps(data))
         assert exc.value.where == "relations[1]"
+
+    @pytest.mark.parametrize("key", ["objects", "grasps", "relations"])
+    def test_array_of_wrong_type(self, key):
+        data = {"image": {"width": 100, "height": 100}, key: 5}
+        with pytest.raises(SceneParseError, match="expected a list") as exc:
+            parse_scene(json.dumps(data))
+        assert exc.value.where == key
 
     def test_record_validation_reported_at_root(self):
         data = {

@@ -42,6 +42,19 @@ class TestDepthImage:
         with pytest.raises(ValueError):
             DepthImage(values=np.array([[-1.0]]), valid=np.array([[True]]))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_valid_depth_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DepthImage(values=np.array([[5.0, bad]]), valid=np.array([[True, True]]))
+
+    def test_from_millimeters_rejects_infinite_depth(self):
+        with pytest.raises(ValueError, match="finite"):
+            DepthImage.from_millimeters([[5.0, math.inf]])
+
+    def test_masked_non_finite_allowed(self):
+        img = DepthImage(values=np.array([[math.inf, math.nan]]), valid=np.array([[False, False]]))
+        assert not img.valid.any()
+
     def test_masked_negative_allowed(self):
         img = DepthImage(values=np.array([[-1.0]]), valid=np.array([[False]]))
         assert not img.valid.any()

@@ -213,6 +213,14 @@ class TestRotatedJaccard:
         inner = OrientedRect(0, 0, 2, 2, 30)
         assert rotated_jaccard(outer, inner) == pytest.approx(4.0 / 16.0, rel=1e-9)
 
+    def test_contained_rect_sharing_near_horizontal_edges(self):
+        # the inner rect's top edge lies on the outer one's, both 0.5 deg
+        # off horizontal; rounding must not turn it into a crossing
+        outer = OrientedRect(0.0, 64.0, 1.0, 1.0, 0.5)
+        inner = OrientedRect(0.0, 64.0, 0.5, 1.0, 0.5)
+        assert rotated_jaccard(outer, inner) == pytest.approx(0.5, rel=1e-12)
+        assert rotated_jaccard(inner, outer) == pytest.approx(0.5, rel=1e-12)
+
     def test_against_monte_carlo(self):
         rng = np.random.default_rng(11)
         for trial in range(12):

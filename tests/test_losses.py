@@ -213,6 +213,12 @@ class TestRelationPrediction:
         with pytest.raises(ValueError):
             RelationPrediction(pair=(1, 2), probs=(-0.1, 0.6, 0.5))
 
+    def test_same_check_as_the_predictions_parser(self):
+        with pytest.raises(ValueError, match="need 3 probabilities, got 2"):
+            RelationPrediction(pair=(1, 2), probs=(0.5, 0.5))
+        with pytest.raises(ValueError, match="non-finite"):
+            RelationPrediction(pair=(1, 2), probs=(math.nan, 0.5, 0.5))
+
 
 class TestRelationLoss:
     def test_hand_computed_value(self):

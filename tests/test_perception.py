@@ -310,6 +310,61 @@ class TestParseErrors:
         with pytest.raises(ValueError, match=r"relations\[0\]: need 3"):
             parse_predictions(json.dumps(data))
 
+    @pytest.mark.parametrize(
+        "pair, probs, message",
+        [
+            ([1, 2], [float("nan"), 0.5, 0.5], "non-finite"),
+            ([1, 2], [float("inf"), 0.0, 0.0], "non-finite"),
+            ([1, 2], [-0.25, 0.75, 0.5], "negative"),
+            ([1, 2], [0.5, 0.5, 0.5], "sum to 1.5"),
+            ([1, 2], [0.5, 0.25, 0.25 - 2e-6], "not 1"),
+            ([1, 1], [1.0, 0.0, 0.0], "two distinct objects"),
+        ],
+    )
+    def test_invalid_probabilities(self, pair, probs, message):
+        data = {
+            "detections": [
+                {"id": 1, "category": "cup", "bbox": [0, 0, 5, 5]},
+                {"id": 2, "category": "box", "bbox": [10, 10, 15, 15]},
+            ],
+            "relations": [
+                {"pair": [2, 1], "probs": [1.0, 0.0, 0.0]},
+                {"pair": pair, "probs": probs},
+            ],
+        }
+        with pytest.raises(ValueError, match=rf"relations\[1\]: .*{message}"):
+            parse_predictions(json.dumps(data))
+
+    def test_sum_within_tolerance_accepted(self):
+        data = {
+            "detections": [
+                {"id": 1, "category": "cup", "bbox": [0, 0, 5, 5]},
+                {"id": 2, "category": "box", "bbox": [10, 10, 15, 15]},
+            ],
+            "relations": [{"pair": [1, 2], "probs": [0.5, 0.25, 0.25 + 5e-7]}],
+        }
+        assert parse_predictions(json.dumps(data)).relations[(1, 2)][2] == 0.25 + 5e-7
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            ({"detections": 5}, r"detections: expected a list"),
+            ({"detections": ["cup"]}, r"detections\[0\]: expected an object"),
+            (
+                {"detections": [{"id": 1, "category": "cup", "bbox": [0, 0, 5, 5], "grasps": 5}]},
+                r"detections\[0\].grasps: expected a list",
+            ),
+            ({"detections": [], "relations": {"pair": [1, 2]}}, r"relations: expected a list"),
+        ],
+    )
+    def test_wrong_json_types(self, data, where):
+        with pytest.raises(ValueError, match=where):
+            parse_predictions(json.dumps(data))
+
+    def test_decoded_document_parses_like_text(self):
+        text = serialize_predictions(sample_predictions())
+        assert parse_predictions(json.loads(text)) == parse_predictions(text)
+
 
 class TestScenePredictions:
     def test_perceived_covers_every_detection(self):

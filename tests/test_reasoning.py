@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackgrasp.geometry import AABox
 from stackgrasp.perception import ObjectDetection, PerceivedObject
@@ -15,7 +17,7 @@ from stackgrasp.reasoning import (
     symmetrize,
 )
 
-from oracle_utils import order_is_valid, valid_orders
+from oracle_utils import order_is_valid, restart_cycle_repair, valid_orders
 
 
 def perceived(instance_id, score=0.5, category="cup"):
@@ -113,6 +115,79 @@ class TestBuildGraph:
     def test_edge_list_sorted(self):
         g = build_graph([1, 2, 3], {(2, 3): (1, 0.8), (1, 2): (1, 0.9)})
         assert g.edge_list() == [(1, 2, 0.9), (2, 3, 0.8)]
+
+
+def _label_edges(labels):
+    edges = {}
+    for (i, j), (label, conf) in labels.items():
+        if label == 1:
+            edges[(i, j)] = conf
+        elif label == 2:
+            edges[(j, i)] = conf
+    return edges
+
+
+def _assert_matches_restart_oracle(nodes, labels):
+    g = build_graph(nodes, labels)
+    edges, deleted = restart_cycle_repair(frozenset(nodes), _label_edges(labels))
+    assert list(g.deleted_edges) == deleted
+    assert g.edges == edges
+    assert _is_acyclic(g)
+    return g
+
+
+@st.composite
+def noisy_graphs(draw):
+    """Dense noisy label sets over up to 60 nodes. Some carry a long chain
+    closed by a strong edge, whose weakest edge sits deep in the DFS stack
+    when the cycle is found; confidences repeat, so ties are common."""
+    n = draw(st.integers(1, 60))
+    rng = draw(st.randoms(use_true_random=False))
+    nodes = rng.sample(range(200), n)
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9]))
+    labels = {}
+    for x, y in itertools.combinations(sorted(nodes), 2):
+        if rng.random() < density:
+            conf = rng.choice([0.5, 0.75, round(rng.random(), 3)])
+            labels[(x, y)] = (rng.choice((0, 1, 2)), conf)
+    chain = sorted(nodes)[: draw(st.integers(0, n))]
+    if len(chain) >= 3:
+        weak = draw(st.integers(0, len(chain) - 2))
+        for k in range(len(chain) - 1):
+            labels[(chain[k], chain[k + 1])] = (1, 0.05 if k == weak else 0.95)
+        labels[(chain[0], chain[-1])] = (2, 0.99)  # chain[-1] above chain[0]
+    return nodes, labels
+
+
+class TestCycleRepairOracle:
+    """The rewinding DFS must delete exactly what restarting after every
+    deletion deletes (tests/oracle_utils.restart_cycle_repair)."""
+
+    @given(noisy_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_restart_loop(self, graph):
+        _assert_matches_restart_oracle(*graph)
+
+    def test_deep_tree_edge_victim(self):
+        # 0 -> 1 -> ... -> 9 -> 0; the weakest edge 3 -> 4 is a tree edge
+        # six levels below the top of the stack. After its deletion 5..9
+        # are rediscovered from 2, closing 0 -> 1 -> 2 -> 5 -> ... -> 9 -> 0,
+        # whose weakest edge 2 -> 5 is again a tree edge.
+        labels = {(k, k + 1): (1, 0.9) for k in range(9)}
+        labels[(3, 4)] = (1, 0.1)
+        labels[(0, 9)] = (2, 0.95)
+        labels[(2, 5)] = (1, 0.3)
+        g = _assert_matches_restart_oracle(range(10), labels)
+        assert g.deleted_edges == ((3, 4, 0.1), (2, 5, 0.3))
+
+    def test_back_edge_victim(self):
+        labels = {(1, 2): (1, 0.9), (2, 3): (1, 0.8), (1, 3): (2, 0.2)}
+        g = _assert_matches_restart_oracle([1, 2, 3], labels)
+        assert g.deleted_edges == ((3, 1, 0.2),)
+
+    def test_self_loop(self):
+        g = _assert_matches_restart_oracle([1, 2], {(1, 1): (1, 0.4), (1, 2): (1, 0.5)})
+        assert g.deleted_edges == ((1, 1, 0.4),)
 
 
 def _is_acyclic(g: ManipulationGraph) -> bool:
