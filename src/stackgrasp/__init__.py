@@ -1,116 +1,16 @@
 """Grasp detection, stacking-order reasoning, and grasp execution for
 cluttered tabletop scenes, plus a seeded simulator and evaluation tools."""
 
-from .anchors import (
-    AnchorConfig,
-    GraspDelta,
-    OrientedAnchor,
-    anchor_orientations,
-    decode_grasp,
-    encode_grasp,
-    generate_anchors,
-    match_anchors,
-)
-from .dataset import (
-    SceneGrasp,
-    SceneObject,
-    SceneParseError,
-    SceneRecord,
-    hflip,
-    load_scene,
-    parse_scene,
-    record_to_predictions,
-    relation_label,
-    rot90,
-    save_scene,
-    serialize_scene,
-)
-from .evaluation import (
-    MatchThresholds,
-    MetricsReport,
-    RelationMetrics,
-    average_precision,
-    evaluate,
-    match_detections,
-    relation_metrics,
-    sequential_success,
-)
-from .execution import (
-    AffineMap,
-    CalibrationError,
-    DepthImage,
-    GraspExecutionError,
-    GraspPointError,
-    OpeningLimitError,
-    RobotGraspPose,
-    SurfaceNormalError,
-    approach_vector,
-    fit_affine,
-    grasp_point,
-    load_calibration_pairs,
-    load_depth_pgm,
-    save_depth_pgm,
-    to_robot_pose,
-)
-from .geometry import (
-    AABox,
-    OrientedRect,
-    aabb_iou,
-    angle_difference,
-    normalize_angle,
-    point_in_rect,
-    rect_vertices,
-    rotated_jaccard,
-    union_box,
-)
-from .losses import (
-    LossWeights,
-    GraspPrediction,
-    RelationPrediction,
-    TrainingLossReport,
-    grasp_loss,
-    relation_loss,
-    smooth_l1,
-    softmax2,
-    total_loss,
-)
-from .perception import (
-    GraspCandidate,
-    NoGraspError,
-    ObjectDetection,
-    PerceivedObject,
-    ScenePredictions,
-    decode_roi_grasps,
-    nms,
-    parse_predictions,
-    perceive,
-    select_best_grasp,
-    serialize_predictions,
-)
-from .reasoning import (
-    EmptySceneError,
-    GraspAction,
-    ManipulationGraph,
-    ancestors,
-    build_graph,
-    leaves,
-    next_action,
-    symmetrize,
-)
-from .simulation import (
-    CATEGORIES,
-    NoiseModel,
-    SimObject,
-    SimScene,
-    TrialConfig,
-    TrialLog,
-    TrialStep,
-    generate_scene,
-    oracle_predict,
-    remove_object,
-    run_trial,
-    select_target,
-    visible,
+from . import (
+    anchors,
+    dataset,
+    evaluation,
+    execution,
+    geometry,
+    losses,
+    perception,
+    reasoning,
+    simulation,
 )
 
 __version__ = "0.1.0"

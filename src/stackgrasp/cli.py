@@ -34,7 +34,7 @@ from .evaluation import MatchThresholds, evaluate, sequential_success
 from .execution import CalibrationError, fit_affine, load_calibration_pairs
 from .perception import ScenePredictions, parse_predictions
 from .reasoning import ManipulationGraph, build_graph, next_action, symmetrize
-from .simulation import NoiseModel, TrialConfig, run_trial
+from .simulation import TrialConfig, run_trial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -294,41 +294,46 @@ def _trial_seed(base: int, regime_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _regime_config(regime: dict, visibility: float | None) -> tuple[int, TrialConfig]:
-    """The trial count and the trial config, seed 0, of one regime."""
-    trials = int(regime["trials"])
-    if trials < 1:
-        raise ValueError("'trials' must be positive")
-    lo, hi = (int(v) for v in regime["count_range"])
-    return trials, TrialConfig(
-        seed=0,
-        count_range=(lo, hi),
-        target_rule=str(regime.get("target_rule", "random")),
-        max_steps=regime.get("max_steps"),
-        noise=NoiseModel.from_json_dict(regime.get("noise", {})),
-        coverage_threshold=float(
-            visibility if visibility is not None else regime.get("coverage_threshold", 0.8)
-        ),
-        max_stack_depth=int(regime.get("max_stack_depth", 4)),
-        top_n=int(regime.get("top_n", 3)),
-    )
+def _regimes(
+    regimes: list[dict], visibility: float | None
+) -> list[tuple[str, int, TrialConfig]]:
+    """Name, trial count and trial config (seed 0) of every regime, all
+    checked before any trial runs."""
+    out = []
+    names = set()
+    for ri, regime in enumerate(regimes):
+        fields = dict(regime)
+        name = str(fields.pop("name", f"regime{ri}"))
+        try:
+            trials = int(fields.pop("trials"))
+            if trials < 1:
+                raise ValueError("'trials' must be positive")
+            if visibility is not None:
+                fields["coverage_threshold"] = visibility
+            config = TrialConfig.from_json_dict(fields)
+        except (TypeError, ValueError) as e:
+            raise DataError(f"regimes[{ri}]: {e}") from e
+        # names become trial log file names
+        if name in names:
+            raise DataError(f"regimes[{ri}]: duplicate regime name {name!r}")
+        if "/" in name or "\\" in name:
+            raise DataError(f"regimes[{ri}]: regime name {name!r} contains a path separator")
+        names.add(name)
+        out.append((name, trials, config))
+    return out
 
 
 def _cmd_simulate(args) -> int:
     base_seed, regimes = _parse_sim_config(Path(args.config))
     if args.seed is not None:
         base_seed = args.seed
+    checked = _regimes(regimes, args.visibility)
     log_dir = Path(args.trial_log) if args.trial_log else None
     if log_dir is not None:
         log_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for ri, regime in enumerate(regimes):
-        name = str(regime.get("name", f"regime{ri}"))
-        try:
-            trials, config = _regime_config(regime, args.visibility)
-        except (TypeError, ValueError) as e:
-            raise DataError(f"regimes[{ri}]: {e}") from e
+    for ri, (name, trials, config) in enumerate(checked):
         successes = 0
         for ti in range(trials):
             log = run_trial(replace(config, seed=_trial_seed(base_seed, ri, ti)))

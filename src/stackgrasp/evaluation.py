@@ -19,6 +19,7 @@ from typing import Sequence
 from .dataset import SceneRecord, relation_label
 from .geometry import aabb_iou, angle_difference, rotated_jaccard
 from .perception import PerceivedObject, ScenePredictions
+from .reasoning import argmax_label
 
 
 @dataclass(frozen=True)
@@ -172,11 +173,6 @@ def match_detections(record: SceneRecord, preds: ScenePredictions,
     return mapping
 
 
-def _predicted_label(probs: tuple[float, float, float]) -> int:
-    # ties break toward the smaller class index: none, then above, then below
-    return max(range(3), key=lambda k: (probs[k], -k))
-
-
 @dataclass(frozen=True)
 class RelationMetrics:
     correct_pairs: int
@@ -233,7 +229,7 @@ def relation_metrics(
                 if probs is None:
                     scene_correct = False
                     continue
-                if _predicted_label(probs) == relation_label(rec, a, b):
+                if argmax_label(probs) == relation_label(rec, a, b):
                     correct += 1
                 else:
                     scene_correct = False

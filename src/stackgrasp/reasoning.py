@@ -23,6 +23,12 @@ class EmptySceneError(ValueError):
     """Raised when an action is requested with no detections at all."""
 
 
+def argmax_label(probs: Sequence[float]) -> int:
+    """Most probable relation class; exact ties break toward the smaller
+    class index: none, then above, then below."""
+    return max(range(3), key=lambda k: (probs[k], -k))
+
+
 def symmetrize(
     relations: Mapping[tuple[int, int], Sequence[float]],
 ) -> dict[tuple[int, int], tuple[int, float]]:
@@ -30,9 +36,9 @@ def symmetrize(
 
     For i < j the joint score of each consistent labeling averages the two
     directions: none = (p_ij[0] + p_ji[0]) / 2, i-above-j =
-    (p_ij[1] + p_ji[2]) / 2, i-below-j = (p_ij[2] + p_ji[1]) / 2. The argmax
-    wins; exact ties prefer none, then above, then below. Returns
-    {(i, j): (label, confidence)} keyed with i < j.
+    (p_ij[1] + p_ji[2]) / 2, i-below-j = (p_ij[2] + p_ji[1]) / 2, and
+    ``argmax_label`` picks the winner. Returns {(i, j): (label, confidence)}
+    keyed with i < j.
     """
     for (a, b) in relations:
         if (b, a) not in relations:
@@ -48,7 +54,7 @@ def symmetrize(
             (p_ij[1] + p_ji[2]) / 2.0,
             (p_ij[2] + p_ji[1]) / 2.0,
         )
-        label = max(range(3), key=lambda k: (joint[k], -k))
+        label = argmax_label(joint)
         out[(a, b)] = (label, joint[label])
     return out
 

@@ -1,14 +1,14 @@
 """Seeded scene simulator: cluttered stacks of boxes, an oracle predictor
 with tunable noise, and a grasp-remove trial loop.
 
-Scenes are forests of axis-aligned boxes. A stacked box is always nested
-inside its supporting box and siblings never overlap, so two boxes overlap
-exactly when one is (transitively) stacked on the other, and every such
-pair carries a direct above/below edge. That containment rule is load
-bearing: it means any object visible to the oracle predictor has all of its
-coverers visible too, so the planner's leaf estimate over detected objects
-can never pick an object that secretly has something on it. Zero-noise
-trials therefore always succeed.
+Scenes are ``dataset.SceneRecord``s holding forests of axis-aligned boxes.
+A stacked box is always nested inside its supporting box and siblings never
+overlap, so two boxes overlap exactly when one is (transitively) stacked on
+the other, and every such pair carries a direct above/below relation. That
+containment rule is load bearing: it means any object visible to the oracle
+predictor has all of its coverers visible too, so the planner's leaf
+estimate over detected objects can never pick an object that secretly has
+something on it. Zero-noise trials therefore always succeed.
 
 Every random quantity is drawn from numpy Generators seeded from the trial
 seed, and noise variates are drawn unconditionally before being applied, so
@@ -25,7 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import SceneGrasp, SceneObject, SceneRecord
+from .dataset import (
+    SceneGrasp,
+    SceneObject,
+    SceneRecord,
+    relation_label,
+    scene_to_json_dict,
+)
+from .evaluation import sequential_success
 from .execution import DepthImage
 from .geometry import AABox, OrientedRect
 from .perception import GraspCandidate, ObjectDetection, ScenePredictions, perceive
@@ -91,57 +98,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class SimObject:
-    instance_id: int
-    category: str
-    box: AABox
-    grasps: tuple[OrientedRect, ...]
-    level: int  # 0 = on the table
-
-
-@dataclass(frozen=True)
-class SimScene:
-    width: int
-    height: int
-    objects: tuple[SimObject, ...]
-    above_edges: frozenset[tuple[int, int]]  # (above_id, below_id), transitive
-
-    def object_map(self) -> dict[int, SimObject]:
-        return {o.instance_id: o for o in self.objects}
-
-    def to_record(self) -> SceneRecord:
-        objects = tuple(
-            SceneObject(instance_id=o.instance_id, category=o.category, box=o.box)
-            for o in self.objects
-        )
-        grasps = tuple(
-            SceneGrasp(owner=o.instance_id, rect=g)
-            for o in self.objects
-            for g in o.grasps
-        )
-        return SceneRecord(
-            width=self.width,
-            height=self.height,
-            objects=objects,
-            grasps=grasps,
-            relations=tuple(sorted(self.above_edges)),
-        )
-
-    def depth_image(self) -> DepthImage:
-        """Synthetic raster: the table sits at TABLE_DEPTH_MM and each stack
-        level is LEVEL_STEP_MM nearer the camera. Higher objects are painted
-        last, so where boxes overlap the one on top sets the (smaller)
-        depth."""
-        values = np.full((self.height, self.width), TABLE_DEPTH_MM)
-        for o in sorted(self.objects, key=lambda o: (o.level, o.instance_id)):
-            b = o.box
-            values[
-                int(b.ymin) : int(b.ymax), int(b.xmin) : int(b.xmax)
-            ] = TABLE_DEPTH_MM - LEVEL_STEP_MM * (o.level + 1)
-        return DepthImage.from_millimeters(values)
-
-
-@dataclass(frozen=True)
 class TrialConfig:
     seed: int
     count_range: tuple[int, int] = (6, 9)
@@ -177,6 +133,26 @@ class TrialConfig:
         if self.top_n < 1:
             raise ValueError("top_n must be at least 1")
 
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "TrialConfig":
+        """Config of one simulation regime, with seed 0: the seed is not a
+        regime field. Absent fields keep their defaults."""
+        if not isinstance(data, dict):
+            raise ValueError("regime must be an object")
+        convert = {
+            "count_range": lambda v: tuple(int(x) for x in v),
+            "target_rule": str,
+            "max_steps": lambda v: v,  # checked by __post_init__
+            "noise": NoiseModel.from_json_dict,
+            "coverage_threshold": float,
+            "max_stack_depth": int,
+            "top_n": int,
+        }
+        bad = set(data) - set(convert)
+        if bad:
+            raise ValueError(f"unknown regime fields: {sorted(bad)}")
+        return cls(seed=0, **{k: convert[k](v) for k, v in data.items()})
+
 
 class _Node:
     __slots__ = ("x0", "y0", "w", "h", "level", "parent", "mode", "free_quads")
@@ -197,7 +173,7 @@ def _eligible(node: _Node, max_depth: int) -> bool:
     return node.mode == "quad" and bool(node.free_quads)
 
 
-def generate_scene(seed: int, cfg: TrialConfig) -> SimScene:
+def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
     """Deterministic random scene for a seed: disjoint base objects, nested
     stacks on top of them, one to three grasps per object."""
     rng = np.random.default_rng(seed)
@@ -248,6 +224,7 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SimScene:
         nodes.append(_Node(x0, y0, cw, ch, level=parent.level + 1, parent=parent))
 
     objects = []
+    grasps = []
     edges = set()
     index_of = {id(nd): i for i, nd in enumerate(nodes)}
     for i, nd in enumerate(nodes):
@@ -260,32 +237,47 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SimScene:
         side = float(min(nd.w, nd.h))
         cx0 = nd.x0 + nd.w / 2.0
         cy0 = nd.y0 + nd.h / 2.0
-        grasps = []
         for _ in range(int(rng.integers(1, 4))):
-            grasps.append(
-                OrientedRect(
-                    x=cx0 + rng.uniform(-0.05, 0.05) * side,
-                    y=cy0 + rng.uniform(-0.05, 0.05) * side,
-                    w=side * rng.uniform(0.45, 0.6),
-                    h=side * rng.uniform(0.25, 0.4),
-                    theta=float(rng.uniform(-90.0, 90.0)),
-                )
+            rect = OrientedRect(
+                x=cx0 + rng.uniform(-0.05, 0.05) * side,
+                y=cy0 + rng.uniform(-0.05, 0.05) * side,
+                w=side * rng.uniform(0.45, 0.6),
+                h=side * rng.uniform(0.25, 0.4),
+                theta=float(rng.uniform(-90.0, 90.0)),
             )
+            grasps.append(SceneGrasp(owner=instance_id, rect=rect))
         objects.append(
-            SimObject(
+            SceneObject(
                 instance_id=instance_id,
                 category=category,
                 box=AABox(float(nd.x0), float(nd.y0), float(nd.x0 + nd.w), float(nd.y0 + nd.h)),
-                grasps=tuple(grasps),
-                level=nd.level,
             )
         )
-    return SimScene(
+    return SceneRecord(
         width=SCENE_WIDTH,
         height=SCENE_HEIGHT,
         objects=tuple(objects),
-        above_edges=frozenset(edges),
+        grasps=tuple(grasps),
+        relations=tuple(sorted(edges)),
     )
+
+
+def depth_image(scene: SceneRecord) -> DepthImage:
+    """Synthetic raster: the table sits at TABLE_DEPTH_MM and each stack
+    level is LEVEL_STEP_MM nearer the camera. An object's level is the
+    number of objects it rests on, which the transitive relations list
+    directly. Higher objects are painted last, so where boxes overlap the
+    one on top sets the (smaller) depth."""
+    level = {o.instance_id: 0 for o in scene.objects}
+    for a, _ in scene.relations:
+        level[a] += 1
+    values = np.full((scene.height, scene.width), TABLE_DEPTH_MM)
+    for o in sorted(scene.objects, key=lambda o: (level[o.instance_id], o.instance_id)):
+        b = o.box
+        values[
+            int(b.ymin) : int(b.ymax), int(b.xmin) : int(b.xmax)
+        ] = TABLE_DEPTH_MM - LEVEL_STEP_MM * (level[o.instance_id] + 1)
+    return DepthImage.from_millimeters(values)
 
 
 def _coverage_fraction(target: AABox, covers: Sequence[AABox]) -> float:
@@ -309,26 +301,18 @@ def _coverage_fraction(target: AABox, covers: Sequence[AABox]) -> float:
     return covered / target.area
 
 
-def visible(scene: SimScene, instance_id: int, coverage_threshold: float = 0.8) -> bool:
-    """An object is visible while the boxes stacked directly above it cover
-    less than ``coverage_threshold`` of its own box."""
-    objects = scene.object_map()
-    if instance_id not in objects:
+def visible(scene: SceneRecord, instance_id: int, coverage_threshold: float = 0.8) -> bool:
+    """An object is visible while the boxes stacked above it cover less than
+    ``coverage_threshold`` of its own box."""
+    boxes = {o.instance_id: o.box for o in scene.objects}
+    if instance_id not in boxes:
         raise ValueError(f"no object {instance_id} in the scene")
-    covers = [objects[a].box for (a, b) in scene.above_edges if b == instance_id]
-    return _coverage_fraction(objects[instance_id].box, covers) < coverage_threshold
-
-
-def _relation_class(scene: SimScene, a: int, b: int) -> int:
-    if (a, b) in scene.above_edges:
-        return 1
-    if (b, a) in scene.above_edges:
-        return 2
-    return 0
+    covers = [boxes[a] for (a, b) in scene.relations if b == instance_id]
+    return _coverage_fraction(boxes[instance_id], covers) < coverage_threshold
 
 
 def oracle_predict(
-    scene: SimScene,
+    scene: SceneRecord,
     noise: NoiseModel,
     rng: np.random.Generator,
     coverage_threshold: float = 0.8,
@@ -340,11 +324,14 @@ def oracle_predict(
     across noise settings for a fixed scene and generator state.
     """
     preds = ScenePredictions()
+    rects: dict[int, list[OrientedRect]] = {o.instance_id: [] for o in scene.objects}
+    for g in scene.grasps:
+        rects[g.owner].append(g.rect)
     for o in scene.objects:
         u_drop = float(rng.random())
         jitter = rng.normal(size=4)
         score_draw = float(rng.normal())
-        grasp_draws = rng.normal(size=(len(o.grasps), 2))
+        grasp_draws = rng.normal(size=(len(rects[o.instance_id]), 2))
         if not visible(scene, o.instance_id, coverage_threshold):
             continue
         if u_drop < noise.drop_prob:
@@ -366,7 +353,7 @@ def oracle_predict(
             )
         )
         cands = []
-        for g, (a_draw, c_draw) in zip(o.grasps, grasp_draws):
+        for g, (a_draw, c_draw) in zip(rects[o.instance_id], grasp_draws):
             rect = OrientedRect(
                 x=g.x, y=g.y, w=g.w, h=g.h, theta=g.theta + noise.angle_sigma * float(a_draw)
             )
@@ -381,7 +368,7 @@ def oracle_predict(
                 continue
             u_flip = float(rng.random())
             alt = int(rng.integers(0, 2))
-            label = _relation_class(scene, a, b)
+            label = relation_label(scene, a, b)
             if u_flip < noise.relation_flip_prob:
                 label = [l for l in (0, 1, 2) if l != label][alt]
             onehot = [0.0, 0.0, 0.0]
@@ -390,38 +377,24 @@ def oracle_predict(
     return preds
 
 
-def remove_object(scene: SimScene, instance_id: int) -> SimScene:
-    """Scene with one object taken away; stack levels are recomputed from
-    the surviving edges."""
-    objects = scene.object_map()
-    if instance_id not in objects:
+def remove_object(scene: SceneRecord, instance_id: int) -> SceneRecord:
+    """Scene with one object, its grasps and its relations taken away."""
+    if all(o.instance_id != instance_id for o in scene.objects):
         raise ValueError(f"no object {instance_id} in the scene")
-    remaining = [o for o in scene.objects if o.instance_id != instance_id]
-    edges = frozenset(
-        (a, b) for (a, b) in scene.above_edges if a != instance_id and b != instance_id
-    )
-    supports: dict[int, list[int]] = {o.instance_id: [] for o in remaining}
-    for (a, b) in edges:
-        supports[a].append(b)
-    levels: dict[int, int] = {}
-
-    def level_of(i: int) -> int:
-        if i not in levels:
-            levels[i] = 1 + max((level_of(s) for s in supports[i]), default=-1)
-        return levels[i]
-
-    new_objects = tuple(replace(o, level=level_of(o.instance_id)) for o in remaining)
-    return SimScene(
-        width=scene.width, height=scene.height, objects=new_objects, above_edges=edges
+    return replace(
+        scene,
+        objects=tuple(o for o in scene.objects if o.instance_id != instance_id),
+        grasps=tuple(g for g in scene.grasps if g.owner != instance_id),
+        relations=tuple(r for r in scene.relations if instance_id not in r),
     )
 
 
-def select_target(scene: SimScene, rule: str, rng: np.random.Generator) -> int:
+def select_target(scene: SceneRecord, rule: str, rng: np.random.Generator) -> int:
     ids = sorted(o.instance_id for o in scene.objects)
     if rule == "random":
         return ids[int(rng.integers(0, len(ids)))]
     if rule == "deepest":
-        buried = {i: sum(1 for (a, b) in scene.above_edges if b == i) for i in ids}
+        buried = {i: sum(1 for (a, b) in scene.relations if b == i) for i in ids}
         return min(ids, key=lambda i: (-buried[i], i))
     raise ValueError(f"unknown target rule {rule!r}")
 
@@ -449,20 +422,17 @@ class TrialStep:
 class TrialLog:
     seed: int
     target: int
-    scene: SimScene
+    scene: SceneRecord
     steps: tuple[TrialStep, ...]
     reason: str  # target_removed | step_budget_exhausted | no_detections
     noise: NoiseModel = NoiseModel()
 
     def to_json_dict(self) -> dict:
-        from .dataset import scene_to_json_dict
-        from .evaluation import sequential_success
-
         return {
             "seed": self.seed,
             "target": self.target,
             "noise": self.noise.to_json_dict(),
-            "scene": scene_to_json_dict(self.scene.to_record()),
+            "scene": scene_to_json_dict(self.scene),
             "steps": [s.to_json_dict() for s in self.steps],
             "outcome": {
                 "reason": self.reason,
@@ -505,7 +475,7 @@ def run_trial(cfg: TrialConfig) -> TrialLog:
                 action_object=removed,
                 claimed_final=action.is_final_target,
                 removed=removed,
-                order_valid=not any(b == removed for (_, b) in current.above_edges),
+                order_valid=not any(b == removed for (_, b) in current.relations),
                 target_visible=visible(current, target, cfg.coverage_threshold),
             )
         )

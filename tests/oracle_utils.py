@@ -60,12 +60,12 @@ def central_diff(f, x: float, h: float = 1e-6) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def valid_orders(nodes, above_edges):
+def valid_orders(nodes, relations):
     """All removal orders of ``nodes`` that never take an object while
     something is still stacked on it, by brute-force permutation filtering.
-    ``above_edges`` holds (above, below) pairs."""
+    ``relations`` holds (above, below) pairs."""
     nodes = list(nodes)
-    edges = set(above_edges)
+    edges = set(relations)
     orders = []
     for perm in itertools.permutations(nodes):
         removed = set()
@@ -80,10 +80,10 @@ def valid_orders(nodes, above_edges):
     return orders
 
 
-def order_is_valid(order, above_edges) -> bool:
+def order_is_valid(order, relations) -> bool:
     removed = set()
     for obj in order:
-        if any(a not in removed for (a, b) in above_edges if b == obj):
+        if any(a not in removed for (a, b) in relations if b == obj):
             return False
         removed.add(obj)
     return True

@@ -76,7 +76,7 @@ def test_criterion_1_oracle_equivalence_metrics():
     for count_range, base in (((2, 5), 0), ((6, 9), 10_000)):
         for s in range(100):
             cfg = TrialConfig(seed=base + s, count_range=count_range)
-            records.append(generate_scene(base + s, cfg).to_record())
+            records.append(generate_scene(base + s, cfg))
     preds = [record_to_predictions(r) for r in records]
     report = evaluate(records, preds)
     elapsed = time.monotonic() - start

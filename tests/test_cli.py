@@ -388,6 +388,35 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path)]) == 2
         capsys.readouterr()
 
+    def test_duplicate_regime_names_rejected_before_any_trial(self, tmp_path, capsys):
+        # same-named regimes would overwrite each other's trial logs
+        cfg = {
+            "regimes": [
+                {"name": "a", "count_range": [2, 4], "trials": 2},
+                {"name": "a", "count_range": [6, 9], "trials": 2},
+            ]
+        }
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        log_dir = tmp_path / "logs"
+        argv = ["simulate", "--config", str(path), "--trial-log", str(log_dir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "regimes[1]:" in err and "duplicate regime name" in err
+        assert not log_dir.exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/name", "back\\slash"])
+    def test_path_separator_in_name_rejected(self, tmp_path, capsys, name):
+        cfg = {"regimes": [{"name": name, "count_range": [2, 4], "trials": 1}]}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        log_dir = tmp_path / "logs"
+        argv = ["simulate", "--config", str(path), "--trial-log", str(log_dir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "regimes[0]:" in err and "path separator" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
+
 
 def _bad_inputs():
     """(command, input document, JSON path in the message) for inputs that
@@ -426,6 +455,7 @@ def _bad_inputs():
         "max-steps-fraction": {"max_steps": 4.5},
         "count-range-scalar": {"count_range": 5},
         "trials-null": {"trials": None},
+        "unknown-field": {"targt_rule": "deepest", "noize": {"drop_prob": 0.5}},
     }
     for name, fields in bad_regimes.items():
         regime = {"count_range": [2, 4], "trials": 1, **fields}

@@ -294,12 +294,12 @@ class TestClearOutOracle:
     """Repeatedly grasping what next_action suggests must clear any stack in
     an order that never removes a covered object."""
 
-    def run_clearout(self, nodes, above_edges, target=None):
+    def run_clearout(self, nodes, relations, target=None):
         labels = {}
         for i, j in itertools.combinations(sorted(nodes), 2):
-            if (i, j) in above_edges:
+            if (i, j) in relations:
                 labels[(i, j)] = (1, 0.9)
-            elif (j, i) in above_edges:
+            elif (j, i) in relations:
                 labels[(i, j)] = (2, 0.9)
             else:
                 labels[(i, j)] = (0, 0.9)
@@ -307,7 +307,7 @@ class TestClearOutOracle:
         alive = set(nodes)
         while alive:
             dets = [perceived(i, score=0.5) for i in sorted(alive)]
-            live_edges = {e for e in above_edges if e[0] in alive and e[1] in alive}
+            live_edges = {e for e in relations if e[0] in alive and e[1] in alive}
             live_labels = {
                 (i, j): lab
                 for (i, j), lab in labels.items()

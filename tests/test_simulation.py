@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stackgrasp.dataset import serialize_scene
+from stackgrasp.dataset import SceneGrasp, SceneObject, SceneRecord, serialize_scene
 from stackgrasp.geometry import AABox, OrientedRect, aabb_iou
 from stackgrasp.simulation import (
     CATEGORIES,
@@ -10,9 +10,8 @@ from stackgrasp.simulation import (
     SCENE_WIDTH,
     TABLE_DEPTH_MM,
     NoiseModel,
-    SimObject,
-    SimScene,
     TrialConfig,
+    depth_image,
     generate_scene,
     oracle_predict,
     remove_object,
@@ -28,27 +27,55 @@ def cfg_with(seed, **kw):
     return TrialConfig(seed=seed, **kw)
 
 
-def obj(instance_id, x0, y0, x1, y1, level=0, category="cup"):
-    rect = OrientedRect((x0 + x1) / 2.0, (y0 + y1) / 2.0, (x1 - x0) / 2.0, 4.0, 0.0)
-    return SimObject(
+def obj(instance_id, x0, y0, x1, y1, category="cup"):
+    return SceneObject(
         instance_id=instance_id,
         category=category,
         box=AABox(float(x0), float(y0), float(x1), float(y1)),
-        grasps=(rect,),
-        level=level,
+    )
+
+
+def scene_of(*objects, relations=()):
+    """640x480 scene with one centred grasp per object."""
+    grasps = tuple(
+        SceneGrasp(
+            owner=o.instance_id,
+            rect=OrientedRect(
+                (o.box.xmin + o.box.xmax) / 2.0,
+                (o.box.ymin + o.box.ymax) / 2.0,
+                (o.box.xmax - o.box.xmin) / 2.0,
+                4.0,
+                0.0,
+            ),
+        )
+        for o in objects
+    )
+    return SceneRecord(
+        width=640,
+        height=480,
+        objects=objects,
+        grasps=grasps,
+        relations=tuple(sorted(relations)),
     )
 
 
 def stack_scene():
     """3 nested in 2 nested in 1, plus a free object 4."""
-    objects = (
-        obj(1, 100, 100, 300, 300, level=0),
-        obj(2, 120, 120, 280, 280, level=1),
-        obj(3, 150, 150, 250, 250, level=2),
-        obj(4, 400, 100, 500, 200, level=0),
+    return scene_of(
+        obj(1, 100, 100, 300, 300),
+        obj(2, 120, 120, 280, 280),
+        obj(3, 150, 150, 250, 250),
+        obj(4, 400, 100, 500, 200),
+        relations={(2, 1), (3, 2), (3, 1)},
     )
-    edges = frozenset({(2, 1), (3, 2), (3, 1)})
-    return SimScene(width=640, height=480, objects=objects, above_edges=edges)
+
+
+def levels(scene):
+    """Stack level of each object: the number of objects it rests on."""
+    return {
+        o.instance_id: sum(1 for (a, _) in scene.relations if a == o.instance_id)
+        for o in scene.objects
+    }
 
 
 class TestNoiseModel:
@@ -89,6 +116,37 @@ class TestTrialConfig:
             TrialConfig(seed=0, count_range=(1, 7), max_stack_depth=0)
         TrialConfig(seed=0, count_range=(1, 6), max_stack_depth=0)
 
+    def test_from_json_dict(self):
+        data = {
+            "count_range": [2, 4],
+            "target_rule": "deepest",
+            "max_steps": 6,
+            "noise": {"relation_flip_prob": 0.1, "box_sigma": 2.0},
+            "coverage_threshold": 0.7,
+            "max_stack_depth": 2,
+            "top_n": 1,
+        }
+        assert TrialConfig.from_json_dict(data) == TrialConfig(
+            seed=0,
+            count_range=(2, 4),
+            target_rule="deepest",
+            max_steps=6,
+            noise=NoiseModel(relation_flip_prob=0.1, box_sigma=2.0),
+            coverage_threshold=0.7,
+            max_stack_depth=2,
+            top_n=1,
+        )
+        assert TrialConfig.from_json_dict({}) == TrialConfig(seed=0)
+
+    def test_from_json_dict_rejects_unknown_fields(self):
+        with pytest.raises(ValueError, match=r"unknown regime fields: \['noize', 'targt_rule'\]"):
+            TrialConfig.from_json_dict({"targt_rule": "deepest", "noize": {}})
+        # trial seeds come from the config's base seed, never from a regime
+        with pytest.raises(ValueError, match="unknown regime fields"):
+            TrialConfig.from_json_dict({"seed": 3})
+        with pytest.raises(ValueError, match="must be an object"):
+            TrialConfig.from_json_dict([])
+
     def test_bad_rule_and_threshold(self):
         with pytest.raises(ValueError, match="target rule"):
             TrialConfig(seed=0, target_rule="nearest")
@@ -101,64 +159,71 @@ class TestGenerateScene:
         cfg = cfg_with(0)
         a = generate_scene(123, cfg)
         b = generate_scene(123, cfg)
-        assert serialize_scene(a.to_record()) == serialize_scene(b.to_record())
+        assert serialize_scene(a) == serialize_scene(b)
 
     def test_different_seeds_differ(self):
         cfg = cfg_with(0)
         a = generate_scene(1, cfg)
         b = generate_scene(2, cfg)
-        assert serialize_scene(a.to_record()) != serialize_scene(b.to_record())
+        assert serialize_scene(a) != serialize_scene(b)
 
     @pytest.mark.parametrize("count_range", [(2, 5), (6, 9)])
     def test_invariants(self, count_range):
         cfg = cfg_with(0, count_range=count_range)
         for seed in range(30):
             scene = generate_scene(seed, cfg)
-            objs = scene.object_map()
+            objs = {o.instance_id: o for o in scene.objects}
+            level = levels(scene)
             lo, hi = count_range
             assert lo <= len(objs) <= hi
             assert scene.width == SCENE_WIDTH and scene.height == SCENE_HEIGHT
+            # grasps come in object order, relations sorted
+            assert [g.owner for g in scene.grasps] == sorted(g.owner for g in scene.grasps)
+            assert scene.relations == tuple(sorted(scene.relations))
             for o in objs.values():
                 b = o.box
                 assert 0 <= b.xmin < b.xmax <= SCENE_WIDTH
                 assert 0 <= b.ymin < b.ymax <= SCENE_HEIGHT
                 assert o.category in CATEGORIES
-                assert 1 <= len(o.grasps) <= 3
-                for g in o.grasps:
-                    assert b.xmin <= g.x <= b.xmax
-                    assert b.ymin <= g.y <= b.ymax
-                    assert -90.0 <= g.theta < 90.0
-            for (a, below) in scene.above_edges:
+                assert 1 <= len(scene.grasps_of(o.instance_id)) <= 3
+                for g in scene.grasps_of(o.instance_id):
+                    assert b.xmin <= g.rect.x <= b.xmax
+                    assert b.ymin <= g.rect.y <= b.ymax
+                    assert -90.0 <= g.rect.theta < 90.0
+            for (a, below) in scene.relations:
                 upper, lower = objs[a].box, objs[below].box
                 assert upper.xmin >= lower.xmin and upper.xmax <= lower.xmax
                 assert upper.ymin >= lower.ymin and upper.ymax <= lower.ymax
-                assert objs[a].level > objs[below].level
+                assert level[a] > level[below]
             ids = sorted(objs)
             for i in ids:
                 for j in ids:
                     if i >= j:
                         continue
-                    related = (i, j) in scene.above_edges or (j, i) in scene.above_edges
+                    related = (i, j) in scene.relations or (j, i) in scene.relations
                     if not related:
                         assert aabb_iou(objs[i].box, objs[j].box) == 0.0
             # transitive closure
-            for (a, b) in scene.above_edges:
-                for (c, d) in scene.above_edges:
+            for (a, b) in scene.relations:
+                for (c, d) in scene.relations:
                     if b == c:
-                        assert (a, d) in scene.above_edges
-            # level equals the number of objects underneath
-            for o in objs.values():
-                assert o.level == sum(1 for (a, _) in scene.above_edges if a == o.instance_id)
+                        assert (a, d) in scene.relations
+            # the objects underneath form one chain, so their count is the
+            # stack height: one more than the highest support's
+            for i in ids:
+                supports = [b for (a, b) in scene.relations if a == i]
+                assert level[i] == 1 + max((level[s] for s in supports), default=-1)
 
     def test_depth_respects_stacking(self):
         scene = generate_scene(7, cfg_with(0))
-        depth = scene.depth_image()
-        objs = scene.object_map()
-        top = max(objs.values(), key=lambda o: o.level)
+        depth = depth_image(scene)
+        level = levels(scene)
+        top = max(scene.objects, key=lambda o: level[o.instance_id])
         b = top.box
         cu = int((b.xmin + b.xmax) / 2)
         cv = int((b.ymin + b.ymax) / 2)
-        assert depth.values[cv, cu] == TABLE_DEPTH_MM - LEVEL_STEP_MM * (top.level + 1)
+        assert level[top.instance_id] > 0
+        assert depth.values[cv, cu] == TABLE_DEPTH_MM - LEVEL_STEP_MM * (level[top.instance_id] + 1)
         assert depth.values[0, 0] == TABLE_DEPTH_MM
 
 
@@ -177,23 +242,16 @@ class TestVisible:
     def test_union_not_double_counted(self):
         # two half-covers overlap on a quarter: union is 3/4, sum would be 1
         base = obj(1, 0, 0, 100, 100)
-        left = obj(2, 0, 0, 50, 100, level=1)
-        lower = obj(3, 0, 0, 100, 50, level=1)
-        scene = SimScene(
-            width=640,
-            height=480,
-            objects=(base, left, lower),
-            above_edges=frozenset({(2, 1), (3, 1)}),
-        )
+        left = obj(2, 0, 0, 50, 100)
+        lower = obj(3, 0, 0, 100, 50)
+        scene = scene_of(base, left, lower, relations={(2, 1), (3, 1)})
         assert visible(scene, 1, coverage_threshold=0.8)
         assert not visible(scene, 1, coverage_threshold=0.75)
 
     def test_full_cover(self):
         base = obj(1, 10, 10, 90, 90)
-        lid = obj(2, 10, 10, 90, 90, level=1)
-        scene = SimScene(
-            width=640, height=480, objects=(base, lid), above_edges=frozenset({(2, 1)})
-        )
+        lid = obj(2, 10, 10, 90, 90)
+        scene = scene_of(base, lid, relations={(2, 1)})
         assert not visible(scene, 1)
         assert visible(scene, 2)
 
@@ -207,12 +265,11 @@ class TestOraclePredict:
         scene = stack_scene()
         preds = oracle_predict(scene, ZERO, np.random.default_rng(0))
         assert [d.instance_id for d in preds.detections] == [1, 2, 3, 4]
-        objs = scene.object_map()
         for d in preds.detections:
-            assert d.box == objs[d.instance_id].box
+            assert d.box == scene.object_by_id(d.instance_id).box
             assert d.score == 1.0
             cands = preds.grasp_candidates[d.instance_id]
-            assert [c.rect for c in cands] == list(objs[d.instance_id].grasps)
+            assert [c.rect for c in cands] == [g.rect for g in scene.grasps_of(d.instance_id)]
             assert all(c.confidence == 1.0 for c in cands)
         assert preds.relations[(3, 1)] == (0.0, 1.0, 0.0)
         assert preds.relations[(1, 3)] == (0.0, 0.0, 1.0)
@@ -221,10 +278,8 @@ class TestOraclePredict:
 
     def test_invisible_object_never_reported(self):
         base = obj(1, 10, 10, 90, 90)
-        lid = obj(2, 10, 10, 90, 90, level=1)
-        scene = SimScene(
-            width=640, height=480, objects=(base, lid), above_edges=frozenset({(2, 1)})
-        )
+        lid = obj(2, 10, 10, 90, 90)
+        scene = scene_of(base, lid, relations={(2, 1)})
         preds = oracle_predict(scene, ZERO, np.random.default_rng(0))
         assert [d.instance_id for d in preds.detections] == [2]
         assert preds.relations == {}
@@ -267,17 +322,20 @@ class TestOraclePredict:
 class TestRemoveObject:
     def test_levels_recomputed(self):
         scene = stack_scene()
+        # 3 sits two levels up until the middle object leaves
+        assert depth_image(scene).values[200, 200] == TABLE_DEPTH_MM - 3 * LEVEL_STEP_MM
         after = remove_object(scene, 2)
-        objs = after.object_map()
-        assert set(objs) == {1, 3, 4}
-        assert after.above_edges == frozenset({(3, 1)})
-        assert objs[3].level == 1  # was 2 before the middle object left
-        assert objs[1].level == 0
+        assert [o.instance_id for o in after.objects] == [1, 3, 4]
+        assert [g.owner for g in after.grasps] == [1, 3, 4]
+        assert after.relations == ((3, 1),)
+        depth = depth_image(after)
+        assert depth.values[200, 200] == TABLE_DEPTH_MM - 2 * LEVEL_STEP_MM  # 3, level 1
+        assert depth.values[110, 110] == TABLE_DEPTH_MM - LEVEL_STEP_MM  # 1, level 0
 
     def test_remove_top(self):
         after = remove_object(stack_scene(), 3)
-        assert after.above_edges == frozenset({(2, 1)})
-        assert after.object_map()[2].level == 1
+        assert after.relations == ((2, 1),)
+        assert depth_image(after).values[200, 200] == TABLE_DEPTH_MM - 2 * LEVEL_STEP_MM
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="no object 9"):
@@ -290,19 +348,14 @@ class TestSelectTarget:
         a = select_target(scene, "random", np.random.default_rng(5))
         b = select_target(scene, "random", np.random.default_rng(5))
         assert a == b
-        assert a in scene.object_map()
+        assert a in {o.instance_id for o in scene.objects}
 
     def test_deepest_picks_most_buried(self):
         scene = stack_scene()
         assert select_target(scene, "deepest", np.random.default_rng(0)) == 1
 
     def test_deepest_tie_prefers_lower_id(self):
-        scene = SimScene(
-            width=640,
-            height=480,
-            objects=(obj(4, 0, 0, 50, 50), obj(2, 60, 0, 110, 50)),
-            above_edges=frozenset(),
-        )
+        scene = scene_of(obj(4, 0, 0, 50, 50), obj(2, 60, 0, 110, 50))
         assert select_target(scene, "deepest", np.random.default_rng(0)) == 2
 
     def test_unknown_rule(self):
