@@ -62,24 +62,17 @@ def generate_anchors(roi: AABox, cfg: AnchorConfig) -> list[OrientedAnchor]:
     """
     cell_w = roi.width / cfg.grid_w
     cell_h = roi.height / cfg.grid_h
-    thetas = anchor_orientations(cfg.k)
+    orients = list(enumerate(anchor_orientations(cfg.k)))
+    size = cfg.anchor_size
     out = []
     for row in range(cfg.grid_h):
         cy = roi.ymin + (row + 0.5) * cell_h
         for col in range(cfg.grid_w):
             cx = roi.xmin + (col + 0.5) * cell_w
-            for i, theta in enumerate(thetas):
-                out.append(
-                    OrientedAnchor(
-                        x=cx,
-                        y=cy,
-                        w=cfg.anchor_size,
-                        h=cfg.anchor_size,
-                        theta=theta,
-                        cell=(row, col),
-                        orient_index=i,
-                    )
-                )
+            cell = (row, col)
+            for i, theta in orients:
+                # positional: x, y, w, h, theta, cell, orient_index
+                out.append(OrientedAnchor(cx, cy, size, size, theta, cell, i))
     return out
 
 

@@ -34,7 +34,7 @@ from .evaluation import MatchThresholds, evaluate, sequential_success
 from .execution import CalibrationError, fit_affine, load_calibration_pairs
 from .perception import ScenePredictions, parse_predictions
 from .reasoning import ManipulationGraph, build_graph, next_action, symmetrize
-from .simulation import TrialConfig, run_trial
+from .simulation import TrialConfig, integer, run_trial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -284,9 +284,16 @@ def _parse_sim_config(path: Path) -> tuple[int, list[dict]]:
                 f"{path}: regimes[{i}] needs at least 'count_range' and 'trials'"
             )
     try:
-        return int(data.get("seed", 0)), regimes
-    except (TypeError, ValueError) as e:
-        raise DataError(f"{path}: bad 'seed': {e}") from e
+        return _base_seed(data.get("seed", 0)), regimes
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from e
+
+
+def _base_seed(value) -> int:
+    seed = integer("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _trial_seed(base: int, regime_index: int, trial_index: int) -> int:
@@ -305,7 +312,7 @@ def _regimes(
         fields = dict(regime)
         name = str(fields.pop("name", f"regime{ri}"))
         try:
-            trials = int(fields.pop("trials"))
+            trials = integer("trials", fields.pop("trials"))
             if trials < 1:
                 raise ValueError("'trials' must be positive")
             if visibility is not None:
@@ -318,6 +325,8 @@ def _regimes(
             raise DataError(f"regimes[{ri}]: duplicate regime name {name!r}")
         if "/" in name or "\\" in name:
             raise DataError(f"regimes[{ri}]: regime name {name!r} contains a path separator")
+        if "\0" in name:
+            raise DataError(f"regimes[{ri}]: regime name {name!r} contains a NUL character")
         names.add(name)
         out.append((name, trials, config))
     return out
@@ -326,7 +335,10 @@ def _regimes(
 def _cmd_simulate(args) -> int:
     base_seed, regimes = _parse_sim_config(Path(args.config))
     if args.seed is not None:
-        base_seed = args.seed
+        try:
+            base_seed = _base_seed(args.seed)
+        except ValueError as e:
+            raise DataError(f"--seed: {e}") from e
     checked = _regimes(regimes, args.visibility)
     log_dir = Path(args.trial_log) if args.trial_log else None
     if log_dir is not None:

@@ -52,9 +52,9 @@ class DepthImage:
         self.valid = np.asarray(self.valid, dtype=bool)
         if self.values.ndim != 2 or self.values.shape != self.valid.shape:
             raise ValueError("values and valid mask must be equal 2-d shapes")
-        depths = self.values[self.valid]
         # NaN fails both comparisons
-        if depths.size and not (depths.min() > 0 and depths.max() < math.inf):
+        good = (self.values > 0) & (self.values < math.inf)
+        if not (good | ~self.valid).all():
             raise ValueError("valid depths must be positive and finite")
 
     @classmethod
@@ -202,29 +202,33 @@ def approach_vector(
     if int(window_valid.sum()) < 3:
         raise SurfaceNormalError("fewer than 3 valid depth pixels in the window")
 
-    def mapped(u: int, v: int) -> np.ndarray | None:
-        if 0 <= u < depth.width and 0 <= v < depth.height and depth.valid[v, u]:
-            return affine.apply((float(u), float(v), depth.values[v, u]))
-        return None
-
-    total = np.zeros(3)
-    count = 0
-    for v in range(lo_v, hi_v + 1):
-        for u in range(lo_u, hi_u + 1):
-            if not depth.valid[v, u]:
-                continue
-            left, right = mapped(u - 1, v), mapped(u + 1, v)
-            up, down = mapped(u, v - 1), mapped(u, v + 1)
-            if left is None or right is None or up is None or down is None:
-                continue
-            normal = np.cross(right - left, down - up)
-            norm = float(np.linalg.norm(normal))
-            if norm < 1e-12:
-                continue
-            total += normal / norm
-            count += 1
-    if count == 0:
+    # the window plus a one-pixel ring; pixels outside the image are invalid
+    rows = slice(max(lo_v - 1, 0), hi_v + 2)
+    cols = slice(max(lo_u - 1, 0), hi_u + 2)
+    pad = (
+        (int(lo_v == 0), int(hi_v == depth.height - 1)),
+        (int(lo_u == 0), int(hi_u == depth.width - 1)),
+    )
+    valid = np.pad(depth.valid[rows, cols], pad)
+    # masked pixels may hold anything, NaN included; zero keeps them finite
+    d = np.where(valid, np.pad(depth.values[rows, cols], pad), 0.0)
+    v, u = np.mgrid[lo_v - 1 : hi_v + 2, lo_u - 1 : hi_u + 2].astype(float)
+    lin, off = affine.linear, affine.offset
+    mapped = np.stack(
+        [lin[i, 0] * u + lin[i, 1] * v + lin[i, 2] * d + off[i] for i in range(3)],
+        axis=-1,
+    )
+    # central-difference tangents over the window; a pixel counts only when
+    # it and its four neighbours are valid
+    du = mapped[1:-1, 2:] - mapped[1:-1, :-2]
+    dv = mapped[2:, 1:-1] - mapped[:-2, 1:-1]
+    normals = np.cross(du, dv)
+    norms = np.sqrt(np.einsum("...i,...i->...", normals, normals))
+    keep = valid[1:-1, 1:-1] & valid[1:-1, 2:] & valid[1:-1, :-2]
+    keep &= valid[2:, 1:-1] & valid[:-2, 1:-1] & (norms >= 1e-12)
+    if not keep.any():
         raise SurfaceNormalError("no surface normal could be formed in the window")
+    total = (normals[keep] / norms[keep, None]).sum(axis=0)
     norm = float(np.linalg.norm(total))
     if norm < 1e-12:
         raise SurfaceNormalError("window normals cancel out")

@@ -57,6 +57,14 @@ _MIN_PARENT_SIDE = 24
 _MIN_CHILD_SIDE = 8
 
 
+def integer(name: str, value) -> int:
+    """``value`` as an int when it is an integer; a bool, a float (even a
+    whole one) or any other type is a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Corruption applied by the oracle predictor; all defaults are zero."""
@@ -109,11 +117,15 @@ class TrialConfig:
     top_n: int = 3
 
     def __post_init__(self) -> None:
-        lo, hi = self.count_range
+        if not (isinstance(self.count_range, (tuple, list)) and len(self.count_range) == 2):
+            raise ValueError(f"count_range must be a pair of integers, got {self.count_range!r}")
+        lo, hi = (integer(f"count_range[{i}]", v) for i, v in enumerate(self.count_range))
+        if self.max_steps is not None:
+            integer("max_steps", self.max_steps)
+        integer("max_stack_depth", self.max_stack_depth)
+        integer("top_n", self.top_n)
         if lo < 1 or hi < lo:
             raise ValueError(f"bad object count range ({lo}, {hi})")
-        if self.max_steps is not None and not isinstance(self.max_steps, numbers.Integral):
-            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}")
         if self.max_steps is not None and self.max_steps < hi:
             raise ValueError("max_steps must cover at least one step per object")
         if not (0.0 < self.coverage_threshold <= 1.0):
@@ -140,13 +152,14 @@ class TrialConfig:
         if not isinstance(data, dict):
             raise ValueError("regime must be an object")
         convert = {
-            "count_range": lambda v: tuple(int(x) for x in v),
+            "count_range": lambda v: tuple(v) if isinstance(v, list) else v,
             "target_rule": str,
-            "max_steps": lambda v: v,  # checked by __post_init__
             "noise": NoiseModel.from_json_dict,
             "coverage_threshold": float,
-            "max_stack_depth": int,
-            "top_n": int,
+            # integers are checked by __post_init__
+            "max_steps": lambda v: v,
+            "max_stack_depth": lambda v: v,
+            "top_n": lambda v: v,
         }
         bad = set(data) - set(convert)
         if bad:

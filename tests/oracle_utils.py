@@ -4,9 +4,10 @@ Everything in here deliberately avoids the package's own algorithms:
 overlap is estimated by Monte-Carlo point membership instead of polygon
 clipping, the affine fit solves the normal equations instead of calling
 lstsq, removal orders are enumerated by brute force, the grasp point
-is found by scanning every pixel, cycles are repaired by restarting the
-search after every deletion, and the plan document is built whole and
-encoded by json.dumps.
+is found by scanning every pixel, the approach vector maps and crosses
+one window pixel at a time, cycles are repaired by restarting the search
+after every deletion, and the plan document is built whole and encoded by
+json.dumps.
 """
 
 from __future__ import annotations
@@ -121,6 +122,60 @@ def exhaustive_grasp_point(depth, rect):
             if best is None or key < best[0]:
                 best = (key, (u, v, d))
     return None if best is None else best[1]
+
+
+def loop_approach_vector(depth, at, affine, radius: int = 5):
+    """Approach vector by visiting the window one pixel at a time: each
+    neighbour is mapped by ``affine.apply`` and each normal is one
+    ``np.cross``. Same rules and errors as ``execution.approach_vector``."""
+    from stackgrasp.execution import SurfaceNormalError
+
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
+    u0, v0 = at
+    lo_u, hi_u = max(u0 - radius, 0), min(u0 + radius, depth.width - 1)
+    lo_v, hi_v = max(v0 - radius, 0), min(v0 + radius, depth.height - 1)
+    window_valid = depth.valid[lo_v : hi_v + 1, lo_u : hi_u + 1]
+    if int(window_valid.sum()) < 3:
+        raise SurfaceNormalError("fewer than 3 valid depth pixels in the window")
+
+    def mapped(u, v):
+        if 0 <= u < depth.width and 0 <= v < depth.height and depth.valid[v, u]:
+            return affine.apply((float(u), float(v), depth.values[v, u]))
+        return None
+
+    total = np.zeros(3)
+    count = 0
+    for v in range(lo_v, hi_v + 1):
+        for u in range(lo_u, hi_u + 1):
+            if not depth.valid[v, u]:
+                continue
+            left, right = mapped(u - 1, v), mapped(u + 1, v)
+            up, down = mapped(u, v - 1), mapped(u, v + 1)
+            if left is None or right is None or up is None or down is None:
+                continue
+            normal = np.cross(right - left, down - up)
+            norm = float(np.linalg.norm(normal))
+            if norm < 1e-12:
+                continue
+            total += normal / norm
+            count += 1
+    if count == 0:
+        raise SurfaceNormalError("no surface normal could be formed in the window")
+    norm = float(np.linalg.norm(total))
+    if norm < 1e-12:
+        raise SurfaceNormalError("window normals cancel out")
+    approach = total / norm
+    if approach[2] > 0 or (approach[2] == 0 and (approach[1] > 0 or (approach[1] == 0 and approach[0] > 0))):
+        approach = -approach
+    return approach
+
+
+def gather_depths_ok(values, valid) -> bool:
+    """The depth-frame rule by gathering the valid depths: all of them
+    positive and finite."""
+    depths = np.asarray(values, dtype=float)[np.asarray(valid, dtype=bool)]
+    return bool(np.all(depths > 0) and np.all(np.isfinite(depths)))
 
 
 def _find_cycle(nodes, edges):

@@ -417,6 +417,32 @@ class TestSimulate:
         assert "regimes[0]:" in err and "path separator" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
 
+    @pytest.mark.parametrize("trial_log", [False, True])
+    def test_nul_in_name_rejected_before_any_trial(self, tmp_path, capsys, trial_log):
+        cfg = {
+            "regimes": [
+                {"name": "first", "count_range": [2, 4], "trials": 2},
+                {"name": "a\u0000b", "count_range": [2, 4], "trials": 1},
+            ]
+        }
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["simulate", "--config", str(path)]
+        if trial_log:
+            argv += ["--trial-log", str(tmp_path / "logs")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "regimes[1]:" in captured.err and "NUL" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json"]
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"regimes": [{"count_range": [2, 4], "trials": 1}]}))
+        assert main(["simulate", "--config", str(path), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "non-negative" in err
+
 
 def _bad_inputs():
     """(command, input document, JSON path in the message) for inputs that
@@ -456,11 +482,26 @@ def _bad_inputs():
         "count-range-scalar": {"count_range": 5},
         "trials-null": {"trials": None},
         "unknown-field": {"targt_rule": "deepest", "noize": {"drop_prob": 0.5}},
+        # integer fields: a fraction or a bool is not truncated
+        "trials-fraction": {"trials": 2.7},
+        "trials-bool": {"trials": True},
+        "count-range-fraction": {"count_range": [2.9, 4]},
+        "count-range-bool": {"count_range": [True, 4]},
+        "count-range-triple": {"count_range": [2, 3, 4]},
+        "top-n-fraction": {"top_n": 1.5},
+        "max-stack-depth-fraction": {"max_stack_depth": 2.5},
+        "max-steps-bool": {"max_steps": True},
     }
     for name, fields in bad_regimes.items():
         regime = {"count_range": [2, 4], "trials": 1, **fields}
         yield pytest.param(
             "simulate", {"regimes": [regime]}, "regimes[0]:", id=f"simulate-{name}"
+        )
+    regime = {"count_range": [2, 4], "trials": 1}
+    for name, seed in {"fraction": 1.5, "bool": True, "negative": -1, "string": "5"}.items():
+        yield pytest.param(
+            "simulate", {"seed": seed, "regimes": [regime]}, "seed must be",
+            id=f"simulate-seed-{name}",
         )
 
 

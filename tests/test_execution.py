@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackgrasp.execution import (
     AffineMap,
@@ -21,7 +23,12 @@ from stackgrasp.execution import (
 )
 from stackgrasp.geometry import OrientedRect
 
-from oracle_utils import affine_fit_normal_equations, exhaustive_grasp_point
+from oracle_utils import (
+    affine_fit_normal_equations,
+    exhaustive_grasp_point,
+    gather_depths_ok,
+    loop_approach_vector,
+)
 
 
 def flat_depth(height=40, width=40, value=800.0):
@@ -249,6 +256,177 @@ class TestApproachVector:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             approach_vector(flat_depth(), (20, 20), AffineMap.identity(), radius=0)
+
+
+def approach_or_error(fn, depth, at, affine, radius):
+    try:
+        return fn(depth, at, affine, radius)
+    except SurfaceNormalError as e:
+        return type(e)
+
+
+def assert_same_approach(depth, at, affine, radius):
+    """The array form agrees with the per-pixel loop to 1e-12, or both
+    raise the same error."""
+    expected = approach_or_error(loop_approach_vector, depth, at, affine, radius)
+    got = approach_or_error(approach_vector, depth, at, affine, radius)
+    if isinstance(expected, type) or isinstance(got, type):
+        assert got is expected
+    else:
+        assert np.abs(got - expected).max() <= 1e-12, (got, expected)
+    return expected
+
+
+# where the window sits: each corner, the middle of each edge, or inside
+PLACES = [(fu, fv) for fu in (0.0, 0.5, 1.0) for fv in (0.0, 0.5, 1.0)]
+
+
+@st.composite
+def approach_windows(draw):
+    """A depth surface (a plane, a bump and per-pixel noise) with 0-40%
+    invalid pixels, a well-conditioned random affine map, and a window of
+    radius 1-6 at a corner, an edge or inside the image."""
+    height, width = draw(st.integers(3, 24)), draw(st.integers(3, 24))
+    radius = draw(st.integers(1, 6))
+    fu, fv = draw(st.sampled_from(PLACES))
+    holes = draw(st.floats(0.0, 0.4))
+    rounded = draw(st.booleans())  # 16-bit PGM depths are whole millimetres
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    us, vs = np.meshgrid(np.arange(width), np.arange(height))
+    values = (
+        rng.uniform(300.0, 1500.0)
+        + rng.uniform(-3.0, 3.0) * us
+        + rng.uniform(-3.0, 3.0) * vs
+        + rng.uniform(0.0, 0.05) * (us - width / 2.0) ** 2
+        + rng.uniform(0.0, 1.0) * rng.standard_normal((height, width))
+    )
+    if rounded:
+        values = np.rint(values)
+    values[rng.random((height, width)) < holes] = 0.0
+    # rotation x scales x rotation: non-singular, condition number <= 16
+    q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    linear = q1 @ np.diag(rng.uniform(0.25, 4.0, 3) * rng.choice([-1.0, 1.0], 3)) @ q2
+    affine = AffineMap(linear=linear, offset=rng.uniform(-1000.0, 1000.0, 3))
+    at = (round(fu * (width - 1)), round(fv * (height - 1)))
+    return DepthImage.from_millimeters(values), at, affine, radius
+
+
+@st.composite
+def horizontal_normal_windows(draw):
+    """Windows whose every normal is exactly horizontal: robot z follows v
+    alone and the depth varies along u alone, so both tangents' cross
+    product has z == 0 and the orientation falls to the y and x
+    tie-breaks. Everything is small integers, so no rounding happens
+    before the normalization."""
+    height, width = draw(st.integers(3, 16)), draw(st.integers(3, 16))
+    radius = draw(st.integers(1, 6))
+    fu, fv = draw(st.sampled_from(PLACES))
+    small = st.integers(-3, 3)
+    non_singular = st.tuples(small, small, small, small).filter(lambda m: m[0] * m[3] != m[1] * m[2])
+    p, q, r, t = draw(non_singular)
+    c = draw(st.sampled_from([-2, -1, 1, 2]))
+    linear = np.array([[p, 0, q], [r, 0, t], [0, c, 0]], dtype=float)
+    offset = np.array([draw(small), draw(small), draw(small)], dtype=float)
+    flat = draw(st.booleans())
+    columns = [draw(st.integers(500, 520)) for _ in range(width)]
+    values = np.tile(np.array(columns, dtype=float), (height, 1))
+    if flat:
+        values[:] = columns[0]
+    pixels = st.tuples(st.integers(0, height - 1), st.integers(0, width - 1))
+    holes = draw(st.lists(pixels, max_size=height * width // 3))
+    for v, u in holes:
+        values[v, u] = 0.0
+    at = (round(fu * (width - 1)), round(fv * (height - 1)))
+    affine = AffineMap(linear=linear, offset=offset)
+    return DepthImage.from_millimeters(values), at, affine, radius
+
+
+class TestApproachVectorOracle:
+    """``approach_vector`` against the per-pixel loop it replaced."""
+
+    @given(approach_windows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop(self, case):
+        assert_same_approach(*case)
+
+    @given(horizontal_normal_windows())
+    @settings(max_examples=200, deadline=None)
+    def test_horizontal_normals_take_the_tie_breaks(self, case):
+        expected = assert_same_approach(*case)
+        if not isinstance(expected, type):
+            assert approach_vector(*case)[2] == 0.0
+
+    @pytest.mark.parametrize(
+        "linear, expected",
+        [
+            # x follows u, y the depth, z follows v: flat normals point along
+            # -y, so the y tie-break keeps them
+            ([[1, 0, 0], [0, 0, 1], [0, 1, 0]], [0.0, -1.0, 0.0]),
+            # y follows u instead: the normal is +x, and the x tie-break flips it
+            ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], [-1.0, 0.0, 0.0]),
+        ],
+    )
+    def test_exact_tie_breaks(self, linear, expected):
+        affine = AffineMap(linear=np.array(linear, dtype=float), offset=np.zeros(3))
+        got = assert_same_approach(flat_depth(), (20, 20), affine, 5)
+        assert got.tolist() == expected
+        assert approach_vector(flat_depth(), (20, 20), affine).tolist() == expected
+
+    def test_tiny_normals_are_skipped(self):
+        # the flat window's normals have norm 4e-14 < 1e-12: none is formed
+        affine = AffineMap(linear=np.diag([1e-7, 1e-7, 1e6]), offset=np.zeros(3))
+        assert_same_approach(flat_depth(), (20, 20), affine, 5)
+        with pytest.raises(SurfaceNormalError, match="no surface normal"):
+            approach_vector(flat_depth(), (20, 20), affine)
+
+    def test_tiny_normals_skipped_beside_large_ones(self):
+        # a depth step across the window: the pixels beside it form normals
+        # of norm 20, the flat ones are skipped
+        values = np.full((40, 40), 800.0)
+        values[:, 20:] = 900.0
+        affine = AffineMap(linear=np.diag([1e-7, 1e-7, 1e6]), offset=np.zeros(3))
+        got = assert_same_approach(DepthImage.from_millimeters(values), (20, 20), affine, 5)
+        assert not isinstance(got, type)
+
+    @pytest.mark.parametrize(
+        "at", [(0, 0), (39, 0), (0, 39), (39, 39), (20, 0), (0, 20), (39, 20), (20, 39)]
+    )
+    def test_window_at_image_border(self, at):
+        rows = np.arange(40, dtype=float)[:, None]
+        depth = DepthImage.from_millimeters(500.0 + 2.0 * rows + np.arange(40.0))
+        affine = AffineMap(
+            linear=np.array([[2.0, 0.1, 0.0], [0.0, 2.0, 0.3], [0.1, 0.0, 1.0]]),
+            offset=np.array([-300.0, -200.0, 5.0]),
+        )
+        got = assert_same_approach(depth, at, affine, 5)
+        assert not isinstance(got, type)
+
+
+depth_entries = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1.0, 850.0, 1e308]
+)
+
+
+class TestDepthImageCheck:
+    """The in-place frame check against gathering the valid depths."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gather_rule(self, data):
+        height, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        cells = height * width
+        values = data.draw(st.lists(depth_entries, min_size=cells, max_size=cells))
+        valid = data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+        values = np.array(values).reshape(height, width)
+        valid = np.array(valid).reshape(height, width)
+        try:
+            DepthImage(values=values, valid=valid)
+            accepted = True
+        except ValueError as e:
+            assert "positive and finite" in str(e)
+            accepted = False
+        assert accepted == gather_depths_ok(values, valid)
 
 
 class TestToRobotPose:

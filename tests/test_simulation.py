@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,34 @@ class TestTrialConfig:
             top_n=1,
         )
         assert TrialConfig.from_json_dict({}) == TrialConfig(seed=0)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"count_range": (2.9, 4)}, "count_range[0]"),
+            ({"count_range": (2, True)}, "count_range[1]"),
+            ({"max_steps": 9.0}, "max_steps"),
+            ({"max_steps": False}, "max_steps"),
+            ({"max_stack_depth": 2.5}, "max_stack_depth"),
+            ({"top_n": 1.5}, "top_n"),
+            ({"top_n": True}, "top_n"),
+        ],
+    )
+    def test_integer_fields_are_not_truncated(self, fields, name):
+        with pytest.raises(ValueError, match=rf"{re.escape(name)} must be an integer"):
+            TrialConfig(seed=0, **fields)
+        with pytest.raises(ValueError, match=rf"{re.escape(name)} must be an integer"):
+            data = {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
+            TrialConfig.from_json_dict(data)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = TrialConfig(seed=0, count_range=(np.int64(2), np.int64(4)), top_n=np.int32(2))
+        assert cfg.count_range == (2, 4)
+
+    @pytest.mark.parametrize("count_range", [5, (2,), (2, 3, 4)])
+    def test_count_range_must_be_a_pair(self, count_range):
+        with pytest.raises(ValueError, match="count_range must be a pair"):
+            TrialConfig(seed=0, count_range=count_range)
 
     def test_from_json_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match=r"unknown regime fields: \['noize', 'targt_rule'\]"):
