@@ -310,8 +310,10 @@ def _regimes(
     names = set()
     for ri, regime in enumerate(regimes):
         fields = dict(regime)
-        name = str(fields.pop("name", f"regime{ri}"))
+        name = fields.pop("name", f"regime{ri}")
         try:
+            if not isinstance(name, str):
+                raise ValueError(f"name must be a string, got {name!r}")
             trials = integer("trials", fields.pop("trials"))
             if trials < 1:
                 raise ValueError("'trials' must be positive")

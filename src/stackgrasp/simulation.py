@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -65,6 +66,14 @@ def integer(name: str, value) -> int:
     return int(value)
 
 
+def number(name: str, value) -> float:
+    """``value`` as a float when it is a real number; a bool, a numeric
+    string or any other type is a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Corruption applied by the oracle predictor; all defaults are zero."""
@@ -76,6 +85,8 @@ class NoiseModel:
     score_sigma: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, number(name, getattr(self, name)))
         for name in ("drop_prob", "relation_flip_prob"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
@@ -102,7 +113,7 @@ class NoiseModel:
         bad = set(data) - known
         if bad:
             raise ValueError(f"unknown noise fields: {sorted(bad)}")
-        return cls(**{k: float(v) for k, v in data.items()})
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -120,6 +131,8 @@ class TrialConfig:
         if not (isinstance(self.count_range, (tuple, list)) and len(self.count_range) == 2):
             raise ValueError(f"count_range must be a pair of integers, got {self.count_range!r}")
         lo, hi = (integer(f"count_range[{i}]", v) for i, v in enumerate(self.count_range))
+        threshold = number("coverage_threshold", self.coverage_threshold)
+        object.__setattr__(self, "coverage_threshold", threshold)
         if self.max_steps is not None:
             integer("max_steps", self.max_steps)
         integer("max_stack_depth", self.max_stack_depth)
@@ -140,6 +153,8 @@ class TrialConfig:
             raise ValueError(
                 f"at most {capacity} objects fit with stack depth {self.max_stack_depth}"
             )
+        if not isinstance(self.target_rule, str):
+            raise ValueError(f"target_rule must be a string, got {self.target_rule!r}")
         if self.target_rule not in ("random", "deepest"):
             raise ValueError(f"unknown target rule {self.target_rule!r}")
         if self.top_n < 1:
@@ -151,20 +166,16 @@ class TrialConfig:
         regime field. Absent fields keep their defaults."""
         if not isinstance(data, dict):
             raise ValueError("regime must be an object")
-        convert = {
-            "count_range": lambda v: tuple(v) if isinstance(v, list) else v,
-            "target_rule": str,
-            "noise": NoiseModel.from_json_dict,
-            "coverage_threshold": float,
-            # integers are checked by __post_init__
-            "max_steps": lambda v: v,
-            "max_stack_depth": lambda v: v,
-            "top_n": lambda v: v,
-        }
-        bad = set(data) - set(convert)
+        bad = set(data) - (set(cls.__dataclass_fields__) - {"seed"})
         if bad:
             raise ValueError(f"unknown regime fields: {sorted(bad)}")
-        return cls(seed=0, **{k: convert[k](v) for k, v in data.items()})
+        fields = dict(data)
+        if isinstance(fields.get("count_range"), list):
+            fields["count_range"] = tuple(fields["count_range"])
+        if "noise" in fields:
+            fields["noise"] = NoiseModel.from_json_dict(fields["noise"])
+        # __post_init__ checks the other fields
+        return cls(seed=0, **fields)
 
 
 class _Node:
@@ -176,6 +187,13 @@ class _Node:
         self.parent = parent
         self.mode = None  # None until the first child: "cover" or "quad"
         self.free_quads = [0, 1, 2, 3]
+
+
+def _uniform(lo: float, hi: float, u: float) -> float:
+    """``rng.uniform(lo, hi)`` from the ``rng.random()`` draw ``u``: numpy
+    computes exactly this, so a batch of ``random`` draws replaces as many
+    ``uniform`` calls without moving the stream or a value."""
+    return lo + (hi - lo) * u
 
 
 def _eligible(node: _Node, max_depth: int) -> bool:
@@ -202,9 +220,12 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
     slots = [int(s) for s in rng.choice(_ROOT_COLS * _ROOT_ROWS, size=_ROOT_COLS * _ROOT_ROWS, replace=False)]
 
     nodes: list[_Node] = []
+    roots = 0
     for i in range(n):
-        if i < num_roots or not any(_eligible(p, cfg.max_stack_depth) for p in nodes):
-            slot = slots[sum(1 for nd in nodes if nd.parent is None)]
+        candidates = [] if i < num_roots else [p for p in nodes if _eligible(p, cfg.max_stack_depth)]
+        if not candidates:
+            slot = slots[roots]
+            roots += 1
             sx = (slot % _ROOT_COLS) * slot_w
             sy = (slot // _ROOT_COLS) * slot_h
             w = int(rng.integers(110, 171))
@@ -213,14 +234,13 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
             y0 = sy + int(rng.integers(8, slot_h - h - 8 + 1))
             nodes.append(_Node(x0, y0, w, h, level=0, parent=None))
             continue
-        candidates = [j for j, p in enumerate(nodes) if _eligible(p, cfg.max_stack_depth)]
-        parent = nodes[candidates[int(rng.integers(0, len(candidates)))]]
+        parent = candidates[int(rng.integers(0, len(candidates)))]
         if parent.mode is None:
             parent.mode = "cover" if rng.random() < 0.4 else "quad"
         if parent.mode == "cover":
             # one large child that hides most of the parent
-            cw = min(max(int(round(parent.w * rng.uniform(0.92, 0.97))), _MIN_CHILD_SIDE), parent.w - 2)
-            ch = min(max(int(round(parent.h * rng.uniform(0.92, 0.97))), _MIN_CHILD_SIDE), parent.h - 2)
+            cw = min(max(int(round(parent.w * _uniform(0.92, 0.97, rng.random()))), _MIN_CHILD_SIDE), parent.w - 2)
+            ch = min(max(int(round(parent.h * _uniform(0.92, 0.97, rng.random()))), _MIN_CHILD_SIDE), parent.h - 2)
             x0 = parent.x0 + int(rng.integers(0, parent.w - cw + 1))
             y0 = parent.y0 + int(rng.integers(0, parent.h - ch + 1))
             parent.free_quads = []
@@ -230,8 +250,8 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
             qw, qh = parent.w // 2, parent.h // 2
             qx0 = parent.x0 + (quad % 2) * qw
             qy0 = parent.y0 + (quad // 2) * qh
-            cw = min(max(int(round(parent.w * rng.uniform(0.34, 0.46))), _MIN_CHILD_SIDE), qw - 2)
-            ch = min(max(int(round(parent.h * rng.uniform(0.34, 0.46))), _MIN_CHILD_SIDE), qh - 2)
+            cw = min(max(int(round(parent.w * _uniform(0.34, 0.46, rng.random()))), _MIN_CHILD_SIDE), qw - 2)
+            ch = min(max(int(round(parent.h * _uniform(0.34, 0.46, rng.random()))), _MIN_CHILD_SIDE), qh - 2)
             x0 = qx0 + int(rng.integers(1, qw - cw))
             y0 = qy0 + int(rng.integers(1, qh - ch))
         nodes.append(_Node(x0, y0, cw, ch, level=parent.level + 1, parent=parent))
@@ -250,13 +270,13 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
         side = float(min(nd.w, nd.h))
         cx0 = nd.x0 + nd.w / 2.0
         cy0 = nd.y0 + nd.h / 2.0
-        for _ in range(int(rng.integers(1, 4))):
+        for ux, uy, uw, uh, ut in rng.random((int(rng.integers(1, 4)), 5)).tolist():
             rect = OrientedRect(
-                x=cx0 + rng.uniform(-0.05, 0.05) * side,
-                y=cy0 + rng.uniform(-0.05, 0.05) * side,
-                w=side * rng.uniform(0.45, 0.6),
-                h=side * rng.uniform(0.25, 0.4),
-                theta=float(rng.uniform(-90.0, 90.0)),
+                x=cx0 + _uniform(-0.05, 0.05, ux) * side,
+                y=cy0 + _uniform(-0.05, 0.05, uy) * side,
+                w=side * _uniform(0.45, 0.6, uw),
+                h=side * _uniform(0.25, 0.4, uh),
+                theta=_uniform(-90.0, 90.0, ut),
             )
             grasps.append(SceneGrasp(owner=instance_id, rect=rect))
         objects.append(
@@ -302,26 +322,54 @@ def _coverage_fraction(target: AABox, covers: Sequence[AABox]) -> float:
             clipped.append((x0, y0, x1, y1))
     if not clipped:
         return 0.0
+    # the grid of every clipped edge; a cell counts as covered when a box
+    # holds its centre, and covered cells are summed in (x, y) order
     xs = sorted({v for b in clipped for v in (b[0], b[2])})
     ys = sorted({v for b in clipped for v in (b[1], b[3])})
+    cys = [(ys[j] + ys[j + 1]) / 2.0 for j in range(len(ys) - 1)]
+    dys = [ys[j + 1] - ys[j] for j in range(len(ys) - 1)]
+    # each box's x-extent and the run of y-cells whose centres it holds
+    spans = [(b[0], b[2], bisect_left(cys, b[1]), bisect_right(cys, b[3])) for b in clipped]
     covered = 0.0
     for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            cx = (xs[i] + xs[i + 1]) / 2.0
-            cy = (ys[j] + ys[j + 1]) / 2.0
-            if any(b[0] <= cx <= b[2] and b[1] <= cy <= b[3] for b in clipped):
-                covered += (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
+        cx = (xs[i] + xs[i + 1]) / 2.0
+        hit = [False] * len(cys)
+        for x0, x1, lo, hi in spans:
+            if x0 <= cx <= x1:
+                hit[lo:hi] = [True] * (hi - lo)
+        dx = xs[i + 1] - xs[i]
+        for dy, h in zip(dys, hit):
+            if h:
+                covered += dx * dy
     return covered / target.area
+
+
+def _visibility(
+    scene: SceneRecord, coverage_threshold: float, ids: Sequence[int] | None = None
+) -> dict[int, bool]:
+    """Whether each object (every one, or those in ``ids``) is visible: the
+    boxes stacked above it cover less than ``coverage_threshold`` of its own
+    box. One pass over the relations groups every object's covers."""
+    boxes = {o.instance_id: o.box for o in scene.objects}
+    covers: dict[int, list[AABox]] = {}
+    for i in boxes if ids is None else ids:
+        if i not in boxes:
+            raise ValueError(f"no object {i} in the scene")
+        covers[i] = []
+    for a, b in scene.relations:
+        if b in covers:
+            covers[b].append(boxes[a])
+    return {i: _coverage_fraction(boxes[i], c) < coverage_threshold for i, c in covers.items()}
 
 
 def visible(scene: SceneRecord, instance_id: int, coverage_threshold: float = 0.8) -> bool:
     """An object is visible while the boxes stacked above it cover less than
     ``coverage_threshold`` of its own box."""
-    boxes = {o.instance_id: o.box for o in scene.objects}
-    if instance_id not in boxes:
-        raise ValueError(f"no object {instance_id} in the scene")
-    covers = [boxes[a] for (a, b) in scene.relations if b == instance_id]
-    return _coverage_fraction(boxes[instance_id], covers) < coverage_threshold
+    return _visibility(scene, coverage_threshold, (instance_id,))[instance_id]
+
+
+_OTHER_LABELS = ((1, 2), (0, 2), (0, 1))
+_ONE_HOT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def oracle_predict(
@@ -340,15 +388,19 @@ def oracle_predict(
     rects: dict[int, list[OrientedRect]] = {o.instance_id: [] for o in scene.objects}
     for g in scene.grasps:
         rects[g.owner].append(g.rect)
+    shown = _visibility(scene, coverage_threshold)
     for o in scene.objects:
-        u_drop = float(rng.random())
-        jitter = rng.normal(size=4)
-        score_draw = float(rng.normal())
-        grasp_draws = rng.normal(size=(len(rects[o.instance_id]), 2))
-        if not visible(scene, o.instance_id, coverage_threshold):
+        u_drop = rng.random()
+        # one call for the box jitter, the score and each grasp's angle and
+        # confidence draws: the same stream as a call for each
+        draws = rng.normal(size=5 + 2 * len(rects[o.instance_id]))
+        if not shown[o.instance_id] or u_drop < noise.drop_prob:
             continue
-        if u_drop < noise.drop_prob:
-            continue
+        # numpy floats, as before: a huge box_sigma then overflows to inf
+        # downstream instead of raising OverflowError
+        jitter = draws[:4]
+        score_draw = float(draws[4])
+        grasp_draws = draws[5:].tolist()
         b = o.box
         x0, x1 = sorted((b.xmin + noise.box_sigma * jitter[0], b.xmax + noise.box_sigma * jitter[2]))
         y0, y1 = sorted((b.ymin + noise.box_sigma * jitter[1], b.ymax + noise.box_sigma * jitter[3]))
@@ -366,11 +418,9 @@ def oracle_predict(
             )
         )
         cands = []
-        for g, (a_draw, c_draw) in zip(rects[o.instance_id], grasp_draws):
-            rect = OrientedRect(
-                x=g.x, y=g.y, w=g.w, h=g.h, theta=g.theta + noise.angle_sigma * float(a_draw)
-            )
-            conf = min(max(1.0 - abs(noise.score_sigma * float(c_draw)), 0.0), 1.0)
+        for g, a_draw, c_draw in zip(rects[o.instance_id], grasp_draws[::2], grasp_draws[1::2]):
+            rect = OrientedRect(x=g.x, y=g.y, w=g.w, h=g.h, theta=g.theta + noise.angle_sigma * a_draw)
+            conf = min(max(1.0 - abs(noise.score_sigma * c_draw), 0.0), 1.0)
             cands.append(GraspCandidate(rect=rect, confidence=conf))
         preds.grasp_candidates[o.instance_id] = cands
 
@@ -379,14 +429,12 @@ def oracle_predict(
         for b in det_ids:
             if a == b:
                 continue
-            u_flip = float(rng.random())
+            u_flip = rng.random()
             alt = int(rng.integers(0, 2))
             label = relation_label(scene, a, b)
             if u_flip < noise.relation_flip_prob:
-                label = [l for l in (0, 1, 2) if l != label][alt]
-            onehot = [0.0, 0.0, 0.0]
-            onehot[label] = 1.0
-            preds.relations[(a, b)] = tuple(onehot)
+                label = _OTHER_LABELS[label][alt]
+            preds.relations[(a, b)] = _ONE_HOT[label]
     return preds
 
 

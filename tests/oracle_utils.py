@@ -6,8 +6,8 @@ clipping, the affine fit solves the normal equations instead of calling
 lstsq, removal orders are enumerated by brute force, the grasp point
 is found by scanning every pixel, the approach vector maps and crosses
 one window pixel at a time, cycles are repaired by restarting the search
-after every deletion, and the plan document is built whole and encoded by
-json.dumps.
+after every deletion, the plan document is built whole and encoded by
+json.dumps, and box coverage tests every grid cell against every box.
 """
 
 from __future__ import annotations
@@ -176,6 +176,31 @@ def gather_depths_ok(values, valid) -> bool:
     positive and finite."""
     depths = np.asarray(values, dtype=float)[np.asarray(valid, dtype=bool)]
     return bool(np.all(depths > 0) and np.all(np.isfinite(depths)))
+
+
+def grid_coverage_fraction(target, covers) -> float:
+    """Share of ``target`` covered by the union of ``covers``: clip each
+    cover to the target, cut the target into the grid of every clipped
+    edge, and add the area of each cell whose centre some box holds, in
+    (x, y) cell order."""
+    clipped = []
+    for c in covers:
+        x0, y0 = max(c.xmin, target.xmin), max(c.ymin, target.ymin)
+        x1, y1 = min(c.xmax, target.xmax), min(c.ymax, target.ymax)
+        if x1 > x0 and y1 > y0:
+            clipped.append((x0, y0, x1, y1))
+    if not clipped:
+        return 0.0
+    xs = sorted({v for b in clipped for v in (b[0], b[2])})
+    ys = sorted({v for b in clipped for v in (b[1], b[3])})
+    covered = 0.0
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            cx = (xs[i] + xs[i + 1]) / 2.0
+            cy = (ys[j] + ys[j + 1]) / 2.0
+            if any(b[0] <= cx <= b[2] and b[1] <= cy <= b[3] for b in clipped):
+                covered += (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
+    return covered / target.area
 
 
 def _find_cycle(nodes, edges):

@@ -1,11 +1,16 @@
+import copy
+import faulthandler
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stackgrasp
 from stackgrasp.cli import CALIBRATION_WARN_RMS_MM, main
@@ -491,6 +496,16 @@ def _bad_inputs():
         "top-n-fraction": {"top_n": 1.5},
         "max-stack-depth-fraction": {"max_stack_depth": 2.5},
         "max-steps-bool": {"max_steps": True},
+        # float fields: a bool or a numeric string is not converted
+        "coverage-threshold-string": {"coverage_threshold": "0.5"},
+        "coverage-threshold-bool": {"coverage_threshold": True},
+        "noise-string": {"noise": {"drop_prob": "1e-1"}},
+        "noise-bool": {"noise": {"box_sigma": True}},
+        "noise-infinite": {"noise": {"box_sigma": float("inf")}},
+        # string fields
+        "name-number": {"name": 5},
+        "target-rule-number": {"target_rule": 5},
+        "target-rule-list": {"target_rule": ["deepest"]},
     }
     for name, fields in bad_regimes.items():
         regime = {"count_range": [2, 4], "trials": 1, **fields}
@@ -518,6 +533,88 @@ def test_bad_input_is_a_data_error(tmp_path, scene_file, capsys, command, doc, w
     err = capsys.readouterr().err
     assert where in err
     assert "Traceback" not in err
+
+
+# The README simulation config cut to one trial per regime.
+README_SIM = {
+    "seed": 5,
+    "regimes": [
+        {"name": "shallow", "count_range": [2, 4], "trials": 1},
+        {
+            "name": "deep",
+            "count_range": [6, 9],
+            "trials": 1,
+            "target_rule": "deepest",
+            "noise": {"relation_flip_prob": 0.1, "box_sigma": 2.0},
+        },
+    ],
+}
+# written into the file as the JSON numbers 1e400 and -1e400 (inf and -inf)
+_BIG = {"__1e400__": "1e400", "__-1e400__": "-1e400"}
+_VALUES = [0, 1, 2, -1, 0.0, 0.5, 1.5, True, False, "x", "0.5", "random", None, [], {}, *_BIG]
+_KEYS = [
+    "seed", "regimes", "name", "trials", "count_range", "target_rule", "max_steps",
+    "coverage_threshold", "max_stack_depth", "top_n", "noise", "drop_prob", "box_sigma",
+    "angle_sigma", "relation_flip_prob", "score_sigma", "extra",
+]
+
+
+def _slots(doc):
+    """Every (container, key) slot of a JSON document, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in list(items):
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def mutated_sim_configs(draw):
+    """The README config with 1 to 4 mutations: a type swap (bool, string,
+    null, list, object, float for int, +-1e400), a missing key, an extra
+    key (known or not) or a list of the wrong length."""
+    doc = copy.deepcopy(README_SIM)
+    for _ in range(draw(st.integers(1, 4))):
+        slots = list(_slots(doc))
+        kind = draw(st.sampled_from(["swap", "drop", "add", "arity"]))
+        if kind == "add":
+            targets = [doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+            target = draw(st.sampled_from(targets))
+            target[draw(st.sampled_from(_KEYS))] = draw(st.sampled_from(_VALUES))
+            continue
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        value = container[key]
+        if kind == "swap":
+            swaps = [True, "x", str(value), None, [value], {"v": value}, *_BIG]
+            if isinstance(value, int) and not isinstance(value, bool):
+                swaps.append(float(value))
+            container[key] = draw(st.sampled_from(swaps))
+        elif kind == "drop":
+            del container[key]
+        elif isinstance(value, list):
+            container[key] = value[:-1] if draw(st.booleans()) else value + value[-1:]
+    return doc
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_sim_configs())
+def test_mutated_sim_config_exits_cleanly(doc):
+    """Any mutation of a valid config runs (0), is a data error (2) or a
+    numeric failure (3): never an exception, never a hang."""
+    text = json.dumps(doc)
+    for marker, number in _BIG.items():
+        text = text.replace(json.dumps(marker), number)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sim.json"
+        path.write_text(text)
+        faulthandler.dump_traceback_later(60, exit=True)
+        try:
+            code = main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "out.json")])
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+    assert code in (0, 2, 3)
 
 
 def calibration_pairs():

@@ -1,8 +1,12 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_utils import grid_coverage_fraction
 from stackgrasp.dataset import SceneGrasp, SceneObject, SceneRecord, serialize_scene
 from stackgrasp.geometry import AABox, OrientedRect, aabb_iou
 from stackgrasp.simulation import (
@@ -13,8 +17,10 @@ from stackgrasp.simulation import (
     TABLE_DEPTH_MM,
     NoiseModel,
     TrialConfig,
+    _coverage_fraction,
     depth_image,
     generate_scene,
+    number,
     oracle_predict,
     remove_object,
     run_trial,
@@ -97,6 +103,22 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="unknown noise fields"):
             NoiseModel.from_json_dict({"drop_prob": 0.1, "blur": 1.0})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("drop_prob", "1e-1"), ("box_sigma", True), ("angle_sigma", None), ("score_sigma", [1.0])],
+    )
+    def test_fields_must_be_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            NoiseModel.from_json_dict({field: value})
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            NoiseModel(**{field: value})
+
+    def test_fields_become_floats(self):
+        m = NoiseModel.from_json_dict({"box_sigma": 2, "drop_prob": np.float32(0.5)})
+        assert type(m.box_sigma) is float and m.box_sigma == 2.0
+        assert type(m.drop_prob) is float and m.drop_prob == 0.5
+        assert m.to_json_dict()["box_sigma"] == 2.0
+
 
 class TestTrialConfig:
     def test_defaults_valid(self):
@@ -167,6 +189,23 @@ class TestTrialConfig:
     def test_count_range_must_be_a_pair(self, count_range):
         with pytest.raises(ValueError, match="count_range must be a pair"):
             TrialConfig(seed=0, count_range=count_range)
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
+    def test_coverage_threshold_must_be_a_number(self, value):
+        with pytest.raises(ValueError, match="coverage_threshold must be a number"):
+            TrialConfig.from_json_dict({"coverage_threshold": value})
+
+    @pytest.mark.parametrize("value", [5, None, ["random"]])
+    def test_target_rule_must_be_a_string(self, value):
+        with pytest.raises(ValueError, match="target_rule must be a string"):
+            TrialConfig.from_json_dict({"target_rule": value})
+
+    def test_number(self):
+        assert number("x", 3) == 3.0 and type(number("x", 3)) is float
+        assert number("x", np.float64(0.25)) == 0.25
+        for value in (True, "1", None, 1j):
+            with pytest.raises(ValueError, match="x must be a number"):
+                number("x", value)
 
     def test_from_json_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match=r"unknown regime fields: \['noize', 'targt_rule'\]"):
@@ -288,6 +327,108 @@ class TestVisible:
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="no object 9"):
             visible(stack_scene(), 9)
+
+
+# One float and its neighbours: a cell one ulp wide has its centre on an
+# edge, where the inclusive centre test decides.
+_ULP = [v for x in (0.5, 3.0) for v in (math.nextafter(x, -1.0), x, math.nextafter(x, 20.0))]
+# Coordinates from a small shared pool make shared and touching edges
+# common; free floats and thirds make cells whose sums round.
+_COORDS = st.one_of(
+    st.integers(-4, 16).map(float),
+    st.sampled_from([0.1, 0.2, 0.30000000000000004, 1 / 3, 2 / 3, 2.5, 7.1, *_ULP]),
+    st.floats(-4.0, 16.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _boxes(draw, coords=_COORDS):
+    x0, x1 = sorted(draw(st.lists(coords, min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(coords, min_size=2, max_size=2, unique=True)))
+    return AABox(x0, y0, x1, y1)
+
+
+@st.composite
+def _covers(draw):
+    """0 to 9 covers, some of them repeated, that may reach outside the
+    target (which lies in [0, 12] on both axes) or miss it."""
+    covers = draw(st.lists(_boxes(), max_size=9))
+    if covers:
+        repeats = draw(st.lists(st.integers(0, len(covers) - 1), max_size=9 - len(covers)))
+        covers += [covers[i] for i in repeats]
+    return draw(st.permutations(covers))
+
+
+def _outcome(coverage, target, covers):
+    try:
+        return coverage(target, covers)
+    except ArithmeticError as e:  # a target whose area underflows to 0
+        return type(e)
+
+
+class TestCoverageOracle:
+    """The coverage fraction equals the all-cells grid sum exactly: the same
+    cells, products and summation order."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(target=_boxes(st.integers(0, 12).map(float) | st.floats(0.0, 12.0)), covers=_covers())
+    def test_matches_grid(self, target, covers):
+        expected = _outcome(grid_coverage_fraction, target, covers)
+        assert _outcome(_coverage_fraction, target, covers) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        target=_boxes(st.integers(0, 40)),
+        covers=st.lists(_boxes(st.integers(-5, 45)), max_size=9),
+    )
+    def test_matches_grid_on_integer_boxes(self, target, covers):
+        assert _coverage_fraction(target, covers) == grid_coverage_fraction(target, covers)
+
+    def test_shared_and_touching_edges(self):
+        target = AABox(0.0, 0.0, 1.0, 1.0)
+        covers = [
+            AABox(0.0, 0.0, 0.1, 1.0),
+            AABox(0.1, 0.0, 0.30000000000000004, 0.5),
+            AABox(0.1, 0.5, 0.7, 1.0),
+            AABox(1.0, 0.0, 2.0, 1.0),  # touches the target only along an edge
+            AABox(0.1, 0.0, 0.30000000000000004, 0.5),
+        ]
+        assert _coverage_fraction(target, covers) == grid_coverage_fraction(target, covers)
+        assert _coverage_fraction(target, covers[3:4]) == 0.0
+
+    def test_one_ulp_cells(self):
+        # each cell centre rounds onto a box edge, which counts as inside
+        lo, hi = math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
+        target = AABox(0.0, 0.0, 1.0, 1.0)
+        for covers in (
+            [AABox(0.5, 0.0, hi, 1.0)],
+            [AABox(lo, 0.0, 0.5, 1.0)],
+            [AABox(0.0, 0.5, 1.0, hi)],
+            [AABox(0.0, lo, 1.0, 0.5)],
+            [AABox(0.0, 0.0, 0.5, 0.5), AABox(0.5, 0.5, hi, hi)],
+        ):
+            fraction = _coverage_fraction(target, covers)
+            assert fraction == grid_coverage_fraction(target, covers)
+            assert fraction > 0.0
+
+    @pytest.mark.parametrize("threshold", [0.8, 0.5, 0.95])
+    @pytest.mark.parametrize("count_range", [(2, 4), (6, 9), (1, 24)])
+    def test_visible_agrees_on_generated_scenes(self, count_range, threshold):
+        for seed in range(25):
+            scene = generate_scene(seed, cfg_with(0, count_range=count_range))
+            while scene.objects:
+                shown = oracle_predict(scene, ZERO, np.random.default_rng(seed), threshold)
+                expected = []
+                for o in scene.objects:
+                    covers = [
+                        scene.object_by_id(a).box for a, b in scene.relations if b == o.instance_id
+                    ]
+                    seen = grid_coverage_fraction(o.box, covers) < threshold
+                    assert visible(scene, o.instance_id, threshold) == seen
+                    if seen:
+                        expected.append(o.instance_id)
+                assert [d.instance_id for d in shown.detections] == expected
+                scene = remove_object(scene, scene.objects[seed % len(scene.objects)].instance_id)
 
 
 class TestOraclePredict:
