@@ -15,6 +15,7 @@ non-finite values).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -164,8 +165,8 @@ def _cmd_eval(args) -> int:
 
 # The plan writer produces exactly the text of json.dumps(plan, indent=2).
 # Each step's graph is the previous one minus an object, so every node and
-# edge is encoded once per plan (scalars through json.dumps) and each step
-# joins the cached text.
+# edge is encoded once per plan and each step joins the cached text. Ids
+# are ints and confidences finite floats, for which json emits repr.
 _GRAPH_INDENT = " " * 8
 
 
@@ -176,17 +177,10 @@ def _json_array(items: list[str], indent: str) -> str:
 def _edge_text(above: int, below: int, confidence: float) -> str:
     return (
         "          {\n"
-        f'            "above": {json.dumps(above)},\n'
-        f'            "below": {json.dumps(below)},\n'
-        f'            "confidence": {json.dumps(confidence)}\n'
+        f'            "above": {int.__repr__(above)},\n'
+        f'            "below": {int.__repr__(below)},\n'
+        f'            "confidence": {float.__repr__(confidence)}\n'
         "          }"
-    )
-
-
-def _induced(g: ManipulationGraph, keep: set[int]) -> ManipulationGraph:
-    return ManipulationGraph(
-        nodes=frozenset(keep),
-        edges={e: c for e, c in g.edges.items() if e[0] in keep and e[1] in keep},
     )
 
 
@@ -216,8 +210,15 @@ def _cmd_plan(args) -> int:
             "to plan an uncovering sequence anyway"
         )
 
-    node_text = [(n, f"{_GRAPH_INDENT}  {json.dumps(n)}") for n in sorted(graph.nodes)]
-    edge_text = [(a, b, _edge_text(a, b, c)) for a, b, c in graph.edge_list()]
+    # sorted text of the current graph's nodes and edges, and the edges at
+    # each node, so that removing an object pops its own entries only
+    node_text = {n: f"{_GRAPH_INDENT}  {int.__repr__(n)}" for n in sorted(graph.nodes)}
+    edge_text = {(a, b): _edge_text(a, b, c) for a, b, c in graph.edge_list()}
+    incident: dict[int, list[tuple[int, int]]] = {n: [] for n in node_text}
+    for e in edge_text:
+        incident[e[0]].append(e)
+        incident[e[1]].append(e)
+    edges = dict(graph.edges)
     # only the first step's graph carries the cycle repairs
     deleted_text = _json_array(
         [_edge_text(*e) for e in graph.deleted_edges], _GRAPH_INDENT
@@ -228,16 +229,13 @@ def _cmd_plan(args) -> int:
     remaining = list(perceived)
     while remaining:
         action = next_action(current, remaining, target)
-        keep = current.nodes
-        nodes = [t for n, t in node_text if n in keep]
-        edges = [t for a, b, t in edge_text if a in keep and b in keep]
         steps.append(
             "    {\n"
-            f'      "object": {json.dumps(action.object_id)},\n'
-            f'      "is_final_target": {json.dumps(action.is_final_target)},\n'
+            f'      "object": {int.__repr__(action.object_id)},\n'
+            f'      "is_final_target": {"true" if action.is_final_target else "false"},\n'
             '      "graph": {\n'
-            f'        "nodes": {_json_array(nodes, _GRAPH_INDENT)},\n'
-            f'        "edges": {_json_array(edges, _GRAPH_INDENT)},\n'
+            f'        "nodes": {_json_array(list(node_text.values()), _GRAPH_INDENT)},\n'
+            f'        "edges": {_json_array(list(edge_text.values()), _GRAPH_INDENT)},\n'
             f'        "deleted_edges": {deleted_text}\n'
             "      }\n"
             "    }"
@@ -248,10 +246,13 @@ def _cmd_plan(args) -> int:
         )
         if action.is_final_target:
             break
-        remaining = [
-            p for p in remaining if p.detection.instance_id != action.object_id
-        ]
-        current = _induced(current, {p.detection.instance_id for p in remaining})
+        removed = action.object_id
+        remaining = [p for p in remaining if p.detection.instance_id != removed]
+        del node_text[removed]
+        for e in incident.pop(removed):
+            if edges.pop(e, None) is not None:
+                del edge_text[e]
+        current = ManipulationGraph(nodes=frozenset(node_text), edges=edges)
         deleted_text = "[]"
 
     text = (
@@ -469,10 +470,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process. This is not shared state:
+    ``parse_args`` only reads the parser and puts each call's arguments in
+    a new namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:

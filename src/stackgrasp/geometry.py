@@ -53,7 +53,7 @@ class OrientedRect:
 
 @dataclass(frozen=True)
 class AABox:
-    """Axis-aligned box with strictly ordered corners."""
+    """Axis-aligned box with strictly ordered corners and a non-zero area."""
 
     xmin: float
     ymin: float
@@ -67,6 +67,11 @@ class AABox:
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError(
                 f"empty box: ({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
+            )
+        # the overlap ratios divide by areas
+        if self.area == 0.0:
+            raise ValueError(
+                f"box area underflows to 0: ({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
             )
 
     @property

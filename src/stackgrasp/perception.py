@@ -198,6 +198,44 @@ def _json_list(data: dict, key: str, where: str) -> list:
     return value
 
 
+def _relations_as_given(
+    rows: list, ids: set[int]
+) -> dict[tuple[int, int], tuple[float, float, float]] | None:
+    """The relation rows as ``parse_predictions`` stores them, when every
+    row can be taken as it stands: a pair of two distinct known ints not
+    seen before, and three floats that pass ``check_relation``. None
+    otherwise."""
+    out = {}
+    try:
+        for r in rows:
+            if type(r) is not dict:
+                return None
+            pair = r["pair"]
+            probs = r["probs"]
+            if type(pair) is not list or type(probs) is not list:
+                return None
+            a, b = pair
+            p0, p1, p2 = probs
+            if not (
+                type(a) is int and type(b) is int
+                and type(p0) is float and type(p1) is float and type(p2) is float
+            ):
+                return None
+            # non-negative terms whose sum is within 1e-6 of 1 are all finite
+            if not (
+                a != b and a in ids and b in ids
+                and p0 >= 0 and p1 >= 0 and p2 >= 0 and abs(p0 + p1 + p2 - 1.0) <= 1e-6
+            ):
+                return None
+            key = (a, b)
+            if key in out:
+                return None
+            out[key] = (p0, p1, p2)
+    except (KeyError, ValueError):  # a missing field, or a list of the wrong length
+        return None
+    return out
+
+
 def parse_predictions(source: str | dict) -> ScenePredictions:
     """Parse the predictions JSON schema, given as text or as the decoded
     document; raises ValueError with the JSON path of the offending field."""
@@ -241,8 +279,15 @@ def parse_predictions(source: str | dict) -> ScenePredictions:
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{where}.grasps[{j}]: {e}") from e
         out.grasp_candidates[instance_id] = grasps
+    rows = _json_list(data, "relations", "relations")
+    relations = _relations_as_given(rows, seen_ids)
+    if relations is not None:
+        out.relations = relations
+        return out
+    # some row needs converting or is invalid: the per-row loop converts
+    # what it can and names the first bad row
     relations = out.relations
-    for i, r in enumerate(_json_list(data, "relations", "relations")):
+    for i, r in enumerate(rows):
         try:
             a, b = map(int, r["pair"])
             probs = tuple(map(float, r["probs"]))

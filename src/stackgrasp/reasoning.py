@@ -26,7 +26,10 @@ class EmptySceneError(ValueError):
 def argmax_label(probs: Sequence[float]) -> int:
     """Most probable relation class; exact ties break toward the smaller
     class index: none, then above, then below."""
-    return max(range(3), key=lambda k: (probs[k], -k))
+    p0, p1, p2 = probs
+    if p0 >= p1:
+        return RELATION_NONE if p0 >= p2 else RELATION_BELOW
+    return RELATION_ABOVE if p1 >= p2 else RELATION_BELOW
 
 
 def symmetrize(

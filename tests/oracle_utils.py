@@ -7,7 +7,9 @@ lstsq, removal orders are enumerated by brute force, the grasp point
 is found by scanning every pixel, the approach vector maps and crosses
 one window pixel at a time, cycles are repaired by restarting the search
 after every deletion, the plan document is built whole and encoded by
-json.dumps, and box coverage tests every grid cell against every box.
+json.dumps, box coverage tests every grid cell against every box, relation
+rows are converted and checked one at a time, and the relation argmax
+takes the maximum of a sort key.
 """
 
 from __future__ import annotations
@@ -313,3 +315,34 @@ def plan_document(preds, target: str, top_n: int = 3) -> dict:
             edges={e: c for e, c in current.edges.items() if e[0] in keep and e[1] in keep},
         )
     return {"target": {"requested": target, "resolved": resolved}, "actions": actions}
+
+
+def per_row_relations(data: dict, ids: set[int]) -> dict:
+    """The ``relations`` of a predictions document as ``parse_predictions``
+    stores them, converting and checking one row at a time; raises
+    ValueError with the parser's message for the first bad row."""
+    from stackgrasp.losses import check_relation
+
+    rows = data.get("relations", [])
+    if not isinstance(rows, list):
+        raise ValueError(f"relations: expected a list, got {type(rows).__name__}")
+    relations = {}
+    for i, r in enumerate(rows):
+        try:
+            a, b = map(int, r["pair"])
+            probs = tuple(map(float, r["probs"]))
+            check_relation((a, b), probs)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"relations[{i}]: {e}") from e
+        if a not in ids or b not in ids:
+            raise ValueError(f"relations[{i}]: pair ({a}, {b}) references unknown detection")
+        if (a, b) in relations:
+            raise ValueError(f"relations[{i}]: duplicate pair ({a}, {b})")
+        relations[(a, b)] = probs
+    return relations
+
+
+def argmax_by_key(probs) -> int:
+    """Relation label of ``probs``: the class of the largest value, exact
+    ties to the smaller class index."""
+    return max(range(3), key=lambda k: (probs[k], -k))

@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from stackgrasp.anchors import (
     AnchorAssignment,
@@ -129,6 +130,7 @@ def test_criterion_2_offset_round_trip():
     assert worst < 1e-9, worst
 
 
+@pytest.mark.slow
 @criterion(3, "rotated Jaccard vs Monte Carlo")
 def test_criterion_3_jaccard_vs_monte_carlo():
     """Exact polygon-clipping IoU agrees with a point-sampling estimate."""

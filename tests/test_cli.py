@@ -32,7 +32,7 @@ from stackgrasp.perception import (
     serialize_predictions,
 )
 
-from oracle_utils import plan_document
+from oracle_utils import per_row_relations, plan_document
 
 
 def chain_scene() -> SceneRecord:
@@ -287,6 +287,28 @@ class TestPlanWriter:
         ]
         assert capsys.readouterr().out == "\n".join(table) + "\n"
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 16),
+        target=st.integers(0, 18).map(str) | st.sampled_from(["cup", "box", "pen", "mug"]),
+        assume_hidden=st.booleans(),
+    )
+    def test_random_dense_predictions(self, seed, n, target, assume_hidden):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "preds.json"
+            path.write_text(serialize_predictions(dense_predictions(seed, n)))
+            doc = plan_document(parse_predictions(path.read_text()), target)
+            out = Path(tmp) / "plan.json"
+            flags = ["--assume-hidden"] if assume_hidden else []
+            code = main(["plan", "--pred", str(path), "--target", target, "--out", str(out), *flags])
+            if doc["target"]["resolved"] or assume_hidden:
+                assert code == 0
+                assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+            else:
+                assert code == 2
+                assert not out.exists()
+
 
 def sim_config(tmp_path, **extra):
     cfg = {
@@ -451,8 +473,9 @@ class TestSimulate:
 
 def _bad_inputs():
     """(command, input document, JSON path in the message) for inputs that
-    must exit 2: wrong JSON types and invalid relation probabilities in
-    predictions, and wrong types in a simulation config."""
+    must exit 2: wrong JSON types, invalid relation probabilities and boxes
+    whose area underflows in predictions and scenes, and wrong types in a
+    simulation config."""
 
     def preds(mutate):
         data = json.loads(serialize_predictions(record_to_predictions(chain_scene())))
@@ -475,10 +498,16 @@ def _bad_inputs():
         "negative-probability": (relation(probs=[-0.5, 1.0, 0.5]), "relations[0]:"),
         "probabilities-sum-past-1": (relation(probs=[0.5, 0.5, 0.5]), "relations[0]:"),
         "self-pair": (relation(pair=[1, 1]), "relations[0]:"),
+        "bbox-area-underflow": (
+            lambda d: d["detections"][0].update(bbox=[0, 0, 1e-200, 1e-200]), "detections[0]:"
+        ),
     }
     for name, (mutate, where) in bad_preds.items():
         for command in ("plan", "eval"):
             yield pytest.param(command, preds(mutate), where, id=f"{command}-{name}")
+    scene = json.loads(serialize_scene(chain_scene()))
+    scene["objects"][0]["bbox"] = [0, 0, 1e-200, 1e-200]
+    yield pytest.param("eval-gt", scene, "objects[0]:", id="eval-gt-bbox-area-underflow")
     bad_regimes = {
         "noise-null": {"noise": {"drop_prob": None}},
         "noise-not-an-object": {"noise": []},
@@ -527,6 +556,7 @@ def test_bad_input_is_a_data_error(tmp_path, scene_file, capsys, command, doc, w
     argv = {
         "plan": ["plan", "--pred", str(path), "--target", "1"],
         "eval": ["eval", "--gt", str(scene_file), "--pred", str(path)],
+        "eval-gt": ["eval", "--gt", str(path), "--pred", str(scene_file)],
         "simulate": ["simulate", "--config", str(path)],
     }[command]
     assert main(argv) == 2
@@ -580,22 +610,28 @@ def mutated_sim_configs(draw):
         if kind == "add":
             targets = [doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]
             target = draw(st.sampled_from(targets))
-            target[draw(st.sampled_from(_KEYS))] = draw(st.sampled_from(_VALUES))
+            # a copy: a later "add" may write into a [] or {} of _VALUES
+            target[draw(st.sampled_from(_KEYS))] = copy.deepcopy(draw(st.sampled_from(_VALUES)))
             continue
         if not slots:
             break
-        container, key = draw(st.sampled_from(slots))
-        value = container[key]
-        if kind == "swap":
-            swaps = [True, "x", str(value), None, [value], {"v": value}, *_BIG]
-            if isinstance(value, int) and not isinstance(value, bool):
-                swaps.append(float(value))
-            container[key] = draw(st.sampled_from(swaps))
-        elif kind == "drop":
-            del container[key]
-        elif isinstance(value, list):
-            container[key] = value[:-1] if draw(st.booleans()) else value + value[-1:]
+        _mutate_slot(draw, slots, kind)
     return doc
+
+
+def _mutate_slot(draw, slots, kind):
+    """One "swap", "drop" or "arity" mutation of a slot drawn from ``slots``."""
+    container, key = draw(st.sampled_from(slots))
+    value = container[key]
+    if kind == "swap":
+        swaps = [True, "x", str(value), None, [value], {"v": value}, *_BIG]
+        if isinstance(value, int) and not isinstance(value, bool):
+            swaps.append(float(value))
+        container[key] = draw(st.sampled_from(swaps))
+    elif kind == "drop":
+        del container[key]
+    elif isinstance(value, list):
+        container[key] = value[:-1] if draw(st.booleans()) else value + value[-1:]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -615,6 +651,75 @@ def test_mutated_sim_config_exits_cleanly(doc):
         finally:
             faulthandler.cancel_dump_traceback_later()
     assert code in (0, 2, 3)
+
+
+# Rows that only the per-row loop takes, by converting, or rejects.
+_ROW_EDITS = {
+    "self-pair": lambda a, b: {"pair": [a, a]},
+    "unknown-id": lambda a, b: {"pair": [a, 99]},
+    "string-id": lambda a, b: {"pair": [str(a), b]},
+    "float-id": lambda a, b: {"pair": [a, float(b)]},
+    "int-probs": lambda a, b: {"probs": [1, 0, 0]},
+    "true-prob": lambda a, b: {"probs": [True, 0.0, 0.0]},
+    "string-probs": lambda a, b: {"probs": ["0.5", "0.25", "0.25"]},
+    "nan": lambda a, b: {"probs": [float("nan"), 0.5, 0.5]},
+    "negative": lambda a, b: {"probs": [-0.25, 0.75, 0.5]},
+    "sum-high": lambda a, b: {"probs": [0.5, 0.25, 0.25 + 2e-6]},
+    "sum-low": lambda a, b: {"probs": [0.5, 0.25, 0.25 - 2e-6]},
+    "sum-within": lambda a, b: {"probs": [0.5, 0.25, 0.25 + 5e-7]},
+}
+
+
+@st.composite
+def mutated_relation_docs(draw):
+    """A valid predictions document whose relations take 1 to 4 edits: a
+    mutation of ``mutated_sim_configs`` (type swap, missing key, extra key,
+    wrong list length), a row from ``_ROW_EDITS`` or a duplicated row."""
+    doc = json.loads(serialize_predictions(dense_predictions(draw(st.integers(0, 99)), n=4)))
+    good = copy.deepcopy(doc["relations"])
+    for _ in range(draw(st.integers(1, 4))):
+        rows = doc.get("relations")
+        slots = [(doc, "relations")] if "relations" in doc else []
+        if isinstance(rows, (dict, list)):
+            slots += list(_slots(rows))
+        kind = draw(st.sampled_from(["swap", "drop", "add", "arity", "row", "duplicate"]))
+        if kind in ("row", "duplicate") and isinstance(rows, list) and rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            if kind == "duplicate":
+                rows.insert(draw(st.integers(0, len(rows))), copy.deepcopy(rows[i]))
+            else:
+                row = copy.deepcopy(good[i % len(good)])
+                row.update(draw(st.sampled_from(list(_ROW_EDITS.values())))(*row["pair"]))
+                rows[i] = row
+        elif kind == "add":
+            targets = [r for r in rows if isinstance(r, dict)] if isinstance(rows, list) else []
+            if targets:
+                target = draw(st.sampled_from(targets))
+                value = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+                target[draw(st.sampled_from(["pair", "probs", "extra"]))] = value
+        elif slots and kind in ("swap", "drop", "arity"):
+            _mutate_slot(draw, slots, kind)
+    text = json.dumps(doc)
+    for marker, number in _BIG.items():
+        text = text.replace(json.dumps(marker), number)
+    return json.loads(text)
+
+
+def _relations_or_error(parse):
+    try:
+        return repr(list(parse().items()))  # repr tells 1 from 1.0 and True
+    except (ValueError, OverflowError) as e:  # int() of an infinite id overflows
+        return f"{type(e).__name__}: {e}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=mutated_relation_docs())
+def test_mutated_relation_rows_parse_like_the_row_loop(data):
+    """The relation fast path stores what the per-row loop stores, or
+    leaves the document to it (tests/oracle_utils.per_row_relations)."""
+    ids = {d["id"] for d in data["detections"]}
+    expected = _relations_or_error(lambda: per_row_relations(data, ids))
+    assert _relations_or_error(lambda: parse_predictions(data).relations) == expected
 
 
 def calibration_pairs():

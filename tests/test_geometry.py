@@ -107,6 +107,11 @@ class TestAABox:
         with pytest.raises(ValueError):
             AABox(0, 3, 2, 3)
 
+    def test_rejects_area_that_underflows(self):
+        with pytest.raises(ValueError, match="underflows"):
+            AABox(0, 0, 1e-200, 1e-200)
+        assert AABox(0, 0, 1e-200, 1e100).area == pytest.approx(1e-100)
+
     def test_dimensions(self):
         b = AABox(1, 2, 4, 8)
         assert (b.width, b.height, b.area) == (3.0, 6.0, 18.0)

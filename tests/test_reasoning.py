@@ -11,13 +11,14 @@ from stackgrasp.reasoning import (
     GraspAction,
     ManipulationGraph,
     ancestors,
+    argmax_label,
     build_graph,
     leaves,
     next_action,
     symmetrize,
 )
 
-from oracle_utils import order_is_valid, restart_cycle_repair, valid_orders
+from oracle_utils import argmax_by_key, order_is_valid, restart_cycle_repair, valid_orders
 
 
 def perceived(instance_id, score=0.5, category="cup"):
@@ -34,6 +35,20 @@ def one_hot(label):
     probs = [0.0, 0.0, 0.0]
     probs[label] = 1.0
     return tuple(probs)
+
+
+# Few values, so that two-way and three-way ties are common.
+_LABEL_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 0.1, 0.25, 1 / 3, 0.5, 1.0, -1.0, 2.0])
+
+
+class TestArgmaxOracle:
+    """The comparison argmax keeps the tie rule of the maximum of a sort key
+    (tests/oracle_utils.argmax_by_key)."""
+
+    @given(probs=st.tuples(_LABEL_VALUES, _LABEL_VALUES, _LABEL_VALUES))
+    @settings(max_examples=300)
+    def test_matches_max_by_key(self, probs):
+        assert argmax_label(probs) == argmax_by_key(probs)
 
 
 class TestSymmetrize:
