@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._json import integer, load, string
 from .dataset import (
-    SceneParseError,
     hflip,
     parse_scene,
     record_to_predictions,
@@ -35,7 +35,7 @@ from .evaluation import MatchThresholds, evaluate, sequential_success
 from .execution import CalibrationError, fit_affine, load_calibration_pairs
 from .perception import ScenePredictions, parse_predictions
 from .reasoning import ManipulationGraph, build_graph, next_action, symmetrize
-from .simulation import TrialConfig, integer, run_trial
+from .simulation import TrialConfig, run_trial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,19 +85,15 @@ def _emit(text: str, out: str | None, pretty: bool, table: str) -> None:
 def _load_predictions_file(path: Path) -> ScenePredictions:
     """Accept either a predictions file or a ground-truth scene file (the
     latter is converted to perfect predictions)."""
-    text = _read_text(path)
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: not valid JSON ({e.msg} at line {e.lineno})") from e
-    if not isinstance(data, dict):
-        raise DataError(f"{path}: expected a JSON object at the top level")
-    try:
+        data = load(_read_text(path))
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object at the top level")
         if "detections" in data:
             return parse_predictions(data)
         if "objects" in data:
             return record_to_predictions(parse_scene(data))
-    except (SceneParseError, ValueError) as e:
+    except ValueError as e:
         raise DataError(f"{path}: {e}") from e
     raise DataError(f"{path}: neither a predictions file nor a scene file")
 
@@ -105,7 +101,7 @@ def _load_predictions_file(path: Path) -> ScenePredictions:
 def _load_scene_file(path: Path):
     try:
         return parse_scene(_read_text(path))
-    except (SceneParseError, ValueError) as e:
+    except ValueError as e:
         raise DataError(f"{path}: {e}") from e
 
 
@@ -269,22 +265,16 @@ def _cmd_plan(args) -> int:
 
 
 def _parse_sim_config(path: Path) -> tuple[int, list[dict]]:
-    text = _read_text(path)
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: not valid JSON ({e.msg} at line {e.lineno})") from e
-    if not isinstance(data, dict) or "regimes" not in data:
-        raise DataError(f"{path}: expected an object with a 'regimes' list")
-    regimes = data["regimes"]
-    if not isinstance(regimes, list) or not regimes:
-        raise DataError(f"{path}: 'regimes' must be a non-empty list")
-    for i, r in enumerate(regimes):
-        if not isinstance(r, dict) or "count_range" not in r or "trials" not in r:
-            raise DataError(
-                f"{path}: regimes[{i}] needs at least 'count_range' and 'trials'"
-            )
-    try:
+        data = load(_read_text(path))
+        if not isinstance(data, dict) or "regimes" not in data:
+            raise ValueError("expected an object with a 'regimes' list")
+        regimes = data["regimes"]
+        if not isinstance(regimes, list) or not regimes:
+            raise ValueError("'regimes' must be a non-empty list")
+        for i, r in enumerate(regimes):
+            if not isinstance(r, dict) or "count_range" not in r or "trials" not in r:
+                raise ValueError(f"regimes[{i}] needs at least 'count_range' and 'trials'")
         return _base_seed(data.get("seed", 0)), regimes
     except ValueError as e:
         raise DataError(f"{path}: {e}") from e
@@ -313,8 +303,7 @@ def _regimes(
         fields = dict(regime)
         name = fields.pop("name", f"regime{ri}")
         try:
-            if not isinstance(name, str):
-                raise ValueError(f"name must be a string, got {name!r}")
+            string("name", name)
             trials = integer("trials", fields.pop("trials"))
             if trials < 1:
                 raise ValueError("'trials' must be positive")
@@ -494,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     except (np.linalg.LinAlgError, OverflowError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (SceneParseError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

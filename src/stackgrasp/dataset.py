@@ -13,16 +13,14 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from ._json import DocumentError, integer, json_list, load, number_list, string
 from .geometry import AABox, OrientedRect, normalize_angle
 from .perception import GraspCandidate, ObjectDetection, ScenePredictions
 
 
-class SceneParseError(ValueError):
-    """Invalid scene JSON; ``where`` holds the JSON path of the problem."""
-
-    def __init__(self, where: str, message: str):
-        super().__init__(f"{where}: {message}")
-        self.where = where
+# the scene parser's name for the boundary's error: ``where`` holds the
+# JSON path of the problem
+SceneParseError = DocumentError
 
 
 @dataclass(frozen=True)
@@ -91,69 +89,53 @@ def relation_label(record: SceneRecord, a: int, b: int) -> int:
     return 0
 
 
-def _json_list(data: dict, key: str) -> list:
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise SceneParseError(key, f"expected a list, got {type(value).__name__}")
-    return value
+def _optional_string(name: str, value) -> str | None:
+    return None if value is None else string(name, value)
 
 
 def parse_scene(source: str | dict) -> SceneRecord:
     """Parse scene JSON, given as text or as the decoded document; errors
     carry the JSON path of the offending field."""
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise SceneParseError("$", f"not valid JSON: {e}") from e
-    else:
-        data = source
+    data = load(source) if isinstance(source, str) else source
     if not isinstance(data, dict):
         raise SceneParseError("$", "top level must be an object")
     image = data.get("image")
     if not isinstance(image, dict):
         raise SceneParseError("image", "missing or not an object")
     try:
-        width = int(image["width"])
-        height = int(image["height"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise SceneParseError("image", f"bad width/height: {e}") from e
+        width = integer("width", image["width"])
+        height = integer("height", image["height"])
+        image_path = _optional_string("path", image.get("path"))
+    except (KeyError, ValueError) as e:
+        raise SceneParseError("image", str(e)) from e
 
     objects = []
-    for i, o in enumerate(_json_list(data, "objects")):
-        where = f"objects[{i}]"
+    for i, o in enumerate(json_list(data, "objects")):
         try:
-            bbox = [float(v) for v in o["bbox"]]
-            if len(bbox) != 4:
-                raise ValueError(f"bbox needs 4 values, got {len(bbox)}")
             objects.append(
                 SceneObject(
-                    instance_id=int(o["id"]),
-                    category=str(o["category"]),
-                    box=AABox(*bbox),
+                    instance_id=integer("id", o["id"]),
+                    category=string("category", o["category"]),
+                    box=AABox(*number_list("bbox", o["bbox"], 4)),
                 )
             )
         except (KeyError, TypeError, ValueError) as e:
-            raise SceneParseError(where, str(e)) from e
+            raise SceneParseError(f"objects[{i}]", str(e)) from e
 
     grasps = []
-    for i, g in enumerate(_json_list(data, "grasps")):
-        where = f"grasps[{i}]"
+    for i, g in enumerate(json_list(data, "grasps")):
         try:
-            rect = [float(v) for v in g["rect"]]
-            if len(rect) != 5:
-                raise ValueError(f"rect needs 5 values, got {len(rect)}")
-            grasps.append(SceneGrasp(owner=int(g["owner"]), rect=OrientedRect(*rect)))
+            rect = OrientedRect(*number_list("rect", g["rect"], 5))
+            grasps.append(SceneGrasp(owner=integer("owner", g["owner"]), rect=rect))
         except (KeyError, TypeError, ValueError) as e:
-            raise SceneParseError(where, str(e)) from e
+            raise SceneParseError(f"grasps[{i}]", str(e)) from e
 
     relations = []
-    for i, r in enumerate(_json_list(data, "relations")):
-        where = f"relations[{i}]"
+    for i, r in enumerate(json_list(data, "relations")):
         try:
-            relations.append((int(r["above"]), int(r["below"])))
+            relations.append((integer("above", r["above"]), integer("below", r["below"])))
         except (KeyError, TypeError, ValueError) as e:
-            raise SceneParseError(where, str(e)) from e
+            raise SceneParseError(f"relations[{i}]", str(e)) from e
 
     try:
         return SceneRecord(
@@ -162,8 +144,8 @@ def parse_scene(source: str | dict) -> SceneRecord:
             objects=tuple(objects),
             grasps=tuple(grasps),
             relations=tuple(relations),
-            image_path=image.get("path"),
-            depth_path=data.get("depth_path"),
+            image_path=image_path,
+            depth_path=_optional_string("depth_path", data.get("depth_path")),
         )
     except ValueError as e:
         raise SceneParseError("$", str(e)) from e

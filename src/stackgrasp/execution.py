@@ -8,7 +8,6 @@ approach direction averages surface normals over a window around it.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._json import load, number_list
 from .geometry import OrientedRect, normalize_angle, rect_vertices
 
 
@@ -318,15 +318,16 @@ def load_depth_pgm(path) -> DepthImage:
 
 
 def load_calibration_pairs(path) -> list[tuple[list[float], list[float]]]:
-    """Read [{"pixel": [u, v, d], "robot": [x, y, z]}, ...]."""
-    data = json.loads(Path(path).read_text())
+    """Read [{"pixel": [u, v, d], "robot": [x, y, z]}, ...]; every
+    coordinate must be a JSON number."""
+    data = load(Path(path).read_text())
     if not isinstance(data, list):
         raise CalibrationError(f"{path}: expected a JSON list of pairs")
     pairs = []
     for i, entry in enumerate(data):
         try:
-            pixel = [float(v) for v in entry["pixel"]]
-            robot = [float(v) for v in entry["robot"]]
+            pixel = number_list("pixel", entry["pixel"])
+            robot = number_list("robot", entry["robot"])
         except (KeyError, TypeError, ValueError) as e:
             raise CalibrationError(f"{path}: pair {i}: {e}") from e
         if len(pixel) != 3 or len(robot) != 3:

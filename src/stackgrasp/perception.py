@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from ._json import integer, json_list, load, number, number_list, string
 from .anchors import AnchorConfig, decode_grasp, generate_anchors
 from .geometry import AABox, OrientedRect, aabb_iou
 from .losses import GraspPrediction, check_relation, softmax2
@@ -191,112 +192,77 @@ def serialize_predictions(preds: ScenePredictions) -> str:
     return json.dumps(predictions_to_json_dict(preds), indent=2) + "\n"
 
 
-def _json_list(data: dict, key: str, where: str) -> list:
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise ValueError(f"{where}: expected a list, got {type(value).__name__}")
-    return value
-
-
-def _relations_as_given(
-    rows: list, ids: set[int]
-) -> dict[tuple[int, int], tuple[float, float, float]] | None:
-    """The relation rows as ``parse_predictions`` stores them, when every
-    row can be taken as it stands: a pair of two distinct known ints not
-    seen before, and three floats that pass ``check_relation``. None
-    otherwise."""
-    out = {}
+def _relation(i: int, r) -> tuple[int, int, float, float, float]:
+    """Relation row ``i`` as (a, b, p0, p1, p2) when ``pair`` is two JSON
+    integers and ``probs`` JSON numbers passing ``check_relation``; a
+    ValueError naming the row otherwise."""
     try:
-        for r in rows:
-            if type(r) is not dict:
-                return None
-            pair = r["pair"]
-            probs = r["probs"]
-            if type(pair) is not list or type(probs) is not list:
-                return None
-            a, b = pair
-            p0, p1, p2 = probs
-            if not (
-                type(a) is int and type(b) is int
-                and type(p0) is float and type(p1) is float and type(p2) is float
-            ):
-                return None
-            # non-negative terms whose sum is within 1e-6 of 1 are all finite
-            if not (
-                a != b and a in ids and b in ids
-                and p0 >= 0 and p1 >= 0 and p2 >= 0 and abs(p0 + p1 + p2 - 1.0) <= 1e-6
-            ):
-                return None
-            key = (a, b)
-            if key in out:
-                return None
-            out[key] = (p0, p1, p2)
-    except (KeyError, ValueError):  # a missing field, or a list of the wrong length
-        return None
-    return out
+        if type(r) is not dict:
+            raise ValueError(f"expected an object, got {type(r).__name__}")
+        pair = r["pair"]
+        if type(pair) is not list or len(pair) != 2:
+            raise ValueError(f"pair must be a list of 2 ids, got {pair!r}")
+        a, b = integer("pair[0]", pair[0]), integer("pair[1]", pair[1])
+        probs = number_list("probs", r["probs"])
+        check_relation((a, b), probs)
+    except (KeyError, ValueError) as e:
+        raise ValueError(f"relations[{i}]: {e}") from e
+    return (a, b, *probs)
 
 
 def parse_predictions(source: str | dict) -> ScenePredictions:
     """Parse the predictions JSON schema, given as text or as the decoded
     document; raises ValueError with the JSON path of the offending field."""
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"not valid JSON: {e}") from e
-    else:
-        data = source
+    data = load(source) if isinstance(source, str) else source
     out = ScenePredictions()
     if not isinstance(data, dict) or "detections" not in data:
         raise ValueError("detections: missing")
     seen_ids = set()
-    for i, d in enumerate(_json_list(data, "detections", "detections")):
-        where = f"detections[{i}]"
-        if not isinstance(d, dict):
-            raise ValueError(f"{where}: expected an object, got {type(d).__name__}")
+    for i, d in enumerate(json_list(data, "detections")):
         try:
-            instance_id = int(d["id"])
-            box = AABox(*[float(v) for v in d["bbox"]])
+            if type(d) is not dict:
+                raise ValueError(f"expected an object, got {type(d).__name__}")
+            instance_id = integer("id", d["id"])
             det = ObjectDetection(
-                box=box,
-                category=str(d["category"]),
-                score=float(d.get("score", 1.0)),
+                box=AABox(*number_list("bbox", d["bbox"], 4)),
+                category=string("category", d["category"]),
+                score=number("score", d.get("score", 1.0)),
                 instance_id=instance_id,
             )
+            if instance_id in seen_ids:
+                raise ValueError(f"duplicate id {instance_id}")
         except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"{where}: {e}") from e
-        if instance_id in seen_ids:
-            raise ValueError(f"{where}: duplicate id {instance_id}")
+            raise ValueError(f"detections[{i}]: {e}") from e
         seen_ids.add(instance_id)
         out.detections.append(det)
         grasps = []
-        for j, g in enumerate(_json_list(d, "grasps", f"{where}.grasps")):
+        for j, g in enumerate(json_list(d, "grasps", f"detections[{i}].grasps")):
             try:
-                rect = OrientedRect(*[float(v) for v in g["rect"]])
-                grasps.append(
-                    GraspCandidate(rect=rect, confidence=float(g.get("confidence", 1.0)))
-                )
+                rect = OrientedRect(*number_list("rect", g["rect"], 5))
+                confidence = number("confidence", g.get("confidence", 1.0))
+                grasps.append(GraspCandidate(rect=rect, confidence=confidence))
             except (KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"{where}.grasps[{j}]: {e}") from e
+                raise ValueError(f"detections[{i}].grasps[{j}]: {e}") from e
         out.grasp_candidates[instance_id] = grasps
-    rows = _json_list(data, "relations", "relations")
-    relations = _relations_as_given(rows, seen_ids)
-    if relations is not None:
-        out.relations = relations
-        return out
-    # some row needs converting or is invalid: the per-row loop converts
-    # what it can and names the first bad row
+    # a row other than two ints and three floats passing the checks goes to
+    # _relation, which reads integer probabilities as floats or raises
     relations = out.relations
-    for i, r in enumerate(rows):
+    for i, r in enumerate(json_list(data, "relations")):
         try:
-            a, b = map(int, r["pair"])
-            probs = tuple(map(float, r["probs"]))
-            check_relation((a, b), probs)
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"relations[{i}]: {e}") from e
+            a, b = r["pair"]
+            p0, p1, p2 = r["probs"]
+        except (KeyError, TypeError, ValueError):
+            a = None
+        # non-negative terms whose sum is within 1e-6 of 1 are all finite
+        if not (
+            type(a) is int and type(b) is int
+            and type(p0) is float and type(p1) is float and type(p2) is float
+            and a != b and p0 >= 0 and p1 >= 0 and p2 >= 0 and abs(p0 + p1 + p2 - 1.0) <= 1e-6
+        ):
+            a, b, p0, p1, p2 = _relation(i, r)
         if a not in seen_ids or b not in seen_ids:
             raise ValueError(f"relations[{i}]: pair ({a}, {b}) references unknown detection")
         if (a, b) in relations:
             raise ValueError(f"relations[{i}]: duplicate pair ({a}, {b})")
-        relations[(a, b)] = probs
+        relations[(a, b)] = (p0, p1, p2)
     return out

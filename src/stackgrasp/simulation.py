@@ -19,13 +19,13 @@ that share a seed.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from ._json import integer, number, string
 from .dataset import (
     SceneGrasp,
     SceneObject,
@@ -56,22 +56,6 @@ _ROOT_COLS = 3
 _ROOT_ROWS = 2
 _MIN_PARENT_SIDE = 24
 _MIN_CHILD_SIDE = 8
-
-
-def integer(name: str, value) -> int:
-    """``value`` as an int when it is an integer; a bool, a float (even a
-    whole one) or any other type is a ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def number(name: str, value) -> float:
-    """``value`` as a float when it is a real number; a bool, a numeric
-    string or any other type is a ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -109,8 +93,7 @@ class NoiseModel:
     def from_json_dict(cls, data: dict) -> "NoiseModel":
         if not isinstance(data, dict):
             raise ValueError("noise must be an object")
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(data) - known
+        bad = set(data) - set(cls.__dataclass_fields__)
         if bad:
             raise ValueError(f"unknown noise fields: {sorted(bad)}")
         return cls(**data)
@@ -153,9 +136,7 @@ class TrialConfig:
             raise ValueError(
                 f"at most {capacity} objects fit with stack depth {self.max_stack_depth}"
             )
-        if not isinstance(self.target_rule, str):
-            raise ValueError(f"target_rule must be a string, got {self.target_rule!r}")
-        if self.target_rule not in ("random", "deepest"):
+        if string("target_rule", self.target_rule) not in ("random", "deepest"):
             raise ValueError(f"unknown target rule {self.target_rule!r}")
         if self.top_n < 1:
             raise ValueError("top_n must be at least 1")

@@ -319,20 +319,27 @@ def plan_document(preds, target: str, top_n: int = 3) -> dict:
 
 def per_row_relations(data: dict, ids: set[int]) -> dict:
     """The ``relations`` of a predictions document as ``parse_predictions``
-    stores them, converting and checking one row at a time; raises
+    stores them, read and checked one row at a time by the strict rules:
+    each row an object, ``pair`` a list of two JSON integers naming two
+    distinct known detections, ``probs`` JSON numbers (an integer read as
+    a float) that pass ``check_relation``, no ordered pair twice. Raises
     ValueError with the parser's message for the first bad row."""
+    from stackgrasp._json import integer, json_list, number_list
     from stackgrasp.losses import check_relation
 
-    rows = data.get("relations", [])
-    if not isinstance(rows, list):
-        raise ValueError(f"relations: expected a list, got {type(rows).__name__}")
     relations = {}
-    for i, r in enumerate(rows):
+    for i, r in enumerate(json_list(data, "relations")):
         try:
-            a, b = map(int, r["pair"])
-            probs = tuple(map(float, r["probs"]))
+            if not isinstance(r, dict):
+                raise ValueError(f"expected an object, got {type(r).__name__}")
+            pair = r["pair"]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"pair must be a list of 2 ids, got {pair!r}")
+            a = integer("pair[0]", pair[0])
+            b = integer("pair[1]", pair[1])
+            probs = tuple(number_list("probs", r["probs"]))
             check_relation((a, b), probs)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, ValueError) as e:
             raise ValueError(f"relations[{i}]: {e}") from e
         if a not in ids or b not in ids:
             raise ValueError(f"relations[{i}]: pair ({a}, {b}) references unknown detection")

@@ -471,6 +471,38 @@ class TestSimulate:
         assert "--seed" in err and "non-negative" in err
 
 
+def calibration_pairs():
+    linear = [[0.002, 0.0, 0.0], [0.0, 0.002, 0.0], [0.0, 0.0, 1.0]]
+    offset = [-0.64, -0.48, 0.0]
+    pairs = []
+    for u, v, d in [
+        (0, 0, 500),
+        (600, 0, 700),
+        (0, 400, 900),
+        (600, 400, 500),
+        (300, 200, 800),
+        (150, 350, 600),
+    ]:
+        x = linear[0][0] * u + offset[0]
+        y = linear[1][1] * v + offset[1]
+        z = d * 1.0 + offset[2]
+        pairs.append({"pixel": [u, v, d], "robot": [x, y, z]})
+    return pairs
+
+
+# written into the file as the JSON numbers 1e400 and -1e400 (inf and -inf)
+_BIG = {"__1e400__": "1e400", "__-1e400__": "-1e400"}
+
+
+def _document_text(doc) -> str:
+    """``doc`` as JSON text with the markers of ``_BIG`` written as numbers;
+    a ``str`` is taken as the text itself."""
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    for marker, number in _BIG.items():
+        text = text.replace(json.dumps(marker), number)
+    return text
+
+
 def _bad_inputs():
     """(command, input document, JSON path in the message) for inputs that
     must exit 2: wrong JSON types, invalid relation probabilities and boxes
@@ -508,6 +540,43 @@ def _bad_inputs():
     scene = json.loads(serialize_scene(chain_scene()))
     scene["objects"][0]["bbox"] = [0, 0, 1e-200, 1e-200]
     yield pytest.param("eval-gt", scene, "objects[0]:", id="eval-gt-bbox-area-underflow")
+    # wrong JSON types in predictions, ids written as 1e400 (inf) included
+    bad_types = {
+        "id-true": (lambda d: d["detections"][0].update(id=True), "detections[0]: id"),
+        "id-1e400": (lambda d: d["detections"][0].update(id="__1e400__"), "detections[0]: id"),
+        "score-string": (lambda d: d["detections"][0].update(score="0.9"), "detections[0]: score"),
+        "pair-1e400": (relation(pair=["__1e400__", 2]), "relations[0]: pair[0]"),
+    }
+    for name, (mutate, where) in bad_types.items():
+        for command in ("plan", "eval"):
+            yield pytest.param(command, preds(mutate), where, id=f"{command}-{name}")
+
+    def scene(mutate):
+        data = json.loads(serialize_scene(chain_scene()))
+        mutate(data)
+        return data
+
+    bad_scenes = {
+        "width-string": (lambda d: d["image"].update(width="640"), "image: width"),
+        "height-fraction": (lambda d: d["image"].update(height=480.9), "image: height"),
+        "path-number": (lambda d: d["image"].update(path=5), "image: path"),
+        "id-fraction": (lambda d: d["objects"][0].update(id=1.7), "objects[0]: id"),
+        "id-1e400": (lambda d: d["objects"][0].update(id="__1e400__"), "objects[0]: id"),
+        "category-number": (lambda d: d["objects"][0].update(category=5), "objects[0]: category"),
+        "bbox-string-and-bool": (
+            lambda d: d["objects"][0].update(bbox=[0, 0, "1e-200", True]), "objects[0]: bbox[2]"
+        ),
+    }
+    for name, (mutate, where) in bad_scenes.items():
+        for command in ("augment", "eval-gt"):
+            yield pytest.param(command, scene(mutate), where, id=f"{command}-scene-{name}")
+    pairs = calibration_pairs()
+    pairs[0]["pixel"] = [True, "0", 500]
+    yield pytest.param("calibrate", pairs, "pair 0: pixel[0]", id="calibrate-pixel-bool-and-string")
+    # nested past the decoder's recursion limit
+    deep = "[" * 200_000 + "]" * 200_000
+    for command in ("eval", "plan", "simulate", "calibrate", "augment"):
+        yield pytest.param(command, deep, "$: not valid JSON", id=f"{command}-nested-200k-deep")
     bad_regimes = {
         "noise-null": {"noise": {"drop_prob": None}},
         "noise-not-an-object": {"noise": []},
@@ -552,12 +621,14 @@ def _bad_inputs():
 @pytest.mark.parametrize("command, doc, where", list(_bad_inputs()))
 def test_bad_input_is_a_data_error(tmp_path, scene_file, capsys, command, doc, where):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(_document_text(doc))
     argv = {
         "plan": ["plan", "--pred", str(path), "--target", "1"],
         "eval": ["eval", "--gt", str(scene_file), "--pred", str(path)],
         "eval-gt": ["eval", "--gt", str(path), "--pred", str(scene_file)],
         "simulate": ["simulate", "--config", str(path)],
+        "calibrate": ["calibrate", "--pairs", str(path)],
+        "augment": ["augment", "--scene", str(path)],
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -579,8 +650,6 @@ README_SIM = {
         },
     ],
 }
-# written into the file as the JSON numbers 1e400 and -1e400 (inf and -inf)
-_BIG = {"__1e400__": "1e400", "__-1e400__": "-1e400"}
 _VALUES = [0, 1, 2, -1, 0.0, 0.5, 1.5, True, False, "x", "0.5", "random", None, [], {}, *_BIG]
 _KEYS = [
     "seed", "regimes", "name", "trials", "count_range", "target_rule", "max_steps",
@@ -598,25 +667,31 @@ def _slots(doc):
             yield from _slots(value)
 
 
-@st.composite
-def mutated_sim_configs(draw):
-    """The README config with 1 to 4 mutations: a type swap (bool, string,
-    null, list, object, float for int, +-1e400), a missing key, an extra
-    key (known or not) or a list of the wrong length."""
-    doc = copy.deepcopy(README_SIM)
+def _mutated(draw, doc, keys):
+    """``doc`` with 1 to 4 mutations: a type swap (bool, string, null,
+    list, object, float for int, +-1e400), a missing key, an extra key
+    from ``keys`` (known or not) or a list of the wrong length."""
     for _ in range(draw(st.integers(1, 4))):
         slots = list(_slots(doc))
         kind = draw(st.sampled_from(["swap", "drop", "add", "arity"]))
         if kind == "add":
-            targets = [doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+            targets = [c for c in [doc] + [c[k] for c, k in slots] if isinstance(c, dict)]
+            if not targets:
+                continue
             target = draw(st.sampled_from(targets))
             # a copy: a later "add" may write into a [] or {} of _VALUES
-            target[draw(st.sampled_from(_KEYS))] = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+            target[draw(st.sampled_from(keys))] = copy.deepcopy(draw(st.sampled_from(_VALUES)))
             continue
         if not slots:
             break
         _mutate_slot(draw, slots, kind)
     return doc
+
+
+@st.composite
+def mutated_sim_configs(draw):
+    """The README config with the mutations of ``_mutated``."""
+    return _mutated(draw, copy.deepcopy(README_SIM), _KEYS)
 
 
 def _mutate_slot(draw, slots, kind):
@@ -634,26 +709,82 @@ def _mutate_slot(draw, slots, kind):
         container[key] = value[:-1] if draw(st.booleans()) else value + value[-1:]
 
 
+def _run_guarded(argv: list[str]) -> int:
+    """``main(argv)`` in this process; a call still running after 60 s dumps
+    every thread's stack and exits, so a hang fails the run."""
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        return main(argv)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=mutated_sim_configs())
 def test_mutated_sim_config_exits_cleanly(doc):
     """Any mutation of a valid config runs (0), is a data error (2) or a
     numeric failure (3): never an exception, never a hang."""
-    text = json.dumps(doc)
-    for marker, number in _BIG.items():
-        text = text.replace(json.dumps(marker), number)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sim.json"
-        path.write_text(text)
-        faulthandler.dump_traceback_later(60, exit=True)
-        try:
-            code = main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "out.json")])
-        finally:
-            faulthandler.cancel_dump_traceback_later()
+        path.write_text(_document_text(doc))
+        code = _run_guarded(
+            ["simulate", "--config", str(path), "--out", str(Path(tmp) / "out.json")]
+        )
     assert code in (0, 2, 3)
 
 
-# Rows that only the per-row loop takes, by converting, or rejects.
+# For each input document: a valid one, the keys an "add" mutation may
+# write, and the commands that read it ({doc} is its file, {scene} a valid
+# scene file).
+_DOCUMENTS = {
+    "scene": (
+        lambda: json.loads(serialize_scene(chain_scene())),
+        ["image", "width", "height", "path", "depth_path", "objects", "id", "category",
+         "bbox", "grasps", "owner", "rect", "relations", "above", "below", "extra"],
+        [["augment", "--scene", "{doc}", "--rot90", "1", "--hflip"],
+         ["eval", "--gt", "{doc}", "--pred", "{scene}"],
+         ["plan", "--pred", "{doc}", "--target", "1"]],
+    ),
+    "predictions": (
+        lambda: json.loads(serialize_predictions(record_to_predictions(chain_scene()))),
+        ["detections", "id", "category", "bbox", "score", "grasps", "rect", "confidence",
+         "relations", "pair", "probs", "extra"],
+        [["eval", "--gt", "{scene}", "--pred", "{doc}"],
+         ["plan", "--pred", "{doc}", "--target", "3", "--assume-hidden"]],
+    ),
+    "calibration": (
+        calibration_pairs,
+        ["pixel", "robot", "extra"],
+        [["calibrate", "--pairs", "{doc}"]],
+    ),
+}
+
+
+@st.composite
+def mutated_documents(draw):
+    """A command and the mutated document it reads: a scene, predictions
+    or calibration pairs with the mutations of ``_mutated``."""
+    make, keys, commands = _DOCUMENTS[draw(st.sampled_from(sorted(_DOCUMENTS)))]
+    return draw(st.sampled_from(commands)), _mutated(draw, make(), keys)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=mutated_documents())
+def test_mutated_document_exits_cleanly(case):
+    """Any mutation of a valid scene, predictions or calibration document
+    gives exit 0, 2 or 3 in eval, plan, augment and calibrate: never an
+    exception, never a hang."""
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"doc": Path(tmp) / "doc.json", "scene": Path(tmp) / "scene.json"}
+        files["doc"].write_text(_document_text(doc))
+        files["scene"].write_text(serialize_scene(chain_scene()))
+        argv = [arg.format(**files) for arg in command]
+        code = _run_guarded(argv + ["--out", str(Path(tmp) / "out.json")])
+    assert code in (0, 2, 3)
+
+
+# Rows that take the parser's slower branch: converted or rejected.
 _ROW_EDITS = {
     "self-pair": lambda a, b: {"pair": [a, a]},
     "unknown-id": lambda a, b: {"pair": [a, 99]},
@@ -699,10 +830,7 @@ def mutated_relation_docs(draw):
                 target[draw(st.sampled_from(["pair", "probs", "extra"]))] = value
         elif slots and kind in ("swap", "drop", "arity"):
             _mutate_slot(draw, slots, kind)
-    text = json.dumps(doc)
-    for marker, number in _BIG.items():
-        text = text.replace(json.dumps(marker), number)
-    return json.loads(text)
+    return json.loads(_document_text(doc))
 
 
 def _relations_or_error(parse):
@@ -715,30 +843,12 @@ def _relations_or_error(parse):
 @settings(max_examples=500, deadline=None)
 @given(data=mutated_relation_docs())
 def test_mutated_relation_rows_parse_like_the_row_loop(data):
-    """The relation fast path stores what the per-row loop stores, or
-    leaves the document to it (tests/oracle_utils.per_row_relations)."""
+    """The relation-row loop of ``parse_predictions`` stores what the strict
+    per-row reference stores, or raises its error for the same row
+    (tests/oracle_utils.per_row_relations)."""
     ids = {d["id"] for d in data["detections"]}
     expected = _relations_or_error(lambda: per_row_relations(data, ids))
     assert _relations_or_error(lambda: parse_predictions(data).relations) == expected
-
-
-def calibration_pairs():
-    linear = [[0.002, 0.0, 0.0], [0.0, 0.002, 0.0], [0.0, 0.0, 1.0]]
-    offset = [-0.64, -0.48, 0.0]
-    pairs = []
-    for u, v, d in [
-        (0, 0, 500),
-        (600, 0, 700),
-        (0, 400, 900),
-        (600, 400, 500),
-        (300, 200, 800),
-        (150, 350, 600),
-    ]:
-        x = linear[0][0] * u + offset[0]
-        y = linear[1][1] * v + offset[1]
-        z = d * 1.0 + offset[2]
-        pairs.append({"pixel": [u, v, d], "robot": [x, y, z]})
-    return pairs
 
 
 class TestCalibrate:

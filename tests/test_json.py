@@ -1,0 +1,70 @@
+import pytest
+
+from stackgrasp._json import DocumentError, integer, json_list, load, number, number_list, string
+
+
+class TestLoad:
+    def test_document(self):
+        assert load('{"a": [1, 2.5, "x", null]}') == {"a": [1, 2.5, "x", None]}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[1,", "not valid JSON"), ("[" * 200_000 + "]" * 200_000, "nested too deeply")],
+    )
+    def test_errors_are_at_the_root(self, text, message):
+        with pytest.raises(DocumentError, match=message) as exc:
+            load(text)
+        assert exc.value.where == "$"
+
+
+class TestFields:
+    def test_integer_takes_only_integers(self):
+        assert integer("n", 7) == 7
+        for value in (True, 7.0, float("inf"), "7", None, [7]):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                integer("n", value)
+
+    def test_number_reads_integers_as_floats(self):
+        assert number("x", 0.5) == 0.5
+        assert type(number("x", 2)) is float
+        for value in (True, "0.5", None, [0.5]):
+            with pytest.raises(ValueError, match="x must be a number"):
+                number("x", value)
+
+    def test_string(self):
+        assert string("s", "cup") == "cup"
+        for value in (5, None, ["cup"], True):
+            with pytest.raises(ValueError, match="s must be a string"):
+                string("s", value)
+
+
+class TestLists:
+    def test_json_list(self):
+        assert json_list({"a": [1]}, "a") == [1]
+        assert json_list({}, "a") == []
+        with pytest.raises(DocumentError, match="a: expected a list, got dict") as exc:
+            json_list({"a": {}}, "a")
+        assert exc.value.where == "a"
+        with pytest.raises(DocumentError, match=r"x\[0\].a: expected a list"):
+            json_list({"a": 5}, "a", "x[0].a")
+
+    def test_number_list(self):
+        values = number_list("bbox", [0, 1.5, 2, 3.25], 4)
+        assert values == [0.0, 1.5, 2.0, 3.25]
+        assert all(type(v) is float for v in values)
+        assert number_list("probs", [1, 0]) == [1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([0, 0, 10], "bbox needs 4 values, got 3"),
+            ((0, 0, 10, 10), "bbox must be a list"),
+            ("0 0 10 10", "bbox must be a list"),
+            ([0, 0, 10, True], r"bbox\[3\] must be a number, got True"),
+            ([0, 0, "10", 10], r"bbox\[2\] must be a number, got '10'"),
+            ([0, None, 10, 10], r"bbox\[1\] must be a number, got None"),
+        ],
+    )
+    def test_number_list_names_the_bad_item(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            number_list("bbox", value, 4)
