@@ -19,11 +19,12 @@ class DocumentError(ValueError):
 
 
 def load(text: str):
-    """The document in ``text``. Text that is not JSON, or that nests too
-    deeply to decode, is a DocumentError at ``$``."""
+    """The document in ``text``. Text that is not JSON, that holds an
+    integer past the interpreter's digit limit, or that nests too deeply to
+    decode, is a DocumentError at ``$``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or the integer digit limit
         raise DocumentError("$", f"not valid JSON: {e}") from e
     except RecursionError:
         raise DocumentError("$", "not valid JSON: nested too deeply") from None
@@ -41,12 +42,16 @@ def integer(name: str, value) -> int:
 
 def number(name: str, value) -> float:
     """``value`` as a float when it is a real number; a bool, a numeric
-    string or any other type is a ValueError naming ``name``."""
+    string, an integer too large for a float or any other type is a
+    ValueError naming ``name``."""
     if type(value) is float:
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # its repr could run to thousands of digits
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def string(name: str, value) -> str:
@@ -74,7 +79,10 @@ def number_list(name: str, value, n: int | None = None) -> list[float]:
         raise ValueError(f"{name} must be a list, got {value!r}")
     if n is not None and len(value) != n:
         raise ValueError(f"{name} needs {n} values, got {len(value)}")
-    out = [float(v) for v in value if type(v) is float or type(v) is int]
+    try:
+        out = [float(v) for v in value if type(v) is float or type(v) is int]
+    except OverflowError:  # an integer too large for a float: found below
+        out = []
     if len(out) == len(value):
         return out
     return [number(f"{name}[{k}]", v) for k, v in enumerate(value)]

@@ -370,7 +370,9 @@ def _cmd_calibrate(args) -> int:
     path = Path(args.pairs)
     try:
         pairs = load_calibration_pairs(path)
-    except (OSError, ValueError) as e:
+    except OSError as e:
+        raise DataError(f"{path}: {e.strerror or e}") from e
+    except ValueError as e:
         raise DataError(f"{path}: {e}") from e
     if len(pairs) < 4:
         raise DataError(f"{path}: need at least 4 calibration pairs, got {len(pairs)}")

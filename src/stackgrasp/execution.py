@@ -319,18 +319,18 @@ def load_depth_pgm(path) -> DepthImage:
 
 def load_calibration_pairs(path) -> list[tuple[list[float], list[float]]]:
     """Read [{"pixel": [u, v, d], "robot": [x, y, z]}, ...]; every
-    coordinate must be a JSON number."""
+    coordinate must be a JSON number. Errors name the pair, not the file."""
     data = load(Path(path).read_text())
     if not isinstance(data, list):
-        raise CalibrationError(f"{path}: expected a JSON list of pairs")
+        raise CalibrationError("expected a JSON list of pairs")
     pairs = []
     for i, entry in enumerate(data):
         try:
             pixel = number_list("pixel", entry["pixel"])
             robot = number_list("robot", entry["robot"])
         except (KeyError, TypeError, ValueError) as e:
-            raise CalibrationError(f"{path}: pair {i}: {e}") from e
+            raise CalibrationError(f"pair {i}: {e}") from e
         if len(pixel) != 3 or len(robot) != 3:
-            raise CalibrationError(f"{path}: pair {i}: points must be 3-d")
+            raise CalibrationError(f"pair {i}: points must be 3-d")
         pairs.append((pixel, robot))
     return pairs

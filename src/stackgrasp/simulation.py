@@ -26,23 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from ._json import integer, number, string
-from .dataset import (
-    SceneGrasp,
-    SceneObject,
-    SceneRecord,
-    relation_label,
-    scene_to_json_dict,
-)
+from .dataset import SceneGrasp, SceneObject, SceneRecord, scene_to_json_dict
 from .evaluation import sequential_success
-from .execution import DepthImage
 from .geometry import AABox, OrientedRect
 from .perception import GraspCandidate, ObjectDetection, ScenePredictions, perceive
 from .reasoning import build_graph, next_action, symmetrize
 
 SCENE_WIDTH = 640
 SCENE_HEIGHT = 480
-TABLE_DEPTH_MM = 1000.0
-LEVEL_STEP_MM = 40.0
 
 CATEGORIES = (
     "apple", "banana", "bottle", "box", "can", "charger", "cup", "eraser",
@@ -276,24 +267,6 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
     )
 
 
-def depth_image(scene: SceneRecord) -> DepthImage:
-    """Synthetic raster: the table sits at TABLE_DEPTH_MM and each stack
-    level is LEVEL_STEP_MM nearer the camera. An object's level is the
-    number of objects it rests on, which the transitive relations list
-    directly. Higher objects are painted last, so where boxes overlap the
-    one on top sets the (smaller) depth."""
-    level = {o.instance_id: 0 for o in scene.objects}
-    for a, _ in scene.relations:
-        level[a] += 1
-    values = np.full((scene.height, scene.width), TABLE_DEPTH_MM)
-    for o in sorted(scene.objects, key=lambda o: (level[o.instance_id], o.instance_id)):
-        b = o.box
-        values[
-            int(b.ymin) : int(b.ymax), int(b.xmin) : int(b.xmax)
-        ] = TABLE_DEPTH_MM - LEVEL_STEP_MM * (level[o.instance_id] + 1)
-    return DepthImage.from_millimeters(values)
-
-
 def _coverage_fraction(target: AABox, covers: Sequence[AABox]) -> float:
     clipped = []
     for c in covers:
@@ -325,32 +298,130 @@ def _coverage_fraction(target: AABox, covers: Sequence[AABox]) -> float:
     return covered / target.area
 
 
-def _visibility(
-    scene: SceneRecord, coverage_threshold: float, ids: Sequence[int] | None = None
-) -> dict[int, bool]:
-    """Whether each object (every one, or those in ``ids``) is visible: the
-    boxes stacked above it cover less than ``coverage_threshold`` of its own
-    box. One pass over the relations groups every object's covers."""
-    boxes = {o.instance_id: o.box for o in scene.objects}
-    covers: dict[int, list[AABox]] = {}
-    for i in boxes if ids is None else ids:
-        if i not in boxes:
-            raise ValueError(f"no object {i} in the scene")
-        covers[i] = []
-    for a, b in scene.relations:
-        if b in covers:
-            covers[b].append(boxes[a])
-    return {i: _coverage_fraction(boxes[i], c) < coverage_threshold for i, c in covers.items()}
+class _LiveScene:
+    """A scene as a trial takes it apart, indexed for the per-step queries:
+    the live objects in order (by id), each one's grasp rects, the set of
+    relations, the ids above and below each object, each object's
+    coverage and, for zero angle and score noise, its grasp candidates.
+    A coverage is computed when first asked for and kept until an object
+    above it is removed, the only removal that changes it."""
+
+    __slots__ = ("scene", "objects", "rects", "relations", "above", "below", "_coverage", "_exact")
+
+    def __init__(self, scene: SceneRecord):
+        self.scene = scene
+        self.objects = {o.instance_id: o for o in scene.objects}
+        self.rects: dict[int, list[OrientedRect]] = {i: [] for i in self.objects}
+        for g in scene.grasps:
+            self.rects[g.owner].append(g.rect)
+        self.relations = set(scene.relations)
+        self.above: dict[int, set[int]] = {i: set() for i in self.objects}
+        self.below: dict[int, set[int]] = {i: set() for i in self.objects}
+        for a, b in scene.relations:
+            self.above[b].add(a)
+            self.below[a].add(b)
+        self._coverage: dict[int, float] = {}
+        self._exact: dict[int, list[GraspCandidate]] = {}
+
+    def require(self, instance_id: int) -> None:
+        if instance_id not in self.objects:
+            raise ValueError(f"no object {instance_id} in the scene")
+
+    def coverage(self, instance_id: int) -> float:
+        """The fraction of the object's box that the boxes above it cover;
+        the cover order does not change the value."""
+        c = self._coverage.get(instance_id)
+        if c is None:
+            objects = self.objects
+            covers = [objects[a].box for a in self.above[instance_id]]
+            c = self._coverage[instance_id] = _coverage_fraction(objects[instance_id].box, covers)
+        return c
+
+    def exact_candidates(self, instance_id: int) -> list[GraspCandidate]:
+        """The object's grasp candidates when the angle and score noise are
+        zero: ``theta + 0.0 * draw`` is the (normalized, never -0.0) theta
+        and the confidence is 1.0, so they are the same at every step."""
+        cands = self._exact.get(instance_id)
+        if cands is None:
+            cands = self._exact[instance_id] = [GraspCandidate(g, 1.0) for g in self.rects[instance_id]]
+        return list(cands)
+
+    def remove(self, instance_id: int) -> None:
+        self.require(instance_id)
+        del self.objects[instance_id], self.rects[instance_id]
+        self._coverage.pop(instance_id, None)
+        for b in self.below.pop(instance_id):
+            self.above[b].discard(instance_id)
+            self.relations.discard((instance_id, b))
+            self._coverage.pop(b, None)
+        for a in self.above.pop(instance_id):
+            self.below[a].discard(instance_id)
+            self.relations.discard((a, instance_id))
+
+    def record(self) -> SceneRecord:
+        """The live scene as a record: the original's objects, grasps and
+        relations that are still live, in their original order."""
+        s = self.scene
+        return replace(
+            s,
+            objects=tuple(self.objects.values()),
+            grasps=tuple(g for g in s.grasps if g.owner in self.objects),
+            relations=tuple(r for r in s.relations if r in self.relations),
+        )
 
 
-def visible(scene: SceneRecord, instance_id: int, coverage_threshold: float = 0.8) -> bool:
+def visible(
+    scene: SceneRecord,
+    instance_id: int,
+    coverage_threshold: float = 0.8,
+    index: _LiveScene | None = None,
+) -> bool:
     """An object is visible while the boxes stacked above it cover less than
-    ``coverage_threshold`` of its own box."""
-    return _visibility(scene, coverage_threshold, (instance_id,))[instance_id]
+    ``coverage_threshold`` of its own box. ``index``, when given, stands
+    for ``scene`` as a trial has taken it apart so far."""
+    live = _LiveScene(scene) if index is None else index
+    live.require(instance_id)
+    return live.coverage(instance_id) < coverage_threshold
 
 
 _OTHER_LABELS = ((1, 2), (0, 2), (0, 1))
 _ONE_HOT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _flip_draws(rng: np.random.Generator, m: int) -> list[tuple[float, int]]:
+    """What ``m`` turns of ``(rng.random(), int(rng.integers(0, 2)))`` give,
+    with the generator left in the same state. On PCG64 the values are
+    decoded from one ``random_raw`` call: ``random()`` is the next word's
+    top 53 bits times 2**-53, and ``integers(0, 2)`` is the top bit of
+    the next 32-bit half, which is the pending upper half of an earlier
+    word or else the lower half of a fresh word (whose upper half becomes
+    pending). Other bit generators make the scalar calls."""
+    bits = rng.bit_generator
+    if m == 0:
+        return []
+    if type(bits) is not np.random.PCG64:
+        return [(rng.random(), int(rng.integers(0, 2))) for _ in range(m)]
+    state = bits.state
+    pending, half = state["has_uint32"], state["uinteger"]
+    words = bits.random_raw(m + (m + 1 - pending) // 2).tolist()
+    out = []
+    pos = 0
+    for _ in range(m):
+        u = (words[pos] >> 11) * 2.0**-53
+        pos += 1
+        if not pending:
+            half = words[pos]
+            pos += 1
+            out.append((u, (half & 0xFFFFFFFF) >> 31))
+            half >>= 32
+        else:
+            out.append((u, half >> 31))
+        pending = 1 - pending
+    # random_raw leaves the 32-bit buffer alone: store where the halves end
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = pending, half
+    bits.state = state
+    return out
 
 
 def oracle_predict(
@@ -358,30 +429,31 @@ def oracle_predict(
     noise: NoiseModel,
     rng: np.random.Generator,
     coverage_threshold: float = 0.8,
+    index: _LiveScene | None = None,
 ) -> ScenePredictions:
     """Ground truth filtered by visibility and corrupted by the noise model.
+    ``index``, when given, stands for ``scene`` as a trial has taken it
+    apart so far.
 
     Invisible objects are never reported. Every noise variate is drawn
     whether or not its parameter is active, keeping the stream aligned
     across noise settings for a fixed scene and generator state.
     """
+    live = _LiveScene(scene) if index is None else index
+    exact = noise.angle_sigma == 0.0 and noise.score_sigma == 0.0
     preds = ScenePredictions()
-    rects: dict[int, list[OrientedRect]] = {o.instance_id: [] for o in scene.objects}
-    for g in scene.grasps:
-        rects[g.owner].append(g.rect)
-    shown = _visibility(scene, coverage_threshold)
-    for o in scene.objects:
+    for i, o in live.objects.items():
+        rects = live.rects[i]
         u_drop = rng.random()
         # one call for the box jitter, the score and each grasp's angle and
         # confidence draws: the same stream as a call for each
-        draws = rng.normal(size=5 + 2 * len(rects[o.instance_id]))
-        if not shown[o.instance_id] or u_drop < noise.drop_prob:
+        draws = rng.normal(size=5 + 2 * len(rects))
+        if u_drop < noise.drop_prob or not live.coverage(i) < coverage_threshold:
             continue
         # numpy floats, as before: a huge box_sigma then overflows to inf
         # downstream instead of raising OverflowError
         jitter = draws[:4]
         score_draw = float(draws[4])
-        grasp_draws = draws[5:].tolist()
         b = o.box
         x0, x1 = sorted((b.xmin + noise.box_sigma * jitter[0], b.xmax + noise.box_sigma * jitter[2]))
         y0, y1 = sorted((b.ymin + noise.box_sigma * jitter[1], b.ymax + noise.box_sigma * jitter[3]))
@@ -395,40 +467,41 @@ def oracle_predict(
                 box=AABox(x0, y0, x1, y1),
                 category=o.category,
                 score=score,
-                instance_id=o.instance_id,
+                instance_id=i,
             )
         )
+        if exact:
+            preds.grasp_candidates[i] = live.exact_candidates(i)
+            continue
         cands = []
-        for g, a_draw, c_draw in zip(rects[o.instance_id], grasp_draws[::2], grasp_draws[1::2]):
+        grasp_draws = draws[5:].tolist()
+        for g, a_draw, c_draw in zip(rects, grasp_draws[::2], grasp_draws[1::2]):
             rect = OrientedRect(x=g.x, y=g.y, w=g.w, h=g.h, theta=g.theta + noise.angle_sigma * a_draw)
             conf = min(max(1.0 - abs(noise.score_sigma * c_draw), 0.0), 1.0)
             cands.append(GraspCandidate(rect=rect, confidence=conf))
-        preds.grasp_candidates[o.instance_id] = cands
+        preds.grasp_candidates[i] = cands
 
     det_ids = [d.instance_id for d in preds.detections]
-    for a in det_ids:
-        for b in det_ids:
-            if a == b:
-                continue
-            u_flip = rng.random()
-            alt = int(rng.integers(0, 2))
-            label = relation_label(scene, a, b)
-            if u_flip < noise.relation_flip_prob:
-                label = _OTHER_LABELS[label][alt]
-            preds.relations[(a, b)] = _ONE_HOT[label]
+    pairs = [(a, b) for a in det_ids for b in det_ids if a != b]
+    relations = live.relations
+    for (a, b), (u_flip, alt) in zip(pairs, _flip_draws(rng, len(pairs))):
+        # the class of dataset.relation_label: 0 none, 1 a above b, 2 a below b
+        label = 1 if (a, b) in relations else 2 if (b, a) in relations else 0
+        if u_flip < noise.relation_flip_prob:
+            label = _OTHER_LABELS[label][alt]
+        preds.relations[(a, b)] = _ONE_HOT[label]
     return preds
 
 
-def remove_object(scene: SceneRecord, instance_id: int) -> SceneRecord:
-    """Scene with one object, its grasps and its relations taken away."""
-    if all(o.instance_id != instance_id for o in scene.objects):
-        raise ValueError(f"no object {instance_id} in the scene")
-    return replace(
-        scene,
-        objects=tuple(o for o in scene.objects if o.instance_id != instance_id),
-        grasps=tuple(g for g in scene.grasps if g.owner != instance_id),
-        relations=tuple(r for r in scene.relations if instance_id not in r),
-    )
+def remove_object(
+    scene: SceneRecord, instance_id: int, index: _LiveScene | None = None
+) -> SceneRecord | None:
+    """Scene with one object, its grasps and its relations taken away. With
+    ``index``, which stands for ``scene`` as a trial has taken it apart so
+    far, the object leaves the index instead and no record is built."""
+    live = _LiveScene(scene) if index is None else index
+    live.remove(instance_id)
+    return live.record() if index is None else None
 
 
 def select_target(scene: SceneRecord, rule: str, rng: np.random.Generator) -> int:
@@ -491,18 +564,19 @@ def run_trial(cfg: TrialConfig) -> TrialLog:
     The loop ends when the true target is removed, the step budget runs
     out, or nothing is detected. Per-step noise draws come from a generator
     seeded by (seed, step), so a trial is one deterministic function of its
-    config.
+    config. One index of the live scene serves every step's prediction,
+    visibility check and removal.
     """
     scene = generate_scene(cfg.seed, cfg)
     target = select_target(scene, cfg.target_rule, np.random.default_rng([cfg.seed, 17]))
     max_steps = cfg.max_steps if cfg.max_steps is not None else len(scene.objects)
 
-    current = scene
+    live = _LiveScene(scene)
     steps: list[TrialStep] = []
     reason = "step_budget_exhausted"
     for step_index in range(max_steps):
         rng = np.random.default_rng([cfg.seed, 1009, step_index])
-        preds = oracle_predict(current, cfg.noise, rng, cfg.coverage_threshold)
+        preds = oracle_predict(scene, cfg.noise, rng, cfg.coverage_threshold, live)
         if not preds.detections:
             reason = "no_detections"
             break
@@ -517,11 +591,11 @@ def run_trial(cfg: TrialConfig) -> TrialLog:
                 action_object=removed,
                 claimed_final=action.is_final_target,
                 removed=removed,
-                order_valid=not any(b == removed for (_, b) in current.relations),
-                target_visible=visible(current, target, cfg.coverage_threshold),
+                order_valid=not live.above[removed],
+                target_visible=visible(scene, target, cfg.coverage_threshold, live),
             )
         )
-        current = remove_object(current, removed)
+        remove_object(scene, removed, live)
         if removed == target:
             reason = "target_removed"
             break

@@ -8,8 +8,9 @@ is found by scanning every pixel, the approach vector maps and crosses
 one window pixel at a time, cycles are repaired by restarting the search
 after every deletion, the plan document is built whole and encoded by
 json.dumps, box coverage tests every grid cell against every box, relation
-rows are converted and checked one at a time, and the relation argmax
-takes the maximum of a sort key.
+rows are converted and checked one at a time, the relation argmax
+takes the maximum of a sort key, and a simulated trial rebuilds its scene
+record at every removal and draws each relation flip by scalar calls.
 """
 
 from __future__ import annotations
@@ -353,3 +354,113 @@ def argmax_by_key(probs) -> int:
     """Relation label of ``probs``: the class of the largest value, exact
     ties to the smaller class index."""
     return max(range(3), key=lambda k: (probs[k], -k))
+
+
+def grid_coverages(scene) -> list[tuple[int, float]]:
+    """(id, coverage) of every object of ``scene`` in order, each from its
+    covers gathered by a scan of the relations tuple and summed by
+    ``grid_coverage_fraction``."""
+    boxes = {o.instance_id: o.box for o in scene.objects}
+    return [
+        (i, grid_coverage_fraction(box, [boxes[a] for a, b in scene.relations if b == i]))
+        for i, box in boxes.items()
+    ]
+
+
+def rebuilt_predict(scene, noise, rng, coverage_threshold: float):
+    """``simulation.oracle_predict`` on a scene record alone: visibility
+    from ``grid_coverages``, each relation class from a scan of the
+    relations tuple (``dataset.relation_label``), and the flip draws made
+    by one scalar ``random()`` and one ``integers(0, 2)`` call per ordered
+    pair."""
+    from stackgrasp.dataset import relation_label
+    from stackgrasp.geometry import AABox, OrientedRect
+    from stackgrasp.perception import GraspCandidate, ObjectDetection, ScenePredictions
+
+    shown = {i: c < coverage_threshold for i, c in grid_coverages(scene)}
+    preds = ScenePredictions()
+    for o in scene.objects:
+        rects = [g.rect for g in scene.grasps if g.owner == o.instance_id]
+        u_drop = rng.random()
+        draws = rng.normal(size=5 + 2 * len(rects))
+        if not shown[o.instance_id] or u_drop < noise.drop_prob:
+            continue
+        b, s = o.box, noise.box_sigma
+        x0, x1 = sorted((b.xmin + s * draws[0], b.xmax + s * draws[2]))
+        y0, y1 = sorted((b.ymin + s * draws[1], b.ymax + s * draws[3]))
+        x1 = x1 if x1 > x0 else x0 + 1.0
+        y1 = y1 if y1 > y0 else y0 + 1.0
+        score = min(max(1.0 - abs(noise.score_sigma * float(draws[4])), 0.0), 1.0)
+        preds.detections.append(
+            ObjectDetection(AABox(x0, y0, x1, y1), o.category, score, o.instance_id)
+        )
+        preds.grasp_candidates[o.instance_id] = [
+            GraspCandidate(
+                OrientedRect(g.x, g.y, g.w, g.h, g.theta + noise.angle_sigma * float(draws[5 + 2 * k])),
+                min(max(1.0 - abs(noise.score_sigma * float(draws[6 + 2 * k])), 0.0), 1.0),
+            )
+            for k, g in enumerate(rects)
+        ]
+    ids = [d.instance_id for d in preds.detections]
+    for a in ids:
+        for b in ids:
+            if a == b:
+                continue
+            u_flip = rng.random()
+            alt = int(rng.integers(0, 2))
+            label = relation_label(scene, a, b)
+            if u_flip < noise.relation_flip_prob:
+                label = [k for k in range(3) if k != label][alt]
+            preds.relations[(a, b)] = tuple(float(k == label) for k in range(3))
+    return preds
+
+
+def rebuilt_run_trial(cfg):
+    """``simulation.run_trial`` as a loop that keeps no state but the scene
+    record: it predicts with ``rebuilt_predict``, scans the relations for
+    the order check, and builds a smaller record at every removal. Returns
+    the TrialLog and, after each removal, ``grid_coverages`` of the scene
+    left."""
+    from dataclasses import replace
+
+    from stackgrasp.reasoning import build_graph, next_action, symmetrize
+    from stackgrasp.simulation import TrialLog, TrialStep, generate_scene, select_target
+
+    scene = generate_scene(cfg.seed, cfg)
+    target = select_target(scene, cfg.target_rule, np.random.default_rng([cfg.seed, 17]))
+    max_steps = cfg.max_steps if cfg.max_steps is not None else len(scene.objects)
+    current = scene
+    steps, coverages = [], []
+    reason = "step_budget_exhausted"
+    for step_index in range(max_steps):
+        rng = np.random.default_rng([cfg.seed, 1009, step_index])
+        preds = rebuilt_predict(current, cfg.noise, rng, cfg.coverage_threshold)
+        if not preds.detections:
+            reason = "no_detections"
+            break
+        ids = [d.instance_id for d in preds.detections]
+        graph = build_graph(ids, symmetrize(preds.relations))
+        action = next_action(graph, preds.perceived(cfg.top_n), target)
+        removed = action.object_id
+        steps.append(
+            TrialStep(
+                detections=tuple(ids),
+                action_object=removed,
+                claimed_final=action.is_final_target,
+                removed=removed,
+                order_valid=not any(b == removed for _, b in current.relations),
+                target_visible=dict(grid_coverages(current))[target] < cfg.coverage_threshold,
+            )
+        )
+        current = replace(
+            current,
+            objects=tuple(o for o in current.objects if o.instance_id != removed),
+            grasps=tuple(g for g in current.grasps if g.owner != removed),
+            relations=tuple(r for r in current.relations if removed not in r),
+        )
+        coverages.append(grid_coverages(current))
+        if removed == target:
+            reason = "target_removed"
+            break
+    log = TrialLog(cfg.seed, target, scene, tuple(steps), reason, cfg.noise)
+    return log, coverages

@@ -490,8 +490,9 @@ def calibration_pairs():
     return pairs
 
 
-# written into the file as the JSON numbers 1e400 and -1e400 (inf and -inf)
-_BIG = {"__1e400__": "1e400", "__-1e400__": "-1e400"}
+# written into the file as the JSON numbers 1e400 and -1e400 (inf and -inf),
+# and as a JSON integer too large for a float
+_BIG = {"__1e400__": "1e400", "__-1e400__": "-1e400", "__10**400__": "1" + "0" * 400}
 
 
 def _document_text(doc) -> str:
@@ -573,6 +574,25 @@ def _bad_inputs():
     pairs = calibration_pairs()
     pairs[0]["pixel"] = [True, "0", 500]
     yield pytest.param("calibrate", pairs, "pair 0: pixel[0]", id="calibrate-pixel-bool-and-string")
+    # an integer too large for a float in a number field
+    huge = "__10**400__"
+    yield pytest.param(
+        "augment", scene(lambda d: d["objects"][0].update(bbox=[0, 0, huge, 10])),
+        "objects[0]: bbox[2] is too large", id="augment-bbox-huge-integer",
+    )
+    yield pytest.param(
+        "plan", preds(relation(probs=[huge, 0, 0])), "relations[0]: probs[0] is too large",
+        id="plan-probs-huge-integer",
+    )
+    pairs = calibration_pairs()
+    pairs[0]["pixel"] = [huge, 0, 500]
+    yield pytest.param(
+        "calibrate", pairs, "pair 0: pixel[0] is too large", id="calibrate-pixel-huge-integer"
+    )
+    yield pytest.param(
+        "simulate", {"regimes": [{"count_range": [2, 4], "trials": 1, "coverage_threshold": huge}]},
+        "regimes[0]: coverage_threshold is too large", id="simulate-coverage-threshold-huge-integer",
+    )
     # nested past the decoder's recursion limit
     deep = "[" * 200_000 + "]" * 200_000
     for command in ("eval", "plan", "simulate", "calibrate", "augment"):
@@ -880,6 +900,19 @@ class TestCalibrate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["calibrate", "--pairs", str(tmp_path / "nope.json")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[", "{}", json.dumps([{"pixel": [True, 0, 500], "robot": [0, 0, 0]}]), None],
+        ids=["not-json", "not-a-list", "bad-pair", "missing"],
+    )
+    def test_error_names_the_file_once(self, tmp_path, capsys, text):
+        path = tmp_path / "pairs.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["calibrate", "--pairs", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("pairs.json") == 1, err
 
     def test_high_residual_warning(self, tmp_path, capsys):
         pairs = calibration_pairs()

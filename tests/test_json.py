@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from stackgrasp._json import DocumentError, integer, json_list, load, number, number_list, string
@@ -17,6 +19,15 @@ class TestLoad:
         assert exc.value.where == "$"
 
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_integer_past_the_digit_limit(self):
+        with pytest.raises(DocumentError, match="not valid JSON") as exc:
+            load("[" + "1" * (sys.get_int_max_str_digits() + 1) + "]")
+        assert exc.value.where == "$"
+
+
 class TestFields:
     def test_integer_takes_only_integers(self):
         assert integer("n", 7) == 7
@@ -30,6 +41,12 @@ class TestFields:
         for value in (True, "0.5", None, [0.5]):
             with pytest.raises(ValueError, match="x must be a number"):
                 number("x", value)
+
+    def test_integer_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match="x is too large for a float"):
+            number("x", 10**400)
+        with pytest.raises(ValueError, match=r"bbox\[1\] is too large for a float"):
+            number_list("bbox", [0, 10**400, 1.5])
 
     def test_string(self):
         assert string("s", "cup") == "cup"

@@ -1,24 +1,25 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import grid_coverage_fraction
+from oracle_utils import grid_coverage_fraction, rebuilt_predict, rebuilt_run_trial
+from stackgrasp import simulation
 from stackgrasp.dataset import SceneGrasp, SceneObject, SceneRecord, serialize_scene
 from stackgrasp.geometry import AABox, OrientedRect, aabb_iou
+from stackgrasp.perception import predictions_to_json_dict
 from stackgrasp.simulation import (
     CATEGORIES,
-    LEVEL_STEP_MM,
     SCENE_HEIGHT,
     SCENE_WIDTH,
-    TABLE_DEPTH_MM,
     NoiseModel,
     TrialConfig,
     _coverage_fraction,
-    depth_image,
+    _flip_draws,
     generate_scene,
     number,
     oracle_predict,
@@ -283,18 +284,6 @@ class TestGenerateScene:
                 supports = [b for (a, b) in scene.relations if a == i]
                 assert level[i] == 1 + max((level[s] for s in supports), default=-1)
 
-    def test_depth_respects_stacking(self):
-        scene = generate_scene(7, cfg_with(0))
-        depth = depth_image(scene)
-        level = levels(scene)
-        top = max(scene.objects, key=lambda o: level[o.instance_id])
-        b = top.box
-        cu = int((b.xmin + b.xmax) / 2)
-        cv = int((b.ymin + b.ymax) / 2)
-        assert level[top.instance_id] > 0
-        assert depth.values[cv, cu] == TABLE_DEPTH_MM - LEVEL_STEP_MM * (level[top.instance_id] + 1)
-        assert depth.values[0, 0] == TABLE_DEPTH_MM
-
 
 class TestVisible:
     def test_uncovered_and_covered(self):
@@ -487,19 +476,17 @@ class TestRemoveObject:
     def test_levels_recomputed(self):
         scene = stack_scene()
         # 3 sits two levels up until the middle object leaves
-        assert depth_image(scene).values[200, 200] == TABLE_DEPTH_MM - 3 * LEVEL_STEP_MM
+        assert levels(scene) == {1: 0, 2: 1, 3: 2, 4: 0}
         after = remove_object(scene, 2)
         assert [o.instance_id for o in after.objects] == [1, 3, 4]
         assert [g.owner for g in after.grasps] == [1, 3, 4]
         assert after.relations == ((3, 1),)
-        depth = depth_image(after)
-        assert depth.values[200, 200] == TABLE_DEPTH_MM - 2 * LEVEL_STEP_MM  # 3, level 1
-        assert depth.values[110, 110] == TABLE_DEPTH_MM - LEVEL_STEP_MM  # 1, level 0
+        assert levels(after) == {1: 0, 3: 1, 4: 0}
 
     def test_remove_top(self):
         after = remove_object(stack_scene(), 3)
         assert after.relations == ((2, 1),)
-        assert depth_image(after).values[200, 200] == TABLE_DEPTH_MM - 2 * LEVEL_STEP_MM
+        assert levels(after) == {1: 0, 2: 1, 4: 0}
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="no object 9"):
@@ -569,3 +556,96 @@ class TestRunTrial:
             "order_valid",
             "target_visible",
         }
+
+
+_PROBS = st.floats(0.0, 1.0)
+_SIGMAS = st.floats(0.0, 10.0)
+
+
+@st.composite
+def _trial_configs(draw):
+    """Any valid TrialConfig with up to 24 objects: every noise field,
+    stack depths 0 to 4, both target rules and thresholds in (0, 1]."""
+    depth = draw(st.integers(0, 4))
+    hi = draw(st.integers(1, min(24, 6 * (1 + depth))))
+    noise = NoiseModel(
+        drop_prob=draw(_PROBS),
+        box_sigma=draw(_SIGMAS),
+        angle_sigma=draw(_SIGMAS),
+        relation_flip_prob=draw(_PROBS),
+        score_sigma=draw(_SIGMAS),
+    )
+    return TrialConfig(
+        seed=draw(st.integers(0, 2**32)),
+        count_range=(draw(st.integers(1, hi)), hi),
+        target_rule=draw(st.sampled_from(["random", "deepest"])),
+        max_steps=draw(st.none() | st.integers(hi, hi + 3)),
+        noise=noise,
+        coverage_threshold=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        max_stack_depth=depth,
+        top_n=draw(st.integers(1, 4)),
+    )
+
+
+class TestTrialOracle:
+    """run_trial keeps one index of the live scene; the oracle rebuilds the
+    scene record at every removal and every coverage at every step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=_trial_configs())
+    def test_matches_rebuilt_loop(self, cfg):
+        coverages = []
+        remove = simulation.remove_object
+
+        def remove_and_record(scene, instance_id, index=None):
+            remove(scene, instance_id, index)
+            coverages.append([(i, index.coverage(i)) for i in index.objects])
+
+        with mock.patch.object(simulation, "remove_object", remove_and_record):
+            log = run_trial(cfg)
+        expected_log, expected_coverages = rebuilt_run_trial(cfg)
+        assert log.to_json_dict() == expected_log.to_json_dict()
+        assert coverages == expected_coverages
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        count_range=st.sampled_from([(2, 4), (6, 9), (12, 24)]),
+        pending=st.booleans(),
+        flip=_PROBS,
+        threshold=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_predictions_match_scalar_draws(self, seed, count_range, pending, flip, threshold):
+        scene = generate_scene(seed, cfg_with(0, count_range=count_range))
+        noise = NoiseModel(relation_flip_prob=flip, box_sigma=1.0)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if pending:
+            rng.integers(0, 2)
+            twin.integers(0, 2)
+        got = oracle_predict(scene, noise, rng, threshold)
+        want = rebuilt_predict(scene, noise, twin, threshold)
+        assert predictions_to_json_dict(got) == predictions_to_json_dict(want)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestFlipDraws:
+    """The raw-word decoder gives what the scalar calls give and leaves the
+    generator where they leave it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(0, 600), pending=st.booleans(), seed=st.integers(0, 2**64 - 1))
+    def test_matches_scalar_calls(self, m, pending, seed):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if pending:
+            rng.integers(0, 2)
+            twin.integers(0, 2)
+        got = _flip_draws(rng, m)
+        assert got == [(twin.random(), int(twin.integers(0, 2))) for _ in range(m)]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox])
+    def test_other_bit_generators_make_scalar_calls(self, bits):
+        rng, twin = np.random.Generator(bits(3)), np.random.Generator(bits(3))
+        got = _flip_draws(rng, 9)
+        assert got == [(twin.random(), int(twin.integers(0, 2))) for _ in range(9)]
+        assert rng.integers(0, 2**32, size=4).tolist() == twin.integers(0, 2**32, size=4).tolist()
