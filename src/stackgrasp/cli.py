@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -191,11 +192,8 @@ def _cmd_plan(args) -> int:
         raise DataError(f"{args.pred}: {e}") from e
     graph = build_graph([p.detection.instance_id for p in perceived], labels)
 
-    target: int | str
-    try:
-        target = int(args.target)
-    except ValueError:
-        target = args.target
+    # an id is ASCII digits with an optional minus; other text is a category
+    target = int(args.target) if re.fullmatch(r"-?[0-9]+", args.target) else args.target
     if isinstance(target, int):
         resolved = any(p.detection.instance_id == target for p in perceived)
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ._json import integer, json_list, load, number, number_list, string
 from .anchors import AnchorConfig, decode_grasp, generate_anchors

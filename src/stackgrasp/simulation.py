@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from ._json import integer, number, string
 from .dataset import SceneGrasp, SceneObject, SceneRecord, scene_to_json_dict
 from .evaluation import sequential_success
 from .geometry import AABox, OrientedRect
-from .perception import GraspCandidate, ObjectDetection, ScenePredictions, perceive
+from .perception import GraspCandidate, ObjectDetection, ScenePredictions
 from .reasoning import build_graph, next_action, symmetrize
 
 SCENE_WIDTH = 640
@@ -298,7 +298,7 @@ def _coverage_fraction(target: AABox, covers: Sequence[AABox]) -> float:
     return covered / target.area
 
 
-class _LiveScene:
+class LiveScene:
     """A scene as a trial takes it apart, indexed for the per-step queries:
     the live objects in order (by id), each one's grasp rects, the set of
     relations, the ids above and below each object, each object's
@@ -306,10 +306,9 @@ class _LiveScene:
     A coverage is computed when first asked for and kept until an object
     above it is removed, the only removal that changes it."""
 
-    __slots__ = ("scene", "objects", "rects", "relations", "above", "below", "_coverage", "_exact")
+    __slots__ = ("objects", "rects", "relations", "above", "below", "_coverage", "_exact")
 
     def __init__(self, scene: SceneRecord):
-        self.scene = scene
         self.objects = {o.instance_id: o for o in scene.objects}
         self.rects: dict[int, list[OrientedRect]] = {i: [] for i in self.objects}
         for g in scene.grasps:
@@ -358,28 +357,10 @@ class _LiveScene:
             self.below[a].discard(instance_id)
             self.relations.discard((a, instance_id))
 
-    def record(self) -> SceneRecord:
-        """The live scene as a record: the original's objects, grasps and
-        relations that are still live, in their original order."""
-        s = self.scene
-        return replace(
-            s,
-            objects=tuple(self.objects.values()),
-            grasps=tuple(g for g in s.grasps if g.owner in self.objects),
-            relations=tuple(r for r in s.relations if r in self.relations),
-        )
 
-
-def visible(
-    scene: SceneRecord,
-    instance_id: int,
-    coverage_threshold: float = 0.8,
-    index: _LiveScene | None = None,
-) -> bool:
+def visible(live: LiveScene, instance_id: int, coverage_threshold: float) -> bool:
     """An object is visible while the boxes stacked above it cover less than
-    ``coverage_threshold`` of its own box. ``index``, when given, stands
-    for ``scene`` as a trial has taken it apart so far."""
-    live = _LiveScene(scene) if index is None else index
+    ``coverage_threshold`` of its own box."""
     live.require(instance_id)
     return live.coverage(instance_id) < coverage_threshold
 
@@ -425,21 +406,18 @@ def _flip_draws(rng: np.random.Generator, m: int) -> list[tuple[float, int]]:
 
 
 def oracle_predict(
-    scene: SceneRecord,
+    live: LiveScene,
     noise: NoiseModel,
     rng: np.random.Generator,
-    coverage_threshold: float = 0.8,
-    index: _LiveScene | None = None,
+    coverage_threshold: float,
 ) -> ScenePredictions:
-    """Ground truth filtered by visibility and corrupted by the noise model.
-    ``index``, when given, stands for ``scene`` as a trial has taken it
-    apart so far.
+    """Ground truth of the live scene filtered by visibility and corrupted
+    by the noise model.
 
     Invisible objects are never reported. Every noise variate is drawn
     whether or not its parameter is active, keeping the stream aligned
     across noise settings for a fixed scene and generator state.
     """
-    live = _LiveScene(scene) if index is None else index
     exact = noise.angle_sigma == 0.0 and noise.score_sigma == 0.0
     preds = ScenePredictions()
     for i, o in live.objects.items():
@@ -493,15 +471,9 @@ def oracle_predict(
     return preds
 
 
-def remove_object(
-    scene: SceneRecord, instance_id: int, index: _LiveScene | None = None
-) -> SceneRecord | None:
-    """Scene with one object, its grasps and its relations taken away. With
-    ``index``, which stands for ``scene`` as a trial has taken it apart so
-    far, the object leaves the index instead and no record is built."""
-    live = _LiveScene(scene) if index is None else index
+def remove_object(live: LiveScene, instance_id: int) -> None:
+    """Take one object, its grasps and its relations out of the live scene."""
     live.remove(instance_id)
-    return live.record() if index is None else None
 
 
 def select_target(scene: SceneRecord, rule: str, rng: np.random.Generator) -> int:
@@ -564,19 +536,19 @@ def run_trial(cfg: TrialConfig) -> TrialLog:
     The loop ends when the true target is removed, the step budget runs
     out, or nothing is detected. Per-step noise draws come from a generator
     seeded by (seed, step), so a trial is one deterministic function of its
-    config. One index of the live scene serves every step's prediction,
-    visibility check and removal.
+    config. One ``LiveScene`` serves every step's prediction, visibility
+    check and removal.
     """
     scene = generate_scene(cfg.seed, cfg)
     target = select_target(scene, cfg.target_rule, np.random.default_rng([cfg.seed, 17]))
     max_steps = cfg.max_steps if cfg.max_steps is not None else len(scene.objects)
 
-    live = _LiveScene(scene)
+    live = LiveScene(scene)
     steps: list[TrialStep] = []
     reason = "step_budget_exhausted"
     for step_index in range(max_steps):
         rng = np.random.default_rng([cfg.seed, 1009, step_index])
-        preds = oracle_predict(scene, cfg.noise, rng, cfg.coverage_threshold, live)
+        preds = oracle_predict(live, cfg.noise, rng, cfg.coverage_threshold)
         if not preds.detections:
             reason = "no_detections"
             break
@@ -592,10 +564,10 @@ def run_trial(cfg: TrialConfig) -> TrialLog:
                 claimed_final=action.is_final_target,
                 removed=removed,
                 order_valid=not live.above[removed],
-                target_visible=visible(scene, target, cfg.coverage_threshold, live),
+                target_visible=visible(live, target, cfg.coverage_threshold),
             )
         )
-        remove_object(scene, removed, live)
+        remove_object(live, removed)
         if removed == target:
             reason = "target_removed"
             break

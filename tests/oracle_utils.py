@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -280,10 +281,10 @@ def plan_document(preds, target: str, top_n: int = 3) -> dict:
             edges[(j, i)] = conf
     edges, deleted = restart_cycle_repair(nodes, edges)
     current = ManipulationGraph(nodes=nodes, edges=edges, deleted_edges=tuple(deleted))
-    try:
+    if re.fullmatch(r"-?[0-9]+", target):
         goal = int(target)
         resolved = goal in nodes
-    except ValueError:
+    else:
         goal = target
         resolved = any(p.detection.category == target for p in perceived)
     actions = []

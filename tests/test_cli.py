@@ -225,6 +225,33 @@ class TestPlan:
         assert "step 1: grasp object 1" in out
         assert "step 3: grasp object 3 (target)" in out
 
+    @pytest.fixture
+    def id_pred_file(self, tmp_path):
+        """Detections with the ids -3, 2 and 10."""
+        preds = ScenePredictions(
+            detections=[
+                ObjectDetection(AABox(10.0 + 100 * k, 10.0, 60.0 + 100 * k, 60.0), "cup", 0.9, i)
+                for k, i in enumerate((-3, 2, 10))
+            ]
+        )
+        path = tmp_path / "ids.json"
+        path.write_text(serialize_predictions(preds))
+        return path
+
+    @pytest.mark.parametrize("target", [" 2", "٢", "1_0", "+2"])
+    def test_id_is_ascii_digits_only(self, id_pred_file, capsys, target):
+        # int() would read these as 2, 2 (Arabic-Indic), 10 and 2; as
+        # category names they match no detection
+        assert main(["plan", "--pred", str(id_pred_file), "--target", target]) == 2
+        assert "--assume-hidden" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, object_id", [("-3", -3), ("2", 2), ("10", 10)])
+    def test_signed_ascii_id_resolves(self, id_pred_file, capsys, target, object_id):
+        assert main(["plan", "--pred", str(id_pred_file), "--target", target]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["target"] == {"requested": target, "resolved": True}
+        assert data["actions"][-1] == {**data["actions"][-1], "object": object_id, "is_final_target": True}
+
     def test_empty_detections_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text('{"detections": [], "relations": []}')

@@ -13,6 +13,7 @@ import pytest
 from stackgrasp.dataset import scene_to_json_dict
 from stackgrasp.perception import predictions_to_json_dict
 from stackgrasp.simulation import (
+    LiveScene,
     NoiseModel,
     TrialConfig,
     generate_scene,
@@ -72,21 +73,21 @@ def _prediction_documents(pending_half: bool):
     Each document also holds the detection order and two draws made after
     the call, which pin how far the call advanced the generator."""
     for seed in range(12):
-        scene = generate_scene(seed, SCENE_CONFIGS["crowded" if seed % 2 else "deep"])
+        live = LiveScene(generate_scene(seed, SCENE_CONFIGS["crowded" if seed % 2 else "deep"]))
         for removed in range(3):
             for threshold in (0.8, 0.5):
                 rng = np.random.default_rng([seed, removed, int(threshold * 10)])
                 if pending_half:
                     rng.integers(0, 2)
-                preds = oracle_predict(scene, NOISE, rng, threshold)
+                preds = oracle_predict(live, NOISE, rng, threshold)
                 yield {
                     "predictions": predictions_to_json_dict(preds),
                     "order": [d.instance_id for d in preds.detections],
                     "after": [int(rng.integers(0, 1000)), float(rng.random())],
                 }
-            if len(scene.objects) == 1:
+            if len(live.objects) == 1:
                 break
-            scene = remove_object(scene, min(o.instance_id for o in scene.objects))
+            remove_object(live, min(live.objects))
 
 
 @pytest.mark.parametrize("name", sorted(PREDICTION_DIGESTS))
