@@ -185,7 +185,7 @@ def _cmd_plan(args) -> int:
     preds = _load_predictions_file(Path(args.pred))
     if not preds.detections:
         raise DataError(f"{args.pred}: no detections to plan over")
-    perceived = preds.perceived(args.topn)
+    perceived = preds.perceived()
     try:
         labels = symmetrize(preds.relations)
     except ValueError as e:
@@ -303,8 +303,9 @@ def _regimes(
         try:
             string("name", name)
             trials = integer("trials", fields.pop("trials"))
-            if trials < 1:
-                raise ValueError("'trials' must be positive")
+            # a trial's seed is one 32-bit word, so more trials repeat a seed
+            if not 1 <= trials <= 2**32:
+                raise ValueError("'trials' must be from 1 to 2**32")
             if visibility is not None:
                 fields["coverage_threshold"] = visibility
             config = TrialConfig.from_json_dict(fields)
@@ -425,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="plan an uncovering sequence when the target is not detected",
     )
-    p.add_argument("--topn", type=int, default=3)
     p.add_argument("--out", help="write the plan JSON here (default: stdout)")
     p.add_argument("--pretty", action="store_true", help="print the step list")
     p.set_defaults(func=_cmd_plan)

@@ -95,11 +95,9 @@ class TrialConfig:
     seed: int
     count_range: tuple[int, int] = (6, 9)
     target_rule: str = "random"  # or "deepest"
-    max_steps: int | None = None  # default: one per object
     noise: NoiseModel = NoiseModel()
     coverage_threshold: float = 0.8
     max_stack_depth: int = 4
-    top_n: int = 3
 
     def __post_init__(self) -> None:
         if not (isinstance(self.count_range, (tuple, list)) and len(self.count_range) == 2):
@@ -107,14 +105,9 @@ class TrialConfig:
         lo, hi = (integer(f"count_range[{i}]", v) for i, v in enumerate(self.count_range))
         threshold = number("coverage_threshold", self.coverage_threshold)
         object.__setattr__(self, "coverage_threshold", threshold)
-        if self.max_steps is not None:
-            integer("max_steps", self.max_steps)
         integer("max_stack_depth", self.max_stack_depth)
-        integer("top_n", self.top_n)
         if lo < 1 or hi < lo:
             raise ValueError(f"bad object count range ({lo}, {hi})")
-        if self.max_steps is not None and self.max_steps < hi:
-            raise ValueError("max_steps must cover at least one step per object")
         if not (0.0 < self.coverage_threshold <= 1.0):
             raise ValueError("coverage threshold must be in (0, 1]")
         if self.max_stack_depth < 0:
@@ -129,8 +122,6 @@ class TrialConfig:
             )
         if string("target_rule", self.target_rule) not in ("random", "deepest"):
             raise ValueError(f"unknown target rule {self.target_rule!r}")
-        if self.top_n < 1:
-            raise ValueError("top_n must be at least 1")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrialConfig":
@@ -489,16 +480,15 @@ def select_target(scene: SceneRecord, rule: str, rng: np.random.Generator) -> in
 @dataclass(frozen=True)
 class TrialStep:
     detections: tuple[int, ...]
-    action_object: int
     claimed_final: bool
-    removed: int
+    removed: int  # the planned action's object, which the robot takes
     order_valid: bool
     target_visible: bool
 
     def to_json_dict(self) -> dict:
         return {
             "detections": list(self.detections),
-            "action": {"object": self.action_object, "is_final_target": self.claimed_final},
+            "action": {"object": self.removed, "is_final_target": self.claimed_final},
             "removed": self.removed,
             "order_valid": self.order_valid,
             "target_visible": self.target_visible,
@@ -511,7 +501,7 @@ class TrialLog:
     target: int
     scene: SceneRecord
     steps: tuple[TrialStep, ...]
-    reason: str  # target_removed | step_budget_exhausted | no_detections
+    reason: str  # target_removed | no_detections
     noise: NoiseModel = NoiseModel()
 
     def to_json_dict(self) -> dict:
@@ -533,26 +523,25 @@ class TrialLog:
 def run_trial(cfg: TrialConfig) -> TrialLog:
     """One grasp-remove episode: predict, reason, remove, repeat.
 
-    The loop ends when the true target is removed, the step budget runs
-    out, or nothing is detected. Per-step noise draws come from a generator
-    seeded by (seed, step), so a trial is one deterministic function of its
-    config. One ``LiveScene`` serves every step's prediction, visibility
-    check and removal.
+    The loop ends when the true target is removed or nothing is detected.
+    Each step removes one live object, so the target goes by the last step
+    at the latest. Per-step noise draws come from a generator seeded by
+    (seed, step), so a trial is one deterministic function of its config.
+    One ``LiveScene`` serves every step's prediction, visibility check and
+    removal.
     """
     scene = generate_scene(cfg.seed, cfg)
     target = select_target(scene, cfg.target_rule, np.random.default_rng([cfg.seed, 17]))
-    max_steps = cfg.max_steps if cfg.max_steps is not None else len(scene.objects)
 
     live = LiveScene(scene)
     steps: list[TrialStep] = []
-    reason = "step_budget_exhausted"
-    for step_index in range(max_steps):
+    reason = "no_detections"
+    for step_index in range(len(scene.objects)):
         rng = np.random.default_rng([cfg.seed, 1009, step_index])
         preds = oracle_predict(live, cfg.noise, rng, cfg.coverage_threshold)
         if not preds.detections:
-            reason = "no_detections"
             break
-        perceived = preds.perceived(cfg.top_n)
+        perceived = preds.perceived()
         labels = symmetrize(preds.relations)
         graph = build_graph([d.instance_id for d in preds.detections], labels)
         action = next_action(graph, perceived, target)
@@ -560,7 +549,6 @@ def run_trial(cfg: TrialConfig) -> TrialLog:
         steps.append(
             TrialStep(
                 detections=tuple(d.instance_id for d in preds.detections),
-                action_object=removed,
                 claimed_final=action.is_final_target,
                 removed=removed,
                 order_valid=not live.above[removed],

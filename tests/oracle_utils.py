@@ -264,14 +264,14 @@ def restart_cycle_repair(nodes, edges):
         del edges[victim]
 
 
-def plan_document(preds, target: str, top_n: int = 3) -> dict:
+def plan_document(preds, target: str) -> dict:
     """The ``stackgrasp plan`` document for ``preds`` as one dict, with each
     step's whole graph rebuilt and listed. The graph is repaired by
     :func:`restart_cycle_repair`; the decisions are the package's
     ``symmetrize`` and ``next_action``."""
     from stackgrasp.reasoning import ManipulationGraph, next_action, symmetrize
 
-    perceived = preds.perceived(top_n)
+    perceived = preds.perceived()
     nodes = frozenset(p.detection.instance_id for p in perceived)
     edges = {}
     for (i, j), (label, conf) in symmetrize(preds.relations).items():
@@ -429,11 +429,10 @@ def rebuilt_run_trial(cfg):
 
     scene = generate_scene(cfg.seed, cfg)
     target = select_target(scene, cfg.target_rule, np.random.default_rng([cfg.seed, 17]))
-    max_steps = cfg.max_steps if cfg.max_steps is not None else len(scene.objects)
     current = scene
     steps, coverages = [], []
-    reason = "step_budget_exhausted"
-    for step_index in range(max_steps):
+    reason = None  # stays None only if the steps run out before the target
+    for step_index in range(len(scene.objects)):
         rng = np.random.default_rng([cfg.seed, 1009, step_index])
         preds = rebuilt_predict(current, cfg.noise, rng, cfg.coverage_threshold)
         if not preds.detections:
@@ -441,12 +440,11 @@ def rebuilt_run_trial(cfg):
             break
         ids = [d.instance_id for d in preds.detections]
         graph = build_graph(ids, symmetrize(preds.relations))
-        action = next_action(graph, preds.perceived(cfg.top_n), target)
+        action = next_action(graph, preds.perceived(), target)
         removed = action.object_id
         steps.append(
             TrialStep(
                 detections=tuple(ids),
-                action_object=removed,
                 claimed_final=action.is_final_target,
                 removed=removed,
                 order_valid=not any(b == removed for _, b in current.relations),

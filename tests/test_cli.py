@@ -252,6 +252,10 @@ class TestPlan:
         assert data["target"] == {"requested": target, "resolved": True}
         assert data["actions"][-1] == {**data["actions"][-1], "object": object_id, "is_final_target": True}
 
+    def test_topn_flag_is_gone(self, pred_file, capsys):
+        assert main(["plan", "--pred", str(pred_file), "--target", "3", "--topn", "3"]) == 1
+        assert "--topn" in capsys.readouterr().err
+
     def test_empty_detections_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text('{"detections": [], "relations": []}')
@@ -627,20 +631,19 @@ def _bad_inputs():
     bad_regimes = {
         "noise-null": {"noise": {"drop_prob": None}},
         "noise-not-an-object": {"noise": []},
-        "max-steps-string": {"max_steps": "x"},
-        "max-steps-fraction": {"max_steps": 4.5},
         "count-range-scalar": {"count_range": 5},
         "trials-null": {"trials": None},
         "unknown-field": {"targt_rule": "deepest", "noize": {"drop_prob": 0.5}},
         # integer fields: a fraction or a bool is not truncated
         "trials-fraction": {"trials": 2.7},
         "trials-bool": {"trials": True},
+        # more trials than trial seeds: a run that could never end
+        "trials-past-seeds": {"trials": 2**32 + 1},
+        "trials-huge-integer": {"trials": huge},
         "count-range-fraction": {"count_range": [2.9, 4]},
         "count-range-bool": {"count_range": [True, 4]},
         "count-range-triple": {"count_range": [2, 3, 4]},
-        "top-n-fraction": {"top_n": 1.5},
         "max-stack-depth-fraction": {"max_stack_depth": 2.5},
-        "max-steps-bool": {"max_steps": True},
         # float fields: a bool or a numeric string is not converted
         "coverage-threshold-string": {"coverage_threshold": "0.5"},
         "coverage-threshold-bool": {"coverage_threshold": True},
@@ -656,6 +659,14 @@ def _bad_inputs():
         regime = {"count_range": [2, 4], "trials": 1, **fields}
         yield pytest.param(
             "simulate", {"regimes": [regime]}, "regimes[0]:", id=f"simulate-{name}"
+        )
+    # fields that never changed a trial are gone, and unknown like any other
+    for field in ("max_steps", "top_n"):
+        regime = {"count_range": [2, 4], "trials": 1, field: 3}
+        yield pytest.param(
+            "simulate", {"regimes": [regime]},
+            f"regimes[0]: unknown regime fields: ['{field}']",
+            id=f"simulate-{field.replace('_', '-')}-unknown-field",
         )
     regime = {"count_range": [2, 4], "trials": 1}
     for name, seed in {"fraction": 1.5, "bool": True, "negative": -1, "string": "5"}.items():

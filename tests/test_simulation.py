@@ -146,10 +146,6 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match="count range"):
             TrialConfig(seed=0, count_range=(5, 3))
 
-    def test_max_steps_must_cover_objects(self):
-        with pytest.raises(ValueError, match="max_steps"):
-            TrialConfig(seed=0, count_range=(2, 5), max_steps=4)
-
     def test_capacity_limit(self):
         with pytest.raises(ValueError, match="at most 6 objects"):
             TrialConfig(seed=0, count_range=(1, 7), max_stack_depth=0)
@@ -159,21 +155,17 @@ class TestTrialConfig:
         data = {
             "count_range": [2, 4],
             "target_rule": "deepest",
-            "max_steps": 6,
             "noise": {"relation_flip_prob": 0.1, "box_sigma": 2.0},
             "coverage_threshold": 0.7,
             "max_stack_depth": 2,
-            "top_n": 1,
         }
         assert TrialConfig.from_json_dict(data) == TrialConfig(
             seed=0,
             count_range=(2, 4),
             target_rule="deepest",
-            max_steps=6,
             noise=NoiseModel(relation_flip_prob=0.1, box_sigma=2.0),
             coverage_threshold=0.7,
             max_stack_depth=2,
-            top_n=1,
         )
         assert TrialConfig.from_json_dict({}) == TrialConfig(seed=0)
 
@@ -182,11 +174,10 @@ class TestTrialConfig:
         [
             ({"count_range": (2.9, 4)}, "count_range[0]"),
             ({"count_range": (2, True)}, "count_range[1]"),
-            ({"max_steps": 9.0}, "max_steps"),
-            ({"max_steps": False}, "max_steps"),
+            ({"count_range": (True, 4)}, "count_range[0]"),
+            ({"count_range": (2, 4.0)}, "count_range[1]"),
             ({"max_stack_depth": 2.5}, "max_stack_depth"),
-            ({"top_n": 1.5}, "top_n"),
-            ({"top_n": True}, "top_n"),
+            ({"max_stack_depth": False}, "max_stack_depth"),
         ],
     )
     def test_integer_fields_are_not_truncated(self, fields, name):
@@ -197,7 +188,7 @@ class TestTrialConfig:
             TrialConfig.from_json_dict(data)
 
     def test_integer_fields_accept_numpy_integers(self):
-        cfg = TrialConfig(seed=0, count_range=(np.int64(2), np.int64(4)), top_n=np.int32(2))
+        cfg = TrialConfig(seed=0, count_range=(np.int64(2), np.int64(4)), max_stack_depth=np.int32(2))
         assert cfg.count_range == (2, 4)
 
     @pytest.mark.parametrize("count_range", [5, (2,), (2, 3, 4)])
@@ -627,11 +618,9 @@ def _trial_configs(draw):
         seed=draw(st.integers(0, 2**32)),
         count_range=(draw(st.integers(1, hi)), hi),
         target_rule=draw(st.sampled_from(["random", "deepest"])),
-        max_steps=draw(st.none() | st.integers(hi, hi + 3)),
         noise=noise,
         coverage_threshold=draw(st.floats(0.0, 1.0, exclude_min=True)),
         max_stack_depth=depth,
-        top_n=draw(st.integers(1, 4)),
     )
 
 
@@ -679,6 +668,24 @@ class TestStepCalls:
         steps = len(log.steps)
         assert calls.get("visible", 0) == calls.get("remove_object", 0) == steps
         assert calls["oracle_predict"] == steps + (log.reason == "no_detections")
+
+
+class TestTrialEnds:
+    """Each step removes one live, detected object, so the target is gone by
+    the last step at the latest: a trial ends on the target or on a step
+    that detects nothing."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_trial_configs())
+    def test_target_removed_or_nothing_detected(self, cfg):
+        log = run_trial(cfg)
+        assert log.reason in ("target_removed", "no_detections")
+        assert len(log.steps) <= len(log.scene.objects)
+        # a step that detects nothing still has the target in the scene
+        if log.reason == "no_detections":
+            assert len(log.steps) < len(log.scene.objects)
+        removed_target = bool(log.steps) and log.steps[-1].removed == log.target
+        assert removed_target == (log.reason == "target_removed")
 
 
 class TestTrialOracle:
