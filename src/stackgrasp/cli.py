@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing, malformed or
 inconsistent input), 3 numerical failure (degenerate calibration,
-non-finite values).
+non-finite values, grasp coordinates too large to compare).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dataset import SceneRecord, relation_label
+from .dataset import SceneGrasp, SceneObject, SceneRecord
 from .geometry import aabb_iou, angle_difference, rotated_jaccard
 from .perception import PerceivedObject, ScenePredictions
 from .reasoning import argmax_label
@@ -48,26 +48,41 @@ class MatchThresholds:
         }
 
 
-def grasp_correct(pred: PerceivedObject, record: SceneRecord, gt_id: int,
+def grasp_correct(pred: PerceivedObject, gt_grasps: Sequence[SceneGrasp],
                   thresholds: MatchThresholds) -> bool:
-    """Does the predicted best grasp fit any grasp owned by object gt_id?"""
+    """Does the predicted best grasp fit any of ``gt_grasps``, the grasps
+    of the ground-truth object its box matched?"""
     if pred.best_grasp is None:
         return False
-    for g in record.grasps_of(gt_id):
+    theta = pred.best_grasp.theta
+    for g in gt_grasps:
+        # both tests are exact, so the cheap angle test goes first: a grasp
+        # it rejects needs no polygon clip
         if (
-            rotated_jaccard(pred.best_grasp, g.rect) > thresholds.jaccard
-            and angle_difference(pred.best_grasp.theta, g.rect.theta) < thresholds.angle_deg
+            angle_difference(theta, g.rect.theta) < thresholds.angle_deg
+            and rotated_jaccard(pred.best_grasp, g.rect) > thresholds.jaccard
         ):
             return True
     return False
 
 
-def _best_unused_gt(record: SceneRecord, category: str, box, used: set[int],
+def _objects_by_category(record: SceneRecord) -> dict[str, list[SceneObject]]:
+    """The record's objects grouped by category, each group in record order."""
+    groups: dict[str, list[SceneObject]] = {}
+    for o in record.objects:
+        groups.setdefault(o.category, []).append(o)
+    return groups
+
+
+def _best_unused_gt(candidates: Sequence[SceneObject], box, used: set[int],
                     iou_threshold: float) -> int | None:
+    """The id of the unused object among ``candidates`` (the ground truth of
+    the detection's category) whose box overlaps ``box`` most, at or above
+    the threshold; ties go to the lower id."""
     best_id = None
     best_iou = -1.0
-    for gt in record.objects:
-        if gt.category != category or gt.instance_id in used:
+    for gt in candidates:
+        if gt.instance_id in used:
             continue
         iou = aabb_iou(box, gt.box)
         if iou < iou_threshold:
@@ -83,36 +98,43 @@ def _scene_tp_flags(record: SceneRecord, perceived: Sequence[PerceivedObject],
     """Greedy matching in score order; a ground-truth object is consumed
     only by the detection that actually earns it (box and grasp)."""
     order = sorted(range(len(perceived)), key=lambda i: (-perceived[i].detection.score, i))
+    by_category = _objects_by_category(record)
+    grasps_by_owner: dict[int, list[SceneGrasp]] = {}
+    for g in record.grasps:
+        grasps_by_owner.setdefault(g.owner, []).append(g)
     used: set[int] = set()
     flags = [False] * len(perceived)
     for i in order:
         det = perceived[i].detection
-        gt_id = _best_unused_gt(record, det.category, det.box, used, thresholds.iou)
+        gt_id = _best_unused_gt(by_category.get(det.category, ()), det.box, used, thresholds.iou)
         if gt_id is None:
             continue
-        if grasp_correct(perceived[i], record, gt_id, thresholds):
+        if grasp_correct(perceived[i], grasps_by_owner.get(gt_id, ()), thresholds):
             flags[i] = True
             used.add(gt_id)
     return flags
 
 
-def _interpolated_ap(points: list[tuple[Fraction, Fraction]]) -> Fraction:
-    """All-point interpolated AP from (recall, precision) points in
-    detection-rank order, exact in rational arithmetic."""
-    if not points:
-        return Fraction(0)
-    interp = [Fraction(0)] * len(points)
-    running = Fraction(0)
-    for i in range(len(points) - 1, -1, -1):
-        running = max(running, points[i][1])
-        interp[i] = running
-    ap = Fraction(0)
-    prev_recall = Fraction(0)
-    for (recall, _), p in zip(points, interp):
-        if recall > prev_recall:
-            ap += (recall - prev_recall) * p
-            prev_recall = recall
-    return ap
+def _class_ap(flags: list[bool], gt_count: int) -> Fraction:
+    """Exact all-point interpolated AP of one class from its detections'
+    true-positive flags in rank order.
+
+    Recall rises by 1/gt_count at each true positive and nowhere else, so
+    AP is the sum, over the true-positive ranks, of the highest precision
+    at that rank or any later one, divided by gt_count. The running maximum is
+    kept as an integer pair (true positives, rank) and compared by
+    cross-multiplication; a Fraction is made only at a true-positive rank.
+    """
+    tp = sum(flags)  # true positives at the last rank
+    best_tp, best_rank = 0, 1
+    total = Fraction(0)
+    for rank in range(len(flags), 0, -1):
+        if tp * best_rank > best_tp * rank:
+            best_tp, best_rank = tp, rank
+        if flags[rank - 1]:
+            total += Fraction(best_tp, best_rank)
+            tp -= 1
+    return total / gt_count
 
 
 def average_precision(
@@ -130,27 +152,21 @@ def average_precision(
         for o in rec.objects:
             gt_counts[o.category] = gt_counts.get(o.category, 0) + 1
 
+    # (-score, scene index, detection index, true positive): the first three
+    # are unique, so a plain sort ranks by score, then scene, then detection
     pooled: dict[str, list[tuple[float, int, int, bool]]] = {c: [] for c in gt_counts}
     for scene_index, (rec, preds) in enumerate(zip(records, predictions)):
         perceived = preds.perceived(thresholds.top_n)
         flags = _scene_tp_flags(rec, perceived, thresholds)
         for i, p in enumerate(perceived):
-            cat = p.detection.category
-            if cat in pooled:
-                pooled[cat].append((p.detection.score, scene_index, i, flags[i]))
+            entries = pooled.get(p.detection.category)
+            if entries is not None:
+                entries.append((-p.detection.score, scene_index, i, flags[i]))
 
     per_class: dict[str, Fraction] = {}
     for cat, entries in pooled.items():
-        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-        tp = fp = 0
-        points: list[tuple[Fraction, Fraction]] = []
-        for _, _, _, is_tp in entries:
-            if is_tp:
-                tp += 1
-            else:
-                fp += 1
-            points.append((Fraction(tp, gt_counts[cat]), Fraction(tp, tp + fp)))
-        per_class[cat] = _interpolated_ap(points)
+        entries.sort()
+        per_class[cat] = _class_ap([e[3] for e in entries], gt_counts[cat])
 
     if not per_class:
         return Fraction(0), {}
@@ -163,10 +179,11 @@ def match_detections(record: SceneRecord, preds: ScenePredictions,
     """Greedy box matching (score order, class must agree): detection id to
     ground-truth id. Grasps play no part here."""
     order = sorted(preds.detections, key=lambda d: (-d.score, d.instance_id))
+    by_category = _objects_by_category(record)
     used: set[int] = set()
     mapping: dict[int, int] = {}
     for det in order:
-        gt_id = _best_unused_gt(record, det.category, det.box, used, iou_threshold)
+        gt_id = _best_unused_gt(by_category.get(det.category, ()), det.box, used, iou_threshold)
         if gt_id is not None:
             mapping[det.instance_id] = gt_id
             used.add(gt_id)
@@ -215,21 +232,23 @@ def relation_metrics(
         n = len(rec.objects)
         gt_pairs += n * (n - 1)
         predicted_pairs += len(preds.relations)
+        # an undetected object leaves its pairs unscored and the scene wrong
         scene_correct = len(mapping) == n
-        ids = [o.instance_id for o in rec.objects]
-        for a in ids:
-            for b in ids:
+        matched = [(o.instance_id, det_of[o.instance_id])
+                   for o in rec.objects if o.instance_id in det_of]
+        # the label of dataset.relation_label: 1 for a pair in the relation
+        # set, 2 for its reverse, 0 otherwise
+        above = set(rec.relations)
+        for a, da in matched:
+            for b, db in matched:
                 if a == b:
-                    continue
-                da, db = det_of.get(a), det_of.get(b)
-                if da is None or db is None:
-                    scene_correct = False
                     continue
                 probs = preds.relations.get((da, db))
                 if probs is None:
                     scene_correct = False
                     continue
-                if argmax_label(probs) == relation_label(rec, a, b):
+                label = 1 if (a, b) in above else 2 if (b, a) in above else 0
+                if argmax_label(probs) == label:
                     correct += 1
                 else:
                     scene_correct = False

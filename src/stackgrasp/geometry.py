@@ -35,9 +35,18 @@ class OrientedRect:
     theta: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "w", "h", "theta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite rectangle parameter {name}")
+        # A float sum is finite only when every term is, and the leading 0.0
+        # converts each int term on its own, as math.isfinite does. The sum
+        # also fails when it overflows, or when a term is too large for a
+        # float or not a number; the per-name test then tells these apart.
+        try:
+            finite = math.isfinite(0.0 + self.x + self.y + self.w + self.h + self.theta)
+        except (OverflowError, TypeError):
+            finite = False
+        if not finite:
+            for name in ("x", "y", "w", "h", "theta"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"non-finite rectangle parameter {name}")
         if self.w < _MIN_SIDE or self.h < _MIN_SIDE:
             raise ValueError(f"degenerate rectangle: w={self.w}, h={self.h}")
         object.__setattr__(self, "theta", normalize_angle(self.theta))
@@ -61,15 +70,21 @@ class AABox:
     ymax: float
 
     def __post_init__(self) -> None:
-        for name in ("xmin", "ymin", "xmax", "ymax"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite box coordinate {name}")
+        # one isfinite test, as in OrientedRect
+        try:
+            finite = math.isfinite(0.0 + self.xmin + self.ymin + self.xmax + self.ymax)
+        except (OverflowError, TypeError):
+            finite = False
+        if not finite:
+            for name in ("xmin", "ymin", "xmax", "ymax"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"non-finite box coordinate {name}")
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError(
                 f"empty box: ({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
             )
-        # the overlap ratios divide by areas
-        if self.area == 0.0:
+        # the overlap ratios divide by areas (the area property, inline)
+        if (self.xmax - self.xmin) * (self.ymax - self.ymin) == 0.0:
             raise ValueError(
                 f"box area underflows to 0: ({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
             )
@@ -98,9 +113,16 @@ def _vertex_list(r: OrientedRect) -> list[tuple[float, float]]:
     t = math.radians(r.theta)
     c, s = math.cos(t), math.sin(t)
     hw, hh = r.w / 2.0, r.h / 2.0
+    # the corners (r.x + c * px - s * py, r.y + s * px + c * py) at
+    # (px, py) = (-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh); a product with
+    # a negated factor is the negated product, so the values are the same
+    chw, shw, chh, shh = c * hw, s * hw, c * hh, s * hh
+    x, y = r.x, r.y
     return [
-        (r.x + c * px - s * py, r.y + s * px + c * py)
-        for px, py in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
+        (x - chw + shh, y - shw - chh),
+        (x + chw + shh, y + shw - chh),
+        (x + chw - shh, y + shw + chh),
+        (x - chw - shh, y - shw + chh),
     ]
 
 
@@ -123,26 +145,6 @@ def point_in_rect(r: OrientedRect, x: float, y: float) -> bool:
     return abs(xr) <= r.w / 2.0 + 1e-9 and abs(yr) <= r.h / 2.0 + 1e-9
 
 
-def _inside(p, a, b) -> bool:
-    # left of (or on) the directed edge a->b of a counter-clockwise polygon
-    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0.0
-
-
-def _edge_intersection(s, e, a, b):
-    dcx, dcy = a[0] - b[0], a[1] - b[1]
-    dpx, dpy = s[0] - e[0], s[1] - e[1]
-    den = dcx * dpy - dcy * dpx
-    # a segment (anti)parallel to the clip line only "crosses" it through
-    # rounding noise in the side test; its endpoints already lie on the
-    # line, so returning one keeps the polygon intact. den is the product
-    # of the two lengths and the sine of the angle between the lines.
-    if abs(den) <= 1e-12 * math.hypot(dcx, dcy) * math.hypot(dpx, dpy):
-        return e
-    n1 = a[0] * b[1] - a[1] * b[0]
-    n2 = s[0] * e[1] - s[1] * e[0]
-    return ((n1 * dpx - n2 * dcx) / den, (n1 * dpy - n2 * dcy) / den)
-
-
 def clip_polygon(subject, clipper):
     """Sutherland-Hodgman clip of ``subject`` by a convex CCW ``clipper``.
 
@@ -154,19 +156,37 @@ def clip_polygon(subject, clipper):
     for i in range(n):
         if not output:
             return []
-        a, b = clipper[i], clipper[(i + 1) % n]
+        ax, ay = clipper[i]
+        bx, by = clipper[(i + 1) % n]
+        # a vertex is inside when it lies left of (or on) the directed edge
+        # a->b: ux * (py - ay) - uy * (px - ax) >= 0
+        ux, uy = bx - ax, by - ay
+        # the clip line's terms of the segment intersection
+        dcx, dcy = ax - bx, ay - by
+        tol = 1e-12 * math.hypot(dcx, dcy)
+        n1 = ax * by - ay * bx
         source, output = output, []
-        s = source[-1]
-        s_in = _inside(s, a, b)
+        sx, sy = source[-1]
+        s_in = ux * (sy - ay) - uy * (sx - ax) >= 0.0
         for e in source:
-            e_in = _inside(e, a, b)
+            ex, ey = e
+            e_in = ux * (ey - ay) - uy * (ex - ax) >= 0.0
+            if e_in != s_in:
+                dpx, dpy = sx - ex, sy - ey
+                den = dcx * dpy - dcy * dpx
+                # a segment (anti)parallel to the clip line only "crosses" it
+                # through rounding noise in the side test; its endpoints
+                # already lie on the line, so taking one keeps the polygon
+                # intact. den is the product of the two lengths and the sine
+                # of the angle between the lines.
+                if abs(den) <= tol * math.hypot(dpx, dpy):
+                    output.append(e)
+                else:
+                    n2 = sx * ey - sy * ex
+                    output.append(((n1 * dpx - n2 * dcx) / den, (n1 * dpy - n2 * dcy) / den))
             if e_in:
-                if not s_in:
-                    output.append(_edge_intersection(s, e, a, b))
                 output.append(e)
-            elif s_in:
-                output.append(_edge_intersection(s, e, a, b))
-            s, s_in = e, e_in
+            sx, sy, s_in = ex, ey, e_in
     return output
 
 
@@ -195,7 +215,8 @@ def rotated_jaccard(a: OrientedRect, b: OrientedRect) -> float:
     if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 >= (ra + rb) ** 2:
         return 0.0
     inter = polygon_area(clip_polygon(_vertex_list(a), _vertex_list(b)))
-    union = a.area + b.area - inter
+    # the areas as OrientedRect.area computes them
+    union = a.w * a.h + b.w * b.h - inter
     return min(max(inter / union, 0.0), 1.0)
 
 
@@ -211,7 +232,10 @@ def aabb_iou(a: AABox, b: AABox) -> float:
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    # the areas as AABox.area computes them
+    return inter / (
+        (a.xmax - a.xmin) * (a.ymax - a.ymin) + (b.xmax - b.xmin) * (b.ymax - b.ymin) - inter
+    )
 
 
 def union_box(a: AABox, b: AABox) -> AABox:

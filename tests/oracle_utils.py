@@ -11,6 +11,10 @@ json.dumps, box coverage tests every grid cell against every box, relation
 rows are converted and checked one at a time, the relation argmax
 takes the maximum of a sort key, and a simulated trial rebuilds its scene
 record at every removal and draws each relation flip by scalar calls.
+The polygon clip calls one helper per side test and per crossing, the
+evaluator scans the record for every query, clips before it compares
+angles and makes a Fraction at every rank, and scene and detection rows
+are read one field at a time by the strict readers.
 """
 
 from __future__ import annotations
@@ -463,3 +467,309 @@ def rebuilt_run_trial(cfg):
             break
     log = TrialLog(cfg.seed, target, scene, tuple(steps), reason, cfg.noise)
     return log, coverages
+
+
+def reference_vertex_list(r):
+    """Corners of ``r`` counter-clockwise, one rotation per corner."""
+    t = math.radians(r.theta)
+    c, s = math.cos(t), math.sin(t)
+    hw, hh = r.w / 2.0, r.h / 2.0
+    return [
+        (r.x + c * px - s * py, r.y + s * px + c * py)
+        for px, py in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
+    ]
+
+
+def _inside(p, a, b) -> bool:
+    # left of (or on) the directed edge a->b of a counter-clockwise polygon
+    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0.0
+
+
+def _edge_intersection(s, e, a, b):
+    dcx, dcy = a[0] - b[0], a[1] - b[1]
+    dpx, dpy = s[0] - e[0], s[1] - e[1]
+    den = dcx * dpy - dcy * dpx
+    # an (anti)parallel segment crosses the clip line only through rounding
+    if abs(den) <= 1e-12 * math.hypot(dcx, dcy) * math.hypot(dpx, dpy):
+        return e
+    n1 = a[0] * b[1] - a[1] * b[0]
+    n2 = s[0] * e[1] - s[1] * e[0]
+    return ((n1 * dpx - n2 * dcx) / den, (n1 * dpy - n2 * dcy) / den)
+
+
+def reference_clip_polygon(subject, clipper):
+    """Sutherland-Hodgman clip with one helper call per side test and per
+    crossing: the loop ``geometry.clip_polygon`` inlines."""
+    output = list(subject)
+    n = len(clipper)
+    for i in range(n):
+        if not output:
+            return []
+        a, b = clipper[i], clipper[(i + 1) % n]
+        source, output = output, []
+        s = source[-1]
+        s_in = _inside(s, a, b)
+        for e in source:
+            e_in = _inside(e, a, b)
+            if e_in:
+                if not s_in:
+                    output.append(_edge_intersection(s, e, a, b))
+                output.append(e)
+            elif s_in:
+                output.append(_edge_intersection(s, e, a, b))
+            s, s_in = e, e_in
+    return output
+
+
+def reference_rotated_jaccard(a, b) -> float:
+    """``geometry.rotated_jaccard`` built from the helper-call clip above,
+    the per-corner vertices and the ``area`` properties."""
+    from stackgrasp.geometry import polygon_area
+
+    ra = math.hypot(a.w, a.h) / 2.0
+    rb = math.hypot(b.w, b.h) / 2.0
+    if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 >= (ra + rb) ** 2:
+        return 0.0
+    inter = polygon_area(reference_clip_polygon(reference_vertex_list(a), reference_vertex_list(b)))
+    union = a.area + b.area - inter
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def _reference_grasp_correct(pred, record, gt_id, thresholds) -> bool:
+    # the Jaccard first, over a scan of the record's grasps
+    if pred.best_grasp is None:
+        return False
+    from stackgrasp.geometry import angle_difference
+
+    for g in record.grasps:
+        if g.owner != gt_id:
+            continue
+        if (
+            reference_rotated_jaccard(pred.best_grasp, g.rect) > thresholds.jaccard
+            and angle_difference(pred.best_grasp.theta, g.rect.theta) < thresholds.angle_deg
+        ):
+            return True
+    return False
+
+
+def _reference_best_unused_gt(record, category, box, used, iou_threshold):
+    # a scan of every object of the record per query
+    from stackgrasp.geometry import aabb_iou
+
+    best_id = None
+    best_iou = -1.0
+    for gt in record.objects:
+        if gt.category != category or gt.instance_id in used:
+            continue
+        iou = aabb_iou(box, gt.box)
+        if iou < iou_threshold:
+            continue
+        if iou > best_iou or (iou == best_iou and gt.instance_id < best_id):
+            best_id = gt.instance_id
+            best_iou = iou
+    return best_id
+
+
+def _reference_interpolated_ap(points):
+    # all-point interpolated AP from (recall, precision) Fractions per rank
+    from fractions import Fraction
+
+    if not points:
+        return Fraction(0)
+    interp = [Fraction(0)] * len(points)
+    running = Fraction(0)
+    for i in range(len(points) - 1, -1, -1):
+        running = max(running, points[i][1])
+        interp[i] = running
+    ap = Fraction(0)
+    prev_recall = Fraction(0)
+    for (recall, _), p in zip(points, interp):
+        if recall > prev_recall:
+            ap += (recall - prev_recall) * p
+            prev_recall = recall
+    return ap
+
+
+def reference_evaluate(records, predictions, thresholds):
+    """``evaluation.evaluate`` as (mAP, per-class AP, RelationMetrics), with
+    the exact Fractions: a (recall, precision) Fraction at every rank, the
+    Jaccard tested before the angle, a scan of the record for every
+    grasp and box query, and ``dataset.relation_label`` for every pair."""
+    from fractions import Fraction
+
+    from stackgrasp.dataset import relation_label
+    from stackgrasp.evaluation import RelationMetrics
+
+    gt_counts = {}
+    for rec in records:
+        for o in rec.objects:
+            gt_counts[o.category] = gt_counts.get(o.category, 0) + 1
+    pooled = {c: [] for c in gt_counts}
+    for scene_index, (rec, preds) in enumerate(zip(records, predictions)):
+        perceived = preds.perceived(thresholds.top_n)
+        order = sorted(range(len(perceived)), key=lambda i: (-perceived[i].detection.score, i))
+        used = set()
+        flags = [False] * len(perceived)
+        for i in order:
+            det = perceived[i].detection
+            gt_id = _reference_best_unused_gt(rec, det.category, det.box, used, thresholds.iou)
+            if gt_id is not None and _reference_grasp_correct(perceived[i], rec, gt_id, thresholds):
+                flags[i] = True
+                used.add(gt_id)
+        for i, p in enumerate(perceived):
+            if p.detection.category in pooled:
+                pooled[p.detection.category].append((p.detection.score, scene_index, i, flags[i]))
+    per_class = {}
+    for cat, entries in pooled.items():
+        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+        tp = fp = 0
+        points = []
+        for _, _, _, is_tp in entries:
+            if is_tp:
+                tp += 1
+            else:
+                fp += 1
+            points.append((Fraction(tp, gt_counts[cat]), Fraction(tp, tp + fp)))
+        per_class[cat] = _reference_interpolated_ap(points)
+    mean = sum(per_class.values(), Fraction(0)) / len(per_class) if per_class else Fraction(0)
+
+    correct = gt_pairs = predicted_pairs = images_correct = 0
+    by_count = {}
+    for rec, preds in zip(records, predictions):
+        used = set()
+        det_of = {}
+        for det in sorted(preds.detections, key=lambda d: (-d.score, d.instance_id)):
+            gt_id = _reference_best_unused_gt(rec, det.category, det.box, used, thresholds.iou)
+            if gt_id is not None:
+                det_of[gt_id] = det.instance_id
+                used.add(gt_id)
+        n = len(rec.objects)
+        gt_pairs += n * (n - 1)
+        predicted_pairs += len(preds.relations)
+        scene_correct = len(det_of) == n
+        ids = [o.instance_id for o in rec.objects]
+        for a in ids:
+            for b in ids:
+                if a == b:
+                    continue
+                da, db = det_of.get(a), det_of.get(b)
+                probs = None if da is None or db is None else preds.relations.get((da, db))
+                if probs is not None and argmax_by_key(probs) == relation_label(rec, a, b):
+                    correct += 1
+                else:
+                    scene_correct = False
+        bucket = by_count.setdefault(n, [0, 0])
+        bucket[1] += 1
+        bucket[0] += scene_correct
+        images_correct += scene_correct
+    relations = RelationMetrics(
+        correct_pairs=correct,
+        gt_pairs=gt_pairs,
+        predicted_pairs=predicted_pairs,
+        images_correct=images_correct,
+        images_total=len(records),
+        by_object_count={n: (c, t) for n, (c, t) in sorted(by_count.items())},
+    )
+    return mean, per_class, relations
+
+
+def per_field_scene(source):
+    """``dataset.parse_scene`` with every field of every row read by the
+    strict readers of ``stackgrasp._json``, one field at a time. Raises the
+    parser's SceneParseError for the first bad field."""
+    from stackgrasp._json import integer, json_list, load, number_list, string
+    from stackgrasp.dataset import SceneGrasp, SceneObject, SceneParseError, SceneRecord
+    from stackgrasp.geometry import AABox, OrientedRect
+
+    def optional_string(name, value):
+        return None if value is None else string(name, value)
+
+    data = load(source) if isinstance(source, str) else source
+    if not isinstance(data, dict):
+        raise SceneParseError("$", "top level must be an object")
+    image = data.get("image")
+    if not isinstance(image, dict):
+        raise SceneParseError("image", "missing or not an object")
+    try:
+        width = integer("width", image["width"])
+        height = integer("height", image["height"])
+        image_path = optional_string("path", image.get("path"))
+    except (KeyError, ValueError) as e:
+        raise SceneParseError("image", str(e)) from e
+    objects = []
+    for i, o in enumerate(json_list(data, "objects")):
+        try:
+            objects.append(
+                SceneObject(
+                    instance_id=integer("id", o["id"]),
+                    category=string("category", o["category"]),
+                    box=AABox(*number_list("bbox", o["bbox"], 4)),
+                )
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            raise SceneParseError(f"objects[{i}]", str(e)) from e
+    grasps = []
+    for i, g in enumerate(json_list(data, "grasps")):
+        try:
+            rect = OrientedRect(*number_list("rect", g["rect"], 5))
+            grasps.append(SceneGrasp(owner=integer("owner", g["owner"]), rect=rect))
+        except (KeyError, TypeError, ValueError) as e:
+            raise SceneParseError(f"grasps[{i}]", str(e)) from e
+    relations = []
+    for i, r in enumerate(json_list(data, "relations")):
+        try:
+            relations.append((integer("above", r["above"]), integer("below", r["below"])))
+        except (KeyError, TypeError, ValueError) as e:
+            raise SceneParseError(f"relations[{i}]", str(e)) from e
+    try:
+        return SceneRecord(
+            width=width,
+            height=height,
+            objects=tuple(objects),
+            grasps=tuple(grasps),
+            relations=tuple(relations),
+            image_path=image_path,
+            depth_path=optional_string("depth_path", data.get("depth_path")),
+        )
+    except ValueError as e:
+        raise SceneParseError("$", str(e)) from e
+
+
+def per_field_detections(data: dict):
+    """The detections and grasp candidates of a predictions document as
+    ``parse_predictions`` stores them, with every field read by the strict
+    readers of ``stackgrasp._json``, one field at a time. Raises
+    ValueError with the parser's message for the first bad field."""
+    from stackgrasp._json import integer, json_list, number, number_list, string
+    from stackgrasp.geometry import AABox, OrientedRect
+    from stackgrasp.perception import GraspCandidate, ObjectDetection
+
+    if not isinstance(data, dict) or "detections" not in data:
+        raise ValueError("detections: missing")
+    detections, candidates = [], {}
+    for i, d in enumerate(json_list(data, "detections")):
+        try:
+            if type(d) is not dict:
+                raise ValueError(f"expected an object, got {type(d).__name__}")
+            instance_id = integer("id", d["id"])
+            det = ObjectDetection(
+                box=AABox(*number_list("bbox", d["bbox"], 4)),
+                category=string("category", d["category"]),
+                score=number("score", d.get("score", 1.0)),
+                instance_id=instance_id,
+            )
+            if instance_id in candidates:
+                raise ValueError(f"duplicate id {instance_id}")
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"detections[{i}]: {e}") from e
+        detections.append(det)
+        grasps = []
+        for j, g in enumerate(json_list(d, "grasps", f"detections[{i}].grasps")):
+            try:
+                rect = OrientedRect(*number_list("rect", g["rect"], 5))
+                confidence = number("confidence", g.get("confidence", 1.0))
+                grasps.append(GraspCandidate(rect=rect, confidence=confidence))
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"detections[{i}].grasps[{j}]: {e}") from e
+        candidates[instance_id] = grasps
+    return detections, candidates

@@ -1,10 +1,12 @@
 import copy
 import faulthandler
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from stackgrasp.perception import (
     serialize_predictions,
 )
 
-from oracle_utils import per_row_relations, plan_document
+from oracle_utils import per_field_detections, per_field_scene, per_row_relations, plan_document
 
 
 def chain_scene() -> SceneRecord:
@@ -163,6 +165,23 @@ class TestEval:
         )
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("gap, code", [(30.0, 0), (45.0, 0), (29.0, 3)])
+    def test_grasp_too_far_to_compare(self, tmp_path, capsys, gap, code):
+        # the ground-truth grasp of object 1 sits at x = 1e200, past where
+        # rotated_jaccard's squared center distance overflows; an angle gap
+        # of 30 degrees or more rejects it without an overlap number
+        scene = chain_scene()
+        far = SceneGrasp(1, OrientedRect(1e200, 150.0, 40.0, 16.0, gap))
+        gt = tmp_path / "gt.json"
+        gt.write_text(serialize_scene(replace(scene, grasps=(far, *scene.grasps[1:]))))
+        pred = tmp_path / "pred.json"
+        pred.write_text(serialize_predictions(record_to_predictions(scene)))
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 0:
+            assert json.loads(captured.out)["perception"]["per_class_ap"]["cup"] == 0.0
 
     def test_empty_gt_directory(self, tmp_path, capsys):
         gt_dir = tmp_path / "gt"
@@ -891,9 +910,9 @@ def mutated_relation_docs(draw):
     return json.loads(_document_text(doc))
 
 
-def _relations_or_error(parse):
+def _parsed_or_error(parse):
     try:
-        return repr(list(parse().items()))  # repr tells 1 from 1.0 and True
+        return repr(parse())  # repr tells 1 from 1.0 and True
     except (ValueError, OverflowError) as e:  # int() of an infinite id overflows
         return f"{type(e).__name__}: {e}"
 
@@ -905,8 +924,61 @@ def test_mutated_relation_rows_parse_like_the_row_loop(data):
     per-row reference stores, or raises its error for the same row
     (tests/oracle_utils.per_row_relations)."""
     ids = {d["id"] for d in data["detections"]}
-    expected = _relations_or_error(lambda: per_row_relations(data, ids))
-    assert _relations_or_error(lambda: parse_predictions(data).relations) == expected
+    expected = _parsed_or_error(lambda: per_row_relations(data, ids))
+    assert _parsed_or_error(lambda: parse_predictions(data).relations) == expected
+
+
+@st.composite
+def mutated_row_docs(draw):
+    """A valid scene document, or the detections of a valid predictions
+    document, whose object, grasp, relation or detection rows take 1 to 4
+    edits: a mutation of ``_mutate_slot`` (type swap, bools, whole floats
+    and +-1e400 among them; a missing key or row; a list of the wrong
+    length), a NaN or an integer in place of a float, or a duplicated
+    row."""
+    name = draw(st.sampled_from(["scene", "predictions"]))
+    doc = _DOCUMENTS[name][0]()
+    if name == "scene":
+        tables = [doc["objects"], doc["grasps"], doc["relations"]]
+    else:
+        del doc["relations"]
+        tables = [doc["detections"], *(d["grasps"] for d in doc["detections"])]
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.sampled_from(tables))
+        slots = list(_slots(rows))
+        if not slots:
+            continue
+        kind = draw(st.sampled_from(["swap", "drop", "arity", "nan", "int", "duplicate"]))
+        if kind == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), copy.deepcopy(draw(st.sampled_from(rows))))
+        elif kind in ("nan", "int"):
+            container, key = draw(st.sampled_from(slots))
+            value = container[key]
+            if type(value) is float and math.isfinite(value):
+                container[key] = float("nan") if kind == "nan" else int(value)
+        else:
+            _mutate_slot(draw, slots, kind)
+    return name, json.loads(_document_text(doc))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=mutated_row_docs())
+def test_mutated_rows_parse_like_the_field_readers(case):
+    """The typed fast paths of ``parse_scene`` and of the detection and
+    grasp rows of ``parse_predictions`` build what the strict per-field
+    readers build, or raise their error for the same field
+    (tests/oracle_utils.per_field_scene and per_field_detections)."""
+    name, doc = case
+    if name == "scene":
+        assert _parsed_or_error(lambda: parse_scene(doc)) == _parsed_or_error(
+            lambda: per_field_scene(doc)
+        )
+    else:
+        def fast():
+            preds = parse_predictions(doc)
+            return preds.detections, preds.grasp_candidates
+
+        assert _parsed_or_error(fast) == _parsed_or_error(lambda: per_field_detections(doc))
 
 
 class TestCalibrate:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackgrasp.dataset import (
     SceneGrasp,
@@ -10,6 +12,7 @@ from stackgrasp.dataset import (
 )
 from stackgrasp.evaluation import (
     MatchThresholds,
+    MetricsReport,
     average_precision,
     evaluate,
     grasp_correct,
@@ -24,6 +27,8 @@ from stackgrasp.perception import (
     PerceivedObject,
     ScenePredictions,
 )
+
+from oracle_utils import reference_evaluate
 
 
 def record_one(category="cup", box=(100.0, 100.0, 200.0, 200.0), theta=0.0):
@@ -99,23 +104,23 @@ class TestGraspCorrect:
     def test_exact_grasp_matches(self):
         rec = record_one()
         p = self.perceived_with(OrientedRect(150.0, 150.0, 60.0, 20.0, 0.0))
-        assert grasp_correct(p, rec, 1, MatchThresholds())
+        assert grasp_correct(p, rec.grasps_of(1), MatchThresholds())
 
     def test_missing_grasp_fails(self):
         p = self.perceived_with(None)
-        assert not grasp_correct(p, record_one(), 1, MatchThresholds())
+        assert not grasp_correct(p, record_one().grasps_of(1), MatchThresholds())
 
     def test_angle_gate(self):
         rec = record_one()
         ok = self.perceived_with(OrientedRect(150.0, 150.0, 60.0, 20.0, 29.0))
         bad = self.perceived_with(OrientedRect(150.0, 150.0, 60.0, 20.0, 31.0))
-        assert grasp_correct(ok, rec, 1, MatchThresholds())
-        assert not grasp_correct(bad, rec, 1, MatchThresholds())
+        assert grasp_correct(ok, rec.grasps_of(1), MatchThresholds())
+        assert not grasp_correct(bad, rec.grasps_of(1), MatchThresholds())
 
     def test_angle_gate_is_strict(self):
         rec = record_one()
         edge = self.perceived_with(OrientedRect(150.0, 150.0, 60.0, 20.0, 30.0))
-        assert not grasp_correct(edge, rec, 1, MatchThresholds())
+        assert not grasp_correct(edge, rec.grasps_of(1), MatchThresholds())
 
     def test_jaccard_gate(self):
         # square grasps of side 20 shifted by dx: jaccard (20-dx)/(20+dx);
@@ -129,8 +134,8 @@ class TestGraspCorrect:
         )
         at_threshold = self.perceived_with(OrientedRect(162.0, 150.0, 20.0, 20.0, 0.0))
         above = self.perceived_with(OrientedRect(161.9, 150.0, 20.0, 20.0, 0.0))
-        assert not grasp_correct(at_threshold, rec, 1, MatchThresholds())
-        assert grasp_correct(above, rec, 1, MatchThresholds())
+        assert not grasp_correct(at_threshold, rec.grasps_of(1), MatchThresholds())
+        assert grasp_correct(above, rec.grasps_of(1), MatchThresholds())
 
     def test_any_owned_grasp_suffices(self):
         rec = SceneRecord(
@@ -144,7 +149,7 @@ class TestGraspCorrect:
             relations=(),
         )
         p = self.perceived_with(OrientedRect(150.0, 150.0, 60.0, 20.0, 5.0))
-        assert grasp_correct(p, rec, 1, MatchThresholds())
+        assert grasp_correct(p, rec.grasps_of(1), MatchThresholds())
 
 
 class TestAveragePrecision:
@@ -368,3 +373,108 @@ class TestEvaluateReport:
             "predicted_pairs": 6,
         }
         assert data["thresholds"]["iou"] == 0.5
+
+
+# Few values, so that boxes coincide, scores tie and angle gaps land on
+# the thresholds.
+_CATEGORIES = ["cup", "box", "pen"]
+_CORNERS = [20.0, 22.0, 60.0, 140.0]
+_SCORES = [0.0, 0.3, 0.5, 0.5, 0.9, 1.0]
+_ANGLES = [0.0, 10.0, 29.0, 30.0, 31.0, 45.0, 90.0, -60.0]
+_PROBS = [
+    (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+    (1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.2, 0.4, 0.4),
+]
+
+
+@st.composite
+def noisy_scene(draw):
+    """A scene of 0 to 5 objects with 0 to 2 grasps each and a random
+    stacking, and a noisy detector's predictions for it: jittered or
+    missing boxes, wrong categories, false detections, tied scores,
+    graspless detections, grasps off by a threshold's worth of angle, and
+    relation probabilities with ties."""
+    objects, grasps = [], []
+    # ids out of record order, so that an IoU tie is broken by id
+    for k in draw(st.permutations(range(1, draw(st.integers(0, 5)) + 1))):
+        x, y = draw(st.sampled_from(_CORNERS)), draw(st.sampled_from(_CORNERS))
+        objects.append(SceneObject(k, draw(st.sampled_from(_CATEGORIES)), AABox(x, y, x + 50.0, y + 40.0)))
+        for _ in range(draw(st.integers(0, 2))):
+            grasps.append(SceneGrasp(k, OrientedRect(
+                x + 25.0, y + 20.0, draw(st.sampled_from([20.0, 30.0])), 10.0,
+                draw(st.sampled_from(_ANGLES)),
+            )))
+    ids = [o.instance_id for o in objects]
+    relations = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            kind = draw(st.sampled_from(["none", "above", "below"]))
+            if kind != "none":
+                relations.append((a, b) if kind == "above" else (b, a))
+    record = SceneRecord(200, 200, tuple(objects), tuple(grasps), tuple(relations))
+
+    preds = ScenePredictions()
+    sources = [o for o in objects if draw(st.integers(0, 4))] + [None] * draw(st.integers(0, 2))
+    det_ids = draw(st.permutations(range(100, 100 + len(sources))))
+    for det_id, o in zip(det_ids, sources):
+        if o is None:
+            x, y = draw(st.sampled_from(_CORNERS)), draw(st.sampled_from(_CORNERS))
+            box, category = AABox(x, y, x + 50.0, y + 40.0), draw(st.sampled_from(_CATEGORIES))
+        else:
+            d = draw(st.sampled_from([0.0, 2.0, 10.0, 30.0]))
+            box = AABox(o.box.xmin + d, o.box.ymin, o.box.xmax + d, o.box.ymax)
+            category = o.category if draw(st.integers(0, 5)) else draw(st.sampled_from(_CATEGORIES))
+        preds.detections.append(ObjectDetection(box, category, draw(st.sampled_from(_SCORES)), det_id))
+        cx, cy = (box.xmin + box.xmax) / 2.0, (box.ymin + box.ymax) / 2.0
+        preds.grasp_candidates[det_id] = [
+            GraspCandidate(
+                OrientedRect(
+                    cx + draw(st.sampled_from([0.0, 3.0, 12.0])), cy, 20.0, 10.0,
+                    draw(st.sampled_from(_ANGLES)),
+                ),
+                draw(st.sampled_from([0.5, 0.9, 1.0])),
+            )
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+    for a in det_ids:
+        for b in det_ids:
+            if a != b and draw(st.integers(0, 4)):
+                preds.relations[(a, b)] = draw(st.sampled_from(_PROBS))
+    return record, preds
+
+
+@st.composite
+def noisy_sets(draw):
+    scenes = draw(st.lists(noisy_scene(), max_size=4))
+    thresholds = MatchThresholds(
+        iou=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        jaccard=draw(st.sampled_from([0.0, 0.25, 0.5])),
+        angle_deg=draw(st.sampled_from([15.0, 30.0, 90.0])),
+        top_n=draw(st.sampled_from([1, 3])),
+    )
+    return [r for r, _ in scenes], [p for _, p in scenes], thresholds
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=noisy_sets())
+def test_evaluate_equals_the_scanning_oracle(case):
+    """The per-scene indexes, the angle test first and the integer running
+    maximum give the exact Fractions and the report of the evaluator that
+    scans the record per query, clips before the angle test and makes a
+    Fraction at every rank (tests/oracle_utils.reference_evaluate)."""
+    records, preds, thresholds = case
+    mean, per_class, relations = reference_evaluate(records, preds, thresholds)
+    got_mean, got_per_class = average_precision(records, preds, thresholds)
+    assert (got_mean, got_per_class) == (mean, per_class)
+    assert all(type(v) is Fraction for v in [got_mean, *got_per_class.values()])
+    assert relation_metrics(records, preds, thresholds.iou) == relations
+    expected = MetricsReport(
+        map_with_grasp=float(mean),
+        per_class_ap={c: float(v) for c, v in per_class.items()},
+        relations=relations,
+        scenes=len(records),
+        gt_objects=sum(len(r.objects) for r in records),
+        detections=sum(len(p.detections) for p in preds),
+        thresholds=thresholds,
+    )
+    assert evaluate(records, preds, thresholds).to_json_dict() == expected.to_json_dict()

@@ -19,7 +19,12 @@ from stackgrasp.geometry import (
     union_box,
 )
 
-from oracle_utils import mc_jaccard
+from oracle_utils import (
+    mc_jaccard,
+    reference_clip_polygon,
+    reference_rotated_jaccard,
+    reference_vertex_list,
+)
 
 angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -247,6 +252,53 @@ class TestRotatedJaccard:
         j_ba = rotated_jaccard(b, a)
         assert 0.0 <= j_ab <= 1.0
         assert j_ab == pytest.approx(j_ba, abs=1e-6)
+
+
+def _bits(value):
+    """``value`` with every float as its hex text, so that equal means
+    bit-identical (0.0 and -0.0 differ)."""
+    if isinstance(value, float):
+        return value.hex()
+    return [_bits(v) for v in value]
+
+
+@st.composite
+def rect_pairs(draw):
+    """Two rectangles: random ones, identical ones, ones sharing an edge or
+    a center line, and ones a hair off parallel, at rotations that include
+    0, 45 and 90 degrees."""
+    theta = draw(st.one_of(st.sampled_from([0.0, 45.0, 90.0, -90.0, 0.5, 30.0]), angles))
+    a = OrientedRect(draw(coords), draw(coords), draw(sides), draw(sides), theta)
+    kind = draw(st.sampled_from(["random", "identical", "shared-edge", "near-parallel"]))
+    if kind == "random":
+        return a, draw(rect_strategy)
+    if kind == "identical":
+        return a, OrientedRect(a.x, a.y, a.w, a.h, a.theta)
+    if kind == "shared-edge":
+        # b's side at +w/2 (along the rect's own x axis) lies on a's
+        w = draw(st.floats(min_value=0.5, max_value=a.w))
+        t = math.radians(a.theta)
+        shift = (a.w - w) / 2.0
+        h = draw(st.sampled_from([a.h, a.h / 2.0, a.h * 2.0]))
+        return a, OrientedRect(a.x + shift * math.cos(t), a.y + shift * math.sin(t), w, h, a.theta)
+    tilt = draw(st.sampled_from([1e-15, 1e-12, 1e-9, -1e-9, 1e-6]))
+    return a, OrientedRect(
+        a.x + draw(st.floats(-1.0, 1.0)), a.y, draw(sides), draw(sides), a.theta + tilt
+    )
+
+
+@settings(max_examples=1500, deadline=None)
+@given(pair=rect_pairs())
+def test_jaccard_is_bit_identical_to_the_helper_call_clip(pair):
+    """The inlined clip, the corner products and the inline areas give the
+    bits of the helper-call clip, the per-corner rotation and the ``area``
+    properties (tests/oracle_utils.reference_rotated_jaccard)."""
+    a, b = pair
+    va, vb = reference_vertex_list(a), reference_vertex_list(b)
+    assert _bits(rect_vertices(a).tolist()) == _bits(va)
+    assert _bits(clip_polygon(va, vb)) == _bits(reference_clip_polygon(va, vb))
+    assert _bits(rotated_jaccard(a, b)) == _bits(reference_rotated_jaccard(a, b))
+    assert _bits(rotated_jaccard(b, a)) == _bits(reference_rotated_jaccard(b, a))
 
 
 class TestAABBIoU:

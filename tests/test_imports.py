@@ -1,7 +1,9 @@
-"""Every top-level import of a package module is used in that module. The
-check reads the source with ``ast``: a name bound by an import must be
-read somewhere in the module (``__init__.py`` re-exports, so it is left
-out)."""
+"""Every top-level import of a package module is used in that module, and
+every module-level private name is read somewhere in the package. The
+checks read the source with ``ast``: a name bound by an import must be
+read somewhere in its module (``__init__.py`` re-exports, so it is left
+out), and a ``_private`` function, class or constant must be read in some
+module of the package, by name or as an attribute."""
 
 import ast
 from pathlib import Path
@@ -26,6 +28,47 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def _private_definitions(tree: ast.Module) -> list[str]:
+    # module-level functions, classes and assigned names that start with
+    # one underscore (dunders such as __all__ are the language's)
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    # names loaded anywhere, attributes taken of anything, and names that
+    # another module imports
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for every module-level ``_private`` name of the
+    given sources (module name to text) that no source reads, in module
+    then definition order."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set().union(*map(_reads, trees.values())) if trees else set()
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+
+
 def test_finds_an_unused_import():
     source = "import json\nimport math as m\nfrom typing import Mapping, Sequence\nx: Sequence = m.pi\n"
     assert unused_imports(source) == ["json", "Mapping"]
@@ -38,3 +81,19 @@ def test_future_import_is_not_a_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_finds_an_unused_private_name():
+    sources = {
+        "a": "_LIMIT = 3\n_UNUSED: int = 4\n__all__ = []\n"
+             "def _helper():\n    return _LIMIT\n"
+             "def _left_behind(p):\n    return p\n"
+             "class _Shape:\n    pass\n",
+        "b": "from .a import _helper\nimport a\nx = _helper() + a._Shape\n",
+    }
+    assert unused_private_names(sources) == ["a._UNUSED", "a._left_behind"]
+
+
+def test_no_unused_private_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unused_private_names(sources) == []
