@@ -1,13 +1,16 @@
-"""The boundary for input JSON documents: ``load`` decodes every one, and
-the field readers accept a field only as the JSON type it must have (a
-JSON integer is read as a float in a number field). Each error names the
-field's JSON path, or the field within an object whose path the caller
-adds."""
+"""The boundary for input JSON documents: ``load`` decodes every one, the
+field readers accept a field only as the JSON type it must have (a JSON
+integer is read as a float in a number field), and the row readers build
+the boxes and grasp rectangles that scenes and predictions share. Each
+error names the field's JSON path, or the field within an object whose
+path the caller adds."""
 
 from __future__ import annotations
 
 import json
 import numbers
+
+from .geometry import AABox, OrientedRect
 
 
 class DocumentError(ValueError):
@@ -62,6 +65,14 @@ def string(name: str, value) -> str:
     return value
 
 
+def json_object(value) -> dict:
+    """``value`` when it is a JSON object (a dict); any other type is a
+    ValueError."""
+    if type(value) is not dict:
+        raise ValueError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
 def json_list(data: dict, key: str, where: str | None = None) -> list:
     """``data[key]`` when it is a list, ``[]`` when it is absent; anything
     else is a DocumentError at ``where`` (default ``key``)."""
@@ -86,3 +97,45 @@ def number_list(name: str, value, n: int | None = None) -> list[float]:
     if len(out) == len(value):
         return out
     return [number(f"{name}[{k}]", v) for k, v in enumerate(value)]
+
+
+# A row whose fields already have their exact JSON types takes the typed
+# fast path of its reader; any other row goes through the strict readers,
+# which convert an integer coordinate to a float or raise the row's error.
+
+
+def box_row(row) -> tuple[int, str, AABox]:
+    """The ``id``, ``category`` and ``bbox`` of a scene object or detection
+    row: an int, a non-empty string and four numbers forming an AABox. A
+    ValueError names the first bad field, in that order."""
+    try:
+        instance_id, category, bbox = row["id"], row["category"], row["bbox"]
+        x0, y0, x1, y1 = bbox
+    except (KeyError, TypeError, ValueError):
+        bbox = None
+    if not (
+        type(bbox) is list and type(instance_id) is int and type(category) is str and category
+        and type(x0) is float and type(y0) is float and type(x1) is float and type(y1) is float
+    ):
+        instance_id = integer("id", json_object(row)["id"])
+        category = string("category", row["category"])
+        if not category:
+            raise ValueError("empty category name")
+        x0, y0, x1, y1 = number_list("bbox", row["bbox"], 4)
+    return instance_id, category, AABox(x0, y0, x1, y1)
+
+
+def grasp_rect(row) -> OrientedRect:
+    """The ``rect`` of a scene grasp or grasp candidate row: five numbers
+    forming an OrientedRect; anything else is a ValueError."""
+    try:
+        rect = row["rect"]
+        x, y, w, h, theta = rect
+    except (KeyError, TypeError, ValueError):
+        rect = None
+    if not (
+        type(rect) is list and type(x) is float and type(y) is float
+        and type(w) is float and type(h) is float and type(theta) is float
+    ):
+        x, y, w, h, theta = number_list("rect", json_object(row)["rect"], 5)
+    return OrientedRect(x, y, w, h, theta)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._json import integer, load, string
+from ._json import load
 from .dataset import (
     hflip,
     parse_scene,
@@ -36,7 +36,7 @@ from .evaluation import MatchThresholds, evaluate, sequential_success
 from .execution import CalibrationError, fit_affine, load_calibration_pairs
 from .perception import ScenePredictions, parse_predictions
 from .reasoning import ManipulationGraph, build_graph, next_action, symmetrize
-from .simulation import TrialConfig, run_trial
+from .simulation import parse_sim_config, run_trial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -262,81 +262,27 @@ def _cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _parse_sim_config(path: Path) -> tuple[int, list[dict]]:
-    try:
-        data = load(_read_text(path))
-        if not isinstance(data, dict) or "regimes" not in data:
-            raise ValueError("expected an object with a 'regimes' list")
-        regimes = data["regimes"]
-        if not isinstance(regimes, list) or not regimes:
-            raise ValueError("'regimes' must be a non-empty list")
-        for i, r in enumerate(regimes):
-            if not isinstance(r, dict) or "count_range" not in r or "trials" not in r:
-                raise ValueError(f"regimes[{i}] needs at least 'count_range' and 'trials'")
-        return _base_seed(data.get("seed", 0)), regimes
-    except ValueError as e:
-        raise DataError(f"{path}: {e}") from e
-
-
-def _base_seed(value) -> int:
-    seed = integer("seed", value)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
 def _trial_seed(base: int, regime_index: int, trial_index: int) -> int:
     ss = np.random.SeedSequence([base, regime_index, trial_index])
     return int(ss.generate_state(1)[0])
 
 
-def _regimes(
-    regimes: list[dict], visibility: float | None
-) -> list[tuple[str, int, TrialConfig]]:
-    """Name, trial count and trial config (seed 0) of every regime, all
-    checked before any trial runs."""
-    out = []
-    names = set()
-    for ri, regime in enumerate(regimes):
-        fields = dict(regime)
-        name = fields.pop("name", f"regime{ri}")
-        try:
-            string("name", name)
-            trials = integer("trials", fields.pop("trials"))
-            # a trial's seed is one 32-bit word, so more trials repeat a seed
-            if not 1 <= trials <= 2**32:
-                raise ValueError("'trials' must be from 1 to 2**32")
-            if visibility is not None:
-                fields["coverage_threshold"] = visibility
-            config = TrialConfig.from_json_dict(fields)
-        except (TypeError, ValueError) as e:
-            raise DataError(f"regimes[{ri}]: {e}") from e
-        # names become trial log file names
-        if name in names:
-            raise DataError(f"regimes[{ri}]: duplicate regime name {name!r}")
-        if "/" in name or "\\" in name:
-            raise DataError(f"regimes[{ri}]: regime name {name!r} contains a path separator")
-        if "\0" in name:
-            raise DataError(f"regimes[{ri}]: regime name {name!r} contains a NUL character")
-        names.add(name)
-        out.append((name, trials, config))
-    return out
-
-
 def _cmd_simulate(args) -> int:
-    base_seed, regimes = _parse_sim_config(Path(args.config))
+    path = Path(args.config)
+    try:
+        base_seed, regimes = parse_sim_config(_read_text(path))
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from e
     if args.seed is not None:
-        try:
-            base_seed = _base_seed(args.seed)
-        except ValueError as e:
-            raise DataError(f"--seed: {e}") from e
-    checked = _regimes(regimes, args.visibility)
+        if args.seed < 0:
+            raise DataError(f"--seed: seed must be non-negative, got {args.seed}")
+        base_seed = args.seed
     log_dir = Path(args.trial_log) if args.trial_log else None
     if log_dir is not None:
         log_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for ri, (name, trials, config) in enumerate(checked):
+    for ri, (name, trials, config) in enumerate(regimes):
         successes = 0
         for ti in range(trials):
             log = run_trial(replace(config, seed=_trial_seed(base_seed, ri, ti)))
@@ -373,8 +319,6 @@ def _cmd_calibrate(args) -> int:
         raise DataError(f"{path}: {e.strerror or e}") from e
     except ValueError as e:
         raise DataError(f"{path}: {e}") from e
-    if len(pairs) < 4:
-        raise DataError(f"{path}: need at least 4 calibration pairs, got {len(pairs)}")
     affine = fit_affine(pairs)  # CalibrationError propagates as a numeric failure
     if affine.residual_rms > CALIBRATION_WARN_RMS_MM:
         print(
@@ -433,9 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run seeded grasp-remove trials")
     p.add_argument("--config", required=True, help="simulation config JSON")
     p.add_argument("--seed", type=int, help="override the config's base seed")
-    p.add_argument(
-        "--visibility", type=float, help="override the coverage threshold everywhere"
-    )
     p.add_argument("--out", help="write the results JSON here (default: stdout)")
     p.add_argument("--trial-log", help="directory for per-trial logs")
     p.add_argument("--pretty", action="store_true", help="print a rate table")

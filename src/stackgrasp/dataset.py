@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from ._json import DocumentError, integer, json_list, load, number_list, string
+from ._json import DocumentError, box_row, grasp_rect, integer, json_list, json_object, load, string
 from .geometry import AABox, OrientedRect, normalize_angle
 from .perception import GraspCandidate, ObjectDetection, ScenePredictions
 
@@ -109,47 +109,18 @@ def parse_scene(source: str | dict) -> SceneRecord:
     except (KeyError, ValueError) as e:
         raise SceneParseError("image", str(e)) from e
 
-    # Each row takes the typed fast path when its fields already have their
-    # exact JSON types (an int id, a str category, a list of floats), and
-    # the strict per-field readers otherwise, which convert an integer
-    # coordinate to a float or raise the row's error.
     objects = []
     for i, o in enumerate(json_list(data, "objects")):
         try:
-            instance_id, category, bbox = o["id"], o["category"], o["bbox"]
-            x0, y0, x1, y1 = bbox
-        except (KeyError, TypeError, ValueError):
-            bbox = None
-        try:
-            if not (
-                type(bbox) is list and type(instance_id) is int and type(category) is str
-                and type(x0) is float and type(y0) is float
-                and type(x1) is float and type(y1) is float
-            ):
-                instance_id = integer("id", o["id"])
-                category = string("category", o["category"])
-                x0, y0, x1, y1 = number_list("bbox", o["bbox"], 4)
-            objects.append(SceneObject(instance_id, category, AABox(x0, y0, x1, y1)))
+            objects.append(SceneObject(*box_row(o)))
         except (KeyError, TypeError, ValueError) as e:
             raise SceneParseError(f"objects[{i}]", str(e)) from e
 
     grasps = []
     for i, g in enumerate(json_list(data, "grasps")):
         try:
-            owner, rect = g["owner"], g["rect"]
-            x, y, w, h, theta = rect
-        except (KeyError, TypeError, ValueError):
-            rect = None
-        try:
-            if (
-                type(rect) is list and type(owner) is int
-                and type(x) is float and type(y) is float and type(w) is float
-                and type(h) is float and type(theta) is float
-            ):
-                grasps.append(SceneGrasp(owner, OrientedRect(x, y, w, h, theta)))
-            else:
-                rect = OrientedRect(*number_list("rect", g["rect"], 5))
-                grasps.append(SceneGrasp(owner=integer("owner", g["owner"]), rect=rect))
+            rect = grasp_rect(g)
+            grasps.append(SceneGrasp(integer("owner", g["owner"]), rect))
         except (KeyError, TypeError, ValueError) as e:
             raise SceneParseError(f"grasps[{i}]", str(e)) from e
 
@@ -161,6 +132,7 @@ def parse_scene(source: str | dict) -> SceneRecord:
             above = below = None
         if type(above) is not int or type(below) is not int:
             try:
+                r = json_object(r)
                 above, below = integer("above", r["above"]), integer("below", r["below"])
             except (KeyError, TypeError, ValueError) as e:
                 raise SceneParseError(f"relations[{i}]", str(e)) from e

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._json import load, number_list
+from ._json import load, number, number_list
 from .geometry import OrientedRect, normalize_angle, rect_vertices
 
 
@@ -106,10 +106,15 @@ class AffineMap:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AffineMap":
+        """The map of ``to_json_dict``: ``linear`` three rows of three JSON
+        numbers, ``offset`` three and ``residual_rms`` one (default 0)."""
+        linear = data["linear"]
+        if type(linear) is not list or len(linear) != 3:
+            raise ValueError(f"linear must be a list of 3 rows, got {linear!r}")
         return cls(
-            linear=np.array(data["linear"], dtype=float),
-            offset=np.array(data["offset"], dtype=float),
-            residual_rms=float(data.get("residual_rms", 0.0)),
+            linear=np.array([number_list(f"linear[{i}]", row, 3) for i, row in enumerate(linear)]),
+            offset=np.array(number_list("offset", data["offset"], 3)),
+            residual_rms=number("residual_rms", data.get("residual_rms", 0.0)),
         )
 
 
@@ -318,8 +323,9 @@ def load_depth_pgm(path) -> DepthImage:
 
 
 def load_calibration_pairs(path) -> list[tuple[list[float], list[float]]]:
-    """Read [{"pixel": [u, v, d], "robot": [x, y, z]}, ...]; every
-    coordinate must be a JSON number. Errors name the pair, not the file."""
+    """Read [{"pixel": [u, v, d], "robot": [x, y, z]}, ...] with at least 4
+    pairs; every coordinate must be a JSON number. Errors name the pair,
+    not the file."""
     data = load(Path(path).read_text())
     if not isinstance(data, list):
         raise CalibrationError("expected a JSON list of pairs")
@@ -333,4 +339,6 @@ def load_calibration_pairs(path) -> list[tuple[list[float], list[float]]]:
         if len(pixel) != 3 or len(robot) != 3:
             raise CalibrationError(f"pair {i}: points must be 3-d")
         pairs.append((pixel, robot))
+    if len(pairs) < 4:
+        raise CalibrationError(f"need at least 4 calibration pairs, got {len(pairs)}")
     return pairs

@@ -62,7 +62,8 @@ class OrientedRect:
 
 @dataclass(frozen=True)
 class AABox:
-    """Axis-aligned box with strictly ordered corners and a non-zero area."""
+    """Axis-aligned box with strictly ordered corners and a finite, non-zero
+    area."""
 
     xmin: float
     ymin: float
@@ -83,10 +84,13 @@ class AABox:
             raise ValueError(
                 f"empty box: ({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
             )
-        # the overlap ratios divide by areas (the area property, inline)
-        if (self.xmax - self.xmin) * (self.ymax - self.ymin) == 0.0:
+        # the overlap ratios divide by areas (the area property, inline),
+        # so an area may neither underflow to 0 nor overflow to inf
+        area = (self.xmax - self.xmin) * (self.ymax - self.ymin)
+        if not 0.0 < area < math.inf:
+            what = "underflows to 0" if area == 0.0 else "overflows to inf"
             raise ValueError(
-                f"box area underflows to 0: ({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
+                f"box area {what}: ({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
             )
 
     @property

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ._json import integer, json_list, load, number, number_list, string
+from ._json import box_row, grasp_rect, integer, json_list, json_object, load, number, number_list
 from .anchors import AnchorConfig, decode_grasp, generate_anchors
 from .geometry import AABox, OrientedRect, aabb_iou
 from .losses import GraspPrediction, check_relation, softmax2
@@ -197,9 +197,7 @@ def _relation(i: int, r) -> tuple[int, int, float, float, float]:
     integers and ``probs`` JSON numbers passing ``check_relation``; a
     ValueError naming the row otherwise."""
     try:
-        if type(r) is not dict:
-            raise ValueError(f"expected an object, got {type(r).__name__}")
-        pair = r["pair"]
+        pair = json_object(r)["pair"]
         if type(pair) is not list or len(pair) != 2:
             raise ValueError(f"pair must be a list of 2 ids, got {pair!r}")
         a, b = integer("pair[0]", pair[0]), integer("pair[1]", pair[1])
@@ -217,36 +215,11 @@ def parse_predictions(source: str | dict) -> ScenePredictions:
     out = ScenePredictions()
     if not isinstance(data, dict) or "detections" not in data:
         raise ValueError("detections: missing")
-    # A detection or grasp row whose fields already have their exact JSON
-    # types (an int id, a str category, lists of floats, float scores)
-    # takes the typed fast path; any other row goes through the strict
-    # per-field readers, which convert an integer number to a float or
-    # raise the row's error.
     seen_ids = set()
     for i, d in enumerate(json_list(data, "detections")):
         try:
-            instance_id, category, bbox = d["id"], d["category"], d["bbox"]
-            score = d.get("score", 1.0)
-            x0, y0, x1, y1 = bbox
-        except (KeyError, TypeError, ValueError):
-            bbox = None
-        try:
-            if (
-                type(bbox) is list and type(instance_id) is int and type(category) is str
-                and type(score) is float and type(x0) is float and type(y0) is float
-                and type(x1) is float and type(y1) is float
-            ):
-                det = ObjectDetection(AABox(x0, y0, x1, y1), category, score, instance_id)
-            else:
-                if type(d) is not dict:
-                    raise ValueError(f"expected an object, got {type(d).__name__}")
-                instance_id = integer("id", d["id"])
-                det = ObjectDetection(
-                    box=AABox(*number_list("bbox", d["bbox"], 4)),
-                    category=string("category", d["category"]),
-                    score=number("score", d.get("score", 1.0)),
-                    instance_id=instance_id,
-                )
+            instance_id, category, box = box_row(d)
+            det = ObjectDetection(box, category, number("score", d.get("score", 1.0)), instance_id)
             if instance_id in seen_ids:
                 raise ValueError(f"duplicate id {instance_id}")
         except (KeyError, TypeError, ValueError) as e:
@@ -256,22 +229,8 @@ def parse_predictions(source: str | dict) -> ScenePredictions:
         grasps = []
         for j, g in enumerate(json_list(d, "grasps", f"detections[{i}].grasps")):
             try:
-                rect = g["rect"]
-                confidence = g.get("confidence", 1.0)
-                x, y, w, h, theta = rect
-            except (KeyError, TypeError, ValueError):
-                rect = None
-            try:
-                if (
-                    type(rect) is list and type(confidence) is float
-                    and type(x) is float and type(y) is float and type(w) is float
-                    and type(h) is float and type(theta) is float
-                ):
-                    grasps.append(GraspCandidate(OrientedRect(x, y, w, h, theta), confidence))
-                else:
-                    rect = OrientedRect(*number_list("rect", g["rect"], 5))
-                    confidence = number("confidence", g.get("confidence", 1.0))
-                    grasps.append(GraspCandidate(rect=rect, confidence=confidence))
+                rect = grasp_rect(g)
+                grasps.append(GraspCandidate(rect, number("confidence", g.get("confidence", 1.0))))
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"detections[{i}].grasps[{j}]: {e}") from e
         out.grasp_candidates[instance_id] = grasps

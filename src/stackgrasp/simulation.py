@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._json import integer, number, string
+from ._json import DocumentError, integer, load, number, string
 from .dataset import SceneGrasp, SceneObject, SceneRecord, scene_to_json_dict
 from .evaluation import sequential_success
 from .geometry import AABox, OrientedRect
@@ -139,6 +139,53 @@ class TrialConfig:
             fields["noise"] = NoiseModel.from_json_dict(fields["noise"])
         # __post_init__ checks the other fields
         return cls(seed=0, **fields)
+
+
+def parse_sim_config(source: str | dict) -> tuple[int, list[tuple[str, int, TrialConfig]]]:
+    """The base seed and every regime's name, trial count and config (seed
+    0) of a simulation config, given as text or as the decoded document,
+    all checked before any trial runs; errors carry the JSON path of the
+    offending field."""
+    data = load(source) if isinstance(source, str) else source
+    if not isinstance(data, dict):
+        raise DocumentError("$", "top level must be an object")
+    bad = set(data) - {"seed", "regimes"}
+    if bad:
+        raise DocumentError("$", f"unknown config fields: {sorted(bad)}")
+    try:
+        seed = integer("seed", data.get("seed", 0))
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+    except ValueError as e:
+        raise DocumentError("$", str(e)) from e
+    regimes = data.get("regimes")
+    if type(regimes) is not list or not regimes:
+        raise DocumentError("regimes", "missing or not a non-empty list")
+    out = []
+    names = set()
+    for i, regime in enumerate(regimes):
+        try:
+            if type(regime) is not dict or "count_range" not in regime or "trials" not in regime:
+                raise ValueError("needs at least 'count_range' and 'trials'")
+            fields = dict(regime)
+            name = string("name", fields.pop("name", f"regime{i}"))
+            trials = integer("trials", fields.pop("trials"))
+            # a trial's seed is one 32-bit word, so more trials repeat a seed
+            if not 1 <= trials <= 2**32:
+                raise ValueError("'trials' must be from 1 to 2**32")
+            config = TrialConfig.from_json_dict(fields)
+            # names become trial log file names
+            if name in names:
+                raise ValueError(f"duplicate regime name {name!r}")
+            if "/" in name or "\\" in name:
+                raise ValueError(f"regime name {name!r} contains a path separator")
+            if "\0" in name:
+                raise ValueError(f"regime name {name!r} contains a NUL character")
+        except (TypeError, ValueError) as e:
+            raise DocumentError(f"regimes[{i}]", str(e)) from e
+        names.add(name)
+        out.append((name, trials, config))
+    return seed, out
 
 
 class _Node:

@@ -673,6 +673,22 @@ def reference_evaluate(records, predictions, thresholds):
     return mean, per_class, relations
 
 
+def require_object(row) -> None:
+    """A row of a scene or predictions document must be a JSON object."""
+    if type(row) is not dict:
+        raise ValueError(f"expected an object, got {type(row).__name__}")
+
+
+def non_empty_category(row) -> str:
+    """The row's ``category``: a string that is not empty."""
+    from stackgrasp._json import string
+
+    category = string("category", row["category"])
+    if not category:
+        raise ValueError("empty category name")
+    return category
+
+
 def per_field_scene(source):
     """``dataset.parse_scene`` with every field of every row read by the
     strict readers of ``stackgrasp._json``, one field at a time. Raises the
@@ -699,10 +715,13 @@ def per_field_scene(source):
     objects = []
     for i, o in enumerate(json_list(data, "objects")):
         try:
+            require_object(o)
+            instance_id = integer("id", o["id"])
+            category = non_empty_category(o)
             objects.append(
                 SceneObject(
-                    instance_id=integer("id", o["id"]),
-                    category=string("category", o["category"]),
+                    instance_id=instance_id,
+                    category=category,
                     box=AABox(*number_list("bbox", o["bbox"], 4)),
                 )
             )
@@ -711,6 +730,7 @@ def per_field_scene(source):
     grasps = []
     for i, g in enumerate(json_list(data, "grasps")):
         try:
+            require_object(g)
             rect = OrientedRect(*number_list("rect", g["rect"], 5))
             grasps.append(SceneGrasp(owner=integer("owner", g["owner"]), rect=rect))
         except (KeyError, TypeError, ValueError) as e:
@@ -718,6 +738,7 @@ def per_field_scene(source):
     relations = []
     for i, r in enumerate(json_list(data, "relations")):
         try:
+            require_object(r)
             relations.append((integer("above", r["above"]), integer("below", r["below"])))
         except (KeyError, TypeError, ValueError) as e:
             raise SceneParseError(f"relations[{i}]", str(e)) from e
@@ -740,7 +761,7 @@ def per_field_detections(data: dict):
     ``parse_predictions`` stores them, with every field read by the strict
     readers of ``stackgrasp._json``, one field at a time. Raises
     ValueError with the parser's message for the first bad field."""
-    from stackgrasp._json import integer, json_list, number, number_list, string
+    from stackgrasp._json import integer, json_list, number, number_list
     from stackgrasp.geometry import AABox, OrientedRect
     from stackgrasp.perception import GraspCandidate, ObjectDetection
 
@@ -749,12 +770,12 @@ def per_field_detections(data: dict):
     detections, candidates = [], {}
     for i, d in enumerate(json_list(data, "detections")):
         try:
-            if type(d) is not dict:
-                raise ValueError(f"expected an object, got {type(d).__name__}")
+            require_object(d)
             instance_id = integer("id", d["id"])
+            category = non_empty_category(d)
             det = ObjectDetection(
                 box=AABox(*number_list("bbox", d["bbox"], 4)),
-                category=string("category", d["category"]),
+                category=category,
                 score=number("score", d.get("score", 1.0)),
                 instance_id=instance_id,
             )
@@ -766,6 +787,7 @@ def per_field_detections(data: dict):
         grasps = []
         for j, g in enumerate(json_list(d, "grasps", f"detections[{i}].grasps")):
             try:
+                require_object(g)
                 rect = OrientedRect(*number_list("rect", g["rect"], 5))
                 confidence = number("confidence", g.get("confidence", 1.0))
                 grasps.append(GraspCandidate(rect=rect, confidence=confidence))

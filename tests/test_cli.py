@@ -520,6 +520,36 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "--seed" in err and "non-negative" in err
 
+    def test_unknown_top_level_field_rejected(self, tmp_path, capsys):
+        # a misspelled "seed" must not run silently at seed 0
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"sed": 7, "regimes": [{"count_range": [2, 4], "trials": 1}]}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: $: unknown config fields: ['sed']\n"
+        assert captured.out == ""
+
+    def test_regime_errors_name_the_file(self, tmp_path, capsys):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"regimes": [{"count_range": [2, 4], "trials": 0}]}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: regimes[0]: 'trials' must be from 1 to 2**32\n"
+
+    def test_visibility_flag_is_gone(self, tmp_path, capsys):
+        path = sim_config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--visibility", "0.5"]) == 1
+        assert "unrecognized arguments: --visibility" in capsys.readouterr().err
+
+    def test_overflowing_box_noise_is_a_data_error(self, tmp_path, capsys):
+        cfg = {"regimes": [{"count_range": [2, 4], "trials": 1, "noise": {"box_sigma": 1e200}}]}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        with np.errstate(over="ignore"):
+            assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "box area overflows to inf" in err and "Traceback" not in err
+
 
 def calibration_pairs():
     linear = [[0.002, 0.0, 0.0], [0.0, 0.002, 0.0], [0.0, 0.0, 1.0]]
@@ -591,6 +621,45 @@ def _bad_inputs():
     scene = json.loads(serialize_scene(chain_scene()))
     scene["objects"][0]["bbox"] = [0, 0, 1e-200, 1e-200]
     yield pytest.param("eval-gt", scene, "objects[0]:", id="eval-gt-bbox-area-underflow")
+    # an area that overflows to inf: no detection could ever match it
+    huge_box = [0, 0, 1e200, 1e200]
+    scene = json.loads(serialize_scene(chain_scene()))
+    scene["image"].update(width=10**201, height=10**201)
+    scene["objects"][0]["bbox"] = huge_box
+    for command in ("eval-gt", "augment", "plan"):
+        yield pytest.param(
+            command, scene, "objects[0]: box area overflows to inf",
+            id=f"{command}-scene-bbox-area-overflow",
+        )
+    for command in ("plan", "eval"):
+        yield pytest.param(
+            command, preds(lambda d: d["detections"][0].update(bbox=huge_box)),
+            "detections[0]: box area overflows to inf", id=f"{command}-bbox-area-overflow",
+        )
+    # a class named "" could never be matched by a detection
+    scene = json.loads(serialize_scene(chain_scene()))
+    scene["objects"][0]["category"] = ""
+    for command in ("eval-gt", "augment", "plan"):
+        yield pytest.param(
+            command, scene, "objects[0]: empty category name", id=f"{command}-empty-category"
+        )
+    # a row that is not an object, in every table of a scene
+    for table in ("objects", "grasps", "relations"):
+        scene = json.loads(serialize_scene(chain_scene()))
+        scene[table][0] = True
+        yield pytest.param(
+            "augment", scene, f"{table}[0]: expected an object, got bool",
+            id=f"augment-{table}-row-not-an-object",
+        )
+    yield pytest.param(
+        "plan", preds(lambda d: d["detections"][0]["grasps"].insert(0, 5)),
+        "detections[0].grasps[0]: expected an object, got int", id="plan-grasp-row-not-an-object",
+    )
+    # several bad fields: the first in id, category, bbox order is named
+    yield pytest.param(
+        "plan", preds(lambda d: d["detections"][0].update(category=5, bbox=[0, 0])),
+        "detections[0]: category must be a string", id="plan-category-before-bbox",
+    )
     # wrong JSON types in predictions, ids written as 1e400 (inf) included
     bad_types = {
         "id-true": (lambda d: d["detections"][0].update(id=True), "detections[0]: id"),
@@ -688,6 +757,11 @@ def _bad_inputs():
             id=f"simulate-{field.replace('_', '-')}-unknown-field",
         )
     regime = {"count_range": [2, 4], "trials": 1}
+    for key in ("sed", "regime"):
+        yield pytest.param(
+            "simulate", {key: 7, "regimes": [regime]}, f"$: unknown config fields: ['{key}']",
+            id=f"simulate-unknown-top-level-field-{key}",
+        )
     for name, seed in {"fraction": 1.5, "bool": True, "negative": -1, "string": "5"}.items():
         yield pytest.param(
             "simulate", {"seed": seed, "regimes": [regime]}, "seed must be",

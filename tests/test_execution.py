@@ -97,6 +97,26 @@ class TestAffineMap:
         assert np.array_equal(back.offset, m.offset)
         assert back.residual_rms == m.residual_rms
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"residual_rms": "0.5"}, "residual_rms must be a number"),
+            ({"linear": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}, r"linear\[0\]\[0\] must be a number"),
+            ({"linear": [[1, 0, 0], [0, 1, 0]]}, "linear must be a list of 3 rows"),
+            ({"linear": [[1, 0, 0], [0, 1], [0, 0, 1]]}, r"linear\[1\] needs 3 values"),
+            ({"offset": [0, "1", 0]}, r"offset\[1\] must be a number"),
+        ],
+    )
+    def test_from_json_dict_reads_numbers_only(self, edit, message):
+        data = {**AffineMap.identity().to_json_dict(), **edit}
+        with pytest.raises(ValueError, match=message):
+            AffineMap.from_json_dict(data)
+
+    def test_from_json_dict_reads_integers_as_floats(self):
+        m = AffineMap.from_json_dict({"linear": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "offset": [0, 0, 1]})
+        assert m.linear.dtype == float and m.offset.tolist() == [0.0, 0.0, 1.0]
+        assert m.residual_rms == 0.0
+
 
 class TestFitAffine:
     def exact_pairs(self, linear, offset, rng, n=12):
@@ -530,11 +550,25 @@ class TestLoadCalibrationPairs:
                 [
                     {"pixel": [0, 0, 500], "robot": [0.0, 0.0, 0.5]},
                     {"pixel": [10, 0, 500], "robot": [0.01, 0.0, 0.5]},
+                    {"pixel": [0, 10, 500], "robot": [0.0, 0.01, 0.5]},
+                    {"pixel": [0, 0, 600], "robot": [0.0, 0.0, 0.6]},
                 ]
             )
         )
         pairs = load_calibration_pairs(path)
-        assert pairs == [([0, 0, 500], [0.0, 0.0, 0.5]), ([10, 0, 500], [0.01, 0.0, 0.5])]
+        assert pairs == [
+            ([0, 0, 500], [0.0, 0.0, 0.5]),
+            ([10, 0, 500], [0.01, 0.0, 0.5]),
+            ([0, 10, 500], [0.0, 0.01, 0.5]),
+            ([0, 0, 600], [0.0, 0.0, 0.6]),
+        ]
+
+    def test_too_few_pairs(self, tmp_path):
+        # the file's own rule, read before any fit
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps([{"pixel": [0, 0, 500], "robot": [0, 0, 0.5]}] * 3))
+        with pytest.raises(CalibrationError, match="need at least 4 calibration pairs, got 3"):
+            load_calibration_pairs(path)
 
     def test_not_a_list(self, tmp_path):
         path = tmp_path / "pairs.json"

@@ -117,6 +117,14 @@ class TestAABox:
             AABox(0, 0, 1e-200, 1e-200)
         assert AABox(0, 0, 1e-200, 1e100).area == pytest.approx(1e-100)
 
+    def test_rejects_area_that_overflows(self):
+        # aabb_iou would divide by inf and return NaN, which matches nothing
+        with pytest.raises(ValueError, match="overflows to inf"):
+            AABox(0, 0, 1e200, 1e200)
+        with pytest.raises(ValueError, match="overflows to inf"):
+            AABox(-1e308, 0, 1e308, 1)
+        assert AABox(0, 0, 1e200, 1e100).area == pytest.approx(1e300)
+
     def test_dimensions(self):
         b = AABox(1, 2, 4, 8)
         assert (b.width, b.height, b.area) == (3.0, 6.0, 18.0)

@@ -1,9 +1,11 @@
-"""Every top-level import of a package module is used in that module, and
-every module-level private name is read somewhere in the package. The
-checks read the source with ``ast``: a name bound by an import must be
-read somewhere in its module (``__init__.py`` re-exports, so it is left
-out), and a ``_private`` function, class or constant must be read in some
-module of the package, by name or as an attribute."""
+"""Every top-level import of a package module is used in that module,
+every module-level private name is read somewhere in the package, and only
+the input boundary decodes JSON. The checks read the source with ``ast``:
+a name bound by an import must be read somewhere in its module
+(``__init__.py`` re-exports, so it is left out), a ``_private`` function,
+class or constant must be read in some module of the package, by name or
+as an attribute, and no module but ``_json.py`` may call ``json.loads`` or
+``json.load``."""
 
 import ast
 from pathlib import Path
@@ -97,3 +99,44 @@ def test_finds_an_unused_private_name():
 def test_no_unused_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unused_private_names(sources) == []
+
+
+def json_decode_calls(source: str) -> list[int]:
+    """The line of every call of ``json.loads`` or ``json.load`` in the
+    source, through the module (``json.loads(...)``, under any alias) or a
+    name imported from it (``from json import loads``)."""
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions |= {a.asname or a.name for a in node.names if a.name in ("load", "loads")}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (
+            isinstance(f, ast.Attribute) and f.attr in ("load", "loads")
+            and isinstance(f.value, ast.Name) and f.value.id in modules
+        ) or (isinstance(f, ast.Name) and f.id in functions):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_finds_a_json_decode_call():
+    source = (
+        "import json\nimport json as j\nfrom json import loads as parse, dumps\n"
+        "a = json.loads('1')\nb = j.load(f)\nc = parse('2')\n"
+        "d = json.dumps(a)\ne = dumps(b)\nf = other.loads(c)\n"
+    )
+    assert json_decode_calls(source) == [4, 5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_boundary_decodes_json(path):
+    if path.name == "_json.py":
+        assert json_decode_calls(path.read_text()) != []
+    else:
+        assert json_decode_calls(path.read_text()) == []

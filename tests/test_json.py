@@ -2,7 +2,18 @@ import sys
 
 import pytest
 
-from stackgrasp._json import DocumentError, integer, json_list, load, number, number_list, string
+from stackgrasp._json import (
+    DocumentError,
+    box_row,
+    grasp_rect,
+    integer,
+    json_list,
+    load,
+    number,
+    number_list,
+    string,
+)
+from stackgrasp.geometry import AABox, OrientedRect
 
 
 class TestLoad:
@@ -85,3 +96,52 @@ class TestLists:
     def test_number_list_names_the_bad_item(self, value, message):
         with pytest.raises(ValueError, match=message):
             number_list("bbox", value, 4)
+
+
+class TestRowReaders:
+    def test_box_row(self):
+        row = {"id": 3, "category": "cup", "bbox": [1.0, 2.0, 3.0, 4.0]}
+        assert box_row(row) == (3, "cup", AABox(1.0, 2.0, 3.0, 4.0))
+        # integer coordinates take the strict path and are read as floats
+        instance_id, category, box = box_row({**row, "bbox": [1, 2, 3, 4]})
+        assert (instance_id, category, box) == (3, "cup", AABox(1.0, 2.0, 3.0, 4.0))
+        assert all(type(v) is float for v in box.as_tuple())
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (True, "expected an object, got bool"),
+            ([3, "cup"], "expected an object, got list"),
+            ({"id": 3.0, "category": "", "bbox": [0]}, "id must be an integer"),
+            ({"id": 3, "category": "", "bbox": [0]}, "empty category name"),
+            ({"id": 3, "category": 5, "bbox": [0]}, "category must be a string"),
+            ({"id": 3, "category": "cup", "bbox": [0, 0, 1]}, "bbox needs 4 values"),
+            ({"id": 3, "category": "cup", "bbox": [0.0, 0.0, 1e200, 1e200]}, "overflows to inf"),
+        ],
+    )
+    def test_box_row_names_the_first_bad_field(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            box_row(row)
+
+    def test_box_row_missing_field(self):
+        with pytest.raises(KeyError, match="category"):
+            box_row({"id": 3, "bbox": [0.0, 0.0, 1.0, 1.0]})
+
+    def test_grasp_rect(self):
+        assert grasp_rect({"rect": [1.0, 2.0, 3.0, 4.0, 5.0]}) == OrientedRect(1.0, 2.0, 3.0, 4.0, 5.0)
+        rect = grasp_rect({"rect": [1, 2, 3, 4, 5], "owner": 1})
+        assert rect == OrientedRect(1.0, 2.0, 3.0, 4.0, 5.0) and type(rect.x) is float
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (None, "expected an object, got NoneType"),
+            ({"rect": (1.0, 2.0, 3.0, 4.0, 5.0)}, "rect must be a list"),
+            ({"rect": [1.0, 2.0, 3.0, 4.0]}, "rect needs 5 values"),
+            ({"rect": [1.0, 2.0, "3", 4.0, 5.0]}, r"rect\[2\] must be a number"),
+            ({"rect": [1.0, 2.0, 0.0, 4.0, 5.0]}, "degenerate rectangle"),
+        ],
+    )
+    def test_grasp_rect_errors(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            grasp_rect(row)

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import replace
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracle_utils import grid_coverage_fraction, rebuilt_predict, rebuilt_run_trial
 from stackgrasp import simulation
+from stackgrasp._json import DocumentError
 from stackgrasp.dataset import SceneGrasp, SceneObject, SceneRecord, serialize_scene
 from stackgrasp.geometry import AABox, OrientedRect, aabb_iou
 from stackgrasp.perception import predictions_to_json_dict
@@ -25,6 +27,7 @@ from stackgrasp.simulation import (
     generate_scene,
     number,
     oracle_predict,
+    parse_sim_config,
     remove_object,
     run_trial,
     select_target,
@@ -227,6 +230,68 @@ class TestTrialConfig:
             TrialConfig(seed=0, target_rule="nearest")
         with pytest.raises(ValueError, match="coverage threshold"):
             TrialConfig(seed=0, coverage_threshold=0.0)
+
+
+class TestParseSimConfig:
+    CONFIG = {
+        "seed": 5,
+        "regimes": [
+            {"name": "shallow", "count_range": [2, 4], "trials": 500},
+            {"count_range": [6, 9], "trials": 3, "target_rule": "deepest",
+             "noise": {"relation_flip_prob": 0.1, "box_sigma": 2}},
+        ],
+    }
+
+    def test_reads_text_or_document(self):
+        expected = (
+            5,
+            [
+                ("shallow", 500, TrialConfig(seed=0, count_range=(2, 4))),
+                (
+                    "regime1",
+                    3,
+                    TrialConfig(
+                        seed=0, count_range=(6, 9), target_rule="deepest",
+                        noise=NoiseModel(relation_flip_prob=0.1, box_sigma=2.0),
+                    ),
+                ),
+            ],
+        )
+        assert parse_sim_config(self.CONFIG) == expected
+        assert parse_sim_config(json.dumps(self.CONFIG)) == expected
+        assert parse_sim_config({"regimes": self.CONFIG["regimes"]})[0] == 0
+
+    @pytest.mark.parametrize(
+        "edit, where, message",
+        [
+            ({"sed": 7}, "$", r"unknown config fields: \['sed'\]"),
+            ({"seed": -1}, "$", "seed must be non-negative"),
+            ({"seed": 1.5}, "$", "seed must be an integer"),
+            ({"regimes": []}, "regimes", "missing or not a non-empty list"),
+            ({"regimes": {}}, "regimes", "missing or not a non-empty list"),
+            ({"regimes": [5]}, "regimes[0]", "needs at least 'count_range' and 'trials'"),
+            ({"regimes": [{"count_range": [2, 4], "trials": 1, "top_n": 3}]}, "regimes[0]",
+             "unknown regime fields"),
+            ({"regimes": [{"count_range": [2, 4], "trials": 1, "name": "a/b"}]}, "regimes[0]",
+             "path separator"),
+        ],
+    )
+    def test_errors_carry_the_json_path(self, edit, where, message):
+        with pytest.raises(DocumentError, match=message) as exc:
+            parse_sim_config({**self.CONFIG, **edit})
+        assert exc.value.where == where
+
+    def test_duplicate_name_is_the_later_regime(self):
+        regime = {"name": "a", "count_range": [2, 4], "trials": 1}
+        with pytest.raises(DocumentError, match="duplicate regime name 'a'") as exc:
+            parse_sim_config({"regimes": [regime, regime]})
+        assert exc.value.where == "regimes[1]"
+
+    @pytest.mark.parametrize("source", ["[1, 2]", "null", [], "{"])
+    def test_top_level_must_be_an_object(self, source):
+        with pytest.raises(DocumentError) as exc:
+            parse_sim_config(source)
+        assert exc.value.where == "$"
 
 
 class TestGenerateScene:
