@@ -1,24 +1,41 @@
-"""The boundary for input JSON documents: ``load`` decodes every one, the
-field readers accept a field only as the JSON type it must have (a JSON
-integer is read as a float in a number field), and the row readers build
-the boxes and grasp rectangles that scenes and predictions share. Each
-error names the field's JSON path, or the field within an object whose
-path the caller adds."""
+"""The boundary for input files and JSON documents: ``read_file`` reads
+every input file, ``load`` decodes every document, the field readers
+accept a field only as the JSON type it must have (a JSON integer is read
+as a float in a number field), and the row readers build the boxes and
+grasp rectangles that scenes and predictions share. Each error names the
+field's JSON path, or the field within an object whose path the caller
+adds; ``read_file`` puts the file's path in front."""
 
 from __future__ import annotations
 
 import json
 import numbers
+from pathlib import Path
 
 from .geometry import AABox, OrientedRect
 
 
 class DocumentError(ValueError):
-    """Invalid input document; ``where`` holds the JSON path of the problem."""
+    """Invalid input document or unreadable input file; ``where`` holds the
+    JSON path of the problem, or the path of the file."""
 
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
         self.where = where
+
+
+def read_file(path, parse):
+    """``parse`` applied to the text of the file at ``path``. A file that
+    cannot be read or decoded, or a ValueError from ``parse``, is a
+    DocumentError at the path."""
+    # eval passes hundreds of Paths a call; Path(p) would parse each again
+    path = path if isinstance(path, Path) else Path(path)
+    try:
+        return parse(path.read_text())
+    except OSError as e:
+        raise DocumentError(str(path), e.strerror or str(e)) from e
+    except ValueError as e:
+        raise DocumentError(str(path), str(e)) from e
 
 
 def load(text: str):

@@ -8,8 +8,9 @@ Subcommands:
   augment    mirror / rotate a scene annotation file
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing, malformed or
-inconsistent input), 3 numerical failure (degenerate calibration,
-non-finite values, grasp coordinates too large to compare).
+inconsistent input, or a file that cannot be read or written), 3 numerical
+failure (degenerate calibration, non-finite values, grasp coordinates too
+large to compare). ``main`` alone maps an error to its code.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._json import load
+from ._json import DocumentError, load, read_file
 from .dataset import (
     hflip,
+    load_scene,
     parse_scene,
     record_to_predictions,
     rot90,
@@ -48,24 +50,6 @@ EXIT_NUMERIC = 3
 CALIBRATION_WARN_RMS_MM = 1.0
 
 
-class DataError(Exception):
-    """Input file missing, unreadable, malformed, or inconsistent."""
-
-
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text()
-    except OSError as e:
-        raise DataError(f"{path}: {e.strerror or e}") from e
-
-
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as e:
-        raise DataError(f"{path}: {e.strerror or e}") from e
-
-
 def _json_text(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
@@ -74,7 +58,7 @@ def _emit(text: str, out: str | None, pretty: bool, table: str) -> None:
     """Write the JSON ``text`` to ``out`` or stdout; ``pretty`` prints the
     human ``table`` instead of the JSON on stdout."""
     if out:
-        _write_text(Path(out), text)
+        Path(out).write_text(text)
         if pretty:
             sys.stdout.write(table)
     elif pretty:
@@ -83,37 +67,27 @@ def _emit(text: str, out: str | None, pretty: bool, table: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_predictions_file(path: Path) -> ScenePredictions:
-    """Accept either a predictions file or a ground-truth scene file (the
-    latter is converted to perfect predictions)."""
-    try:
-        data = load(_read_text(path))
-        if not isinstance(data, dict):
-            raise ValueError("expected a JSON object at the top level")
-        if "detections" in data:
-            return parse_predictions(data)
-        if "objects" in data:
-            return record_to_predictions(parse_scene(data))
-    except ValueError as e:
-        raise DataError(f"{path}: {e}") from e
-    raise DataError(f"{path}: neither a predictions file nor a scene file")
-
-
-def _load_scene_file(path: Path):
-    try:
-        return parse_scene(_read_text(path))
-    except ValueError as e:
-        raise DataError(f"{path}: {e}") from e
+def _predictions(text: str) -> ScenePredictions:
+    """The predictions of a predictions file, or the perfect predictions of
+    a ground-truth scene file."""
+    data = load(text)
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object at the top level")
+    if "detections" in data:
+        return parse_predictions(data)
+    if "objects" in data:
+        return record_to_predictions(parse_scene(data))
+    raise ValueError("neither a predictions file nor a scene file")
 
 
 def _collect_eval_inputs(gt: Path, pred: Path) -> list[tuple[str, Path, Path]]:
     if gt.is_dir() != pred.is_dir():
-        raise DataError("--gt and --pred must both be files or both be directories")
+        raise ValueError("--gt and --pred must both be files or both be directories")
     if not gt.is_dir():
         return [(gt.stem, gt, pred)]
     gt_files = sorted(gt.glob("*.json"))
     if not gt_files:
-        raise DataError(f"{gt}: no .json scene files found")
+        raise ValueError(f"{gt}: no .json scene files found")
     pairs = []
     missing = []
     for g in gt_files:
@@ -125,7 +99,7 @@ def _collect_eval_inputs(gt: Path, pred: Path) -> list[tuple[str, Path, Path]]:
     if missing:
         for m in missing:
             print(f"missing predictions: {m}", file=sys.stderr)
-        raise DataError(f"{len(missing)} scene(s) without a predictions file")
+        raise ValueError(f"{len(missing)} scene(s) without a predictions file")
     return pairs
 
 
@@ -139,14 +113,14 @@ def _cmd_eval(args) -> int:
     problems = []
     for _, gt_path, pred_path in pairs:
         try:
-            records.append(_load_scene_file(gt_path))
-            preds.append(_load_predictions_file(pred_path))
-        except DataError as e:
+            records.append(load_scene(gt_path))
+            preds.append(read_file(pred_path, _predictions))
+        except DocumentError as e:
             problems.append(str(e))
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
-        raise DataError(f"{len(problems)} unreadable input file(s)")
+        raise ValueError(f"{len(problems)} unreadable input file(s)")
     report = evaluate(records, preds, thresholds)
     data = report.to_json_dict()
     lines = [
@@ -182,14 +156,14 @@ def _edge_text(above: int, below: int, confidence: float) -> str:
 
 
 def _cmd_plan(args) -> int:
-    preds = _load_predictions_file(Path(args.pred))
+    preds = read_file(args.pred, _predictions)
     if not preds.detections:
-        raise DataError(f"{args.pred}: no detections to plan over")
+        raise ValueError(f"{args.pred}: no detections to plan over")
     perceived = preds.perceived()
     try:
         labels = symmetrize(preds.relations)
     except ValueError as e:
-        raise DataError(f"{args.pred}: {e}") from e
+        raise ValueError(f"{args.pred}: {e}") from e
     graph = build_graph([p.detection.instance_id for p in perceived], labels)
 
     # an id is ASCII digits with an optional minus; other text is a category
@@ -199,7 +173,7 @@ def _cmd_plan(args) -> int:
     else:
         resolved = any(p.detection.category == target for p in perceived)
     if not resolved and not args.assume_hidden:
-        raise DataError(
+        raise ValueError(
             f"target {args.target!r} matches no detection; pass --assume-hidden "
             "to plan an uncovering sequence anyway"
         )
@@ -269,13 +243,10 @@ def _trial_seed(base: int, regime_index: int, trial_index: int) -> int:
 
 def _cmd_simulate(args) -> int:
     path = Path(args.config)
-    try:
-        base_seed, regimes = parse_sim_config(_read_text(path))
-    except ValueError as e:
-        raise DataError(f"{path}: {e}") from e
+    base_seed, regimes = read_file(path, parse_sim_config)
     if args.seed is not None:
         if args.seed < 0:
-            raise DataError(f"--seed: seed must be non-negative, got {args.seed}")
+            raise ValueError(f"--seed: seed must be non-negative, got {args.seed}")
         base_seed = args.seed
     log_dir = Path(args.trial_log) if args.trial_log else None
     if log_dir is not None:
@@ -285,14 +256,14 @@ def _cmd_simulate(args) -> int:
     for ri, (name, trials, config) in enumerate(regimes):
         successes = 0
         for ti in range(trials):
-            log = run_trial(replace(config, seed=_trial_seed(base_seed, ri, ti)))
+            try:
+                log = run_trial(replace(config, seed=_trial_seed(base_seed, ri, ti)))
+            except ValueError as e:
+                raise ValueError(f"{path}: regimes[{ri}]: trial {ti}: {e}") from e
             if sequential_success(log):
                 successes += 1
             if log_dir is not None:
-                _write_text(
-                    log_dir / f"{name}_{ti:04d}.json",
-                    _json_text(log.to_json_dict()),
-                )
+                (log_dir / f"{name}_{ti:04d}.json").write_text(_json_text(log.to_json_dict()))
         rate = successes / trials
         rows.append(
             {
@@ -312,13 +283,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    path = Path(args.pairs)
-    try:
-        pairs = load_calibration_pairs(path)
-    except OSError as e:
-        raise DataError(f"{path}: {e.strerror or e}") from e
-    except ValueError as e:
-        raise DataError(f"{path}: {e}") from e
+    pairs = load_calibration_pairs(args.pairs)
     affine = fit_affine(pairs)  # CalibrationError propagates as a numeric failure
     if affine.residual_rms > CALIBRATION_WARN_RMS_MM:
         print(
@@ -335,7 +300,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    record = _load_scene_file(Path(args.scene))
+    record = load_scene(args.scene)
     if args.rot90:
         record = rot90(record, args.rot90)
     if args.hflip:
@@ -413,17 +378,16 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
+    # CalibrationError and LinAlgError are ValueErrors: caught first
     try:
         return args.func(args)
-    except DataError as e:
+    except (CalibrationError, np.linalg.LinAlgError, OverflowError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OSError as e:  # an output file, or the trial log directory
+        where = f"{e.filename}: {e.strerror}" if e.filename is not None else e
+        print(f"error: {where}", file=sys.stderr)
         return EXIT_DATA
-    except CalibrationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (np.linalg.LinAlgError, OverflowError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

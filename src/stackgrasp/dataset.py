@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from ._json import DocumentError, box_row, grasp_rect, integer, json_list, json_object, load, string
+from ._json import DocumentError, box_row, grasp_rect, integer, json_list, json_object, load, read_file, string
 from .geometry import AABox, OrientedRect, normalize_angle
 from .perception import GraspCandidate, ObjectDetection, ScenePredictions
 
@@ -184,14 +184,9 @@ def serialize_scene(record: SceneRecord) -> str:
 
 
 def load_scene(path) -> SceneRecord:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise SceneParseError(str(path), str(e)) from e
-    try:
-        return parse_scene(text)
-    except SceneParseError as e:
-        raise SceneParseError(f"{path}:{e.where}", str(e).split(": ", 1)[-1]) from e
+    """The scene in the file at ``path``; an error names the file, then the
+    JSON path of the problem."""
+    return read_file(path, parse_scene)
 
 
 def save_scene(path, record: SceneRecord) -> None:

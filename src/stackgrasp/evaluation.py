@@ -12,7 +12,7 @@ of 0.9999999999999998.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,12 +40,7 @@ class MatchThresholds:
             raise ValueError("top_n must be at least 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "iou": self.iou,
-            "jaccard": self.jaccard,
-            "angle_deg": self.angle_deg,
-            "top_n": self.top_n,
-        }
+        return asdict(self)
 
 
 def grasp_correct(pred: PerceivedObject, gt_grasps: Sequence[SceneGrasp],

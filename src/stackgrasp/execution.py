@@ -16,12 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ._json import load, number, number_list
+from ._json import load, number, number_list, read_file
 from .geometry import OrientedRect, normalize_angle, rect_vertices
 
 
 class CalibrationError(ValueError):
-    """Bad or insufficient calibration data."""
+    """The calibration fit failed: too few, degenerate or non-finite
+    reference pairs, or a singular map. A pairs file that cannot be read or
+    is invalid is a DocumentError, not this."""
 
 
 class GraspExecutionError(RuntimeError):
@@ -322,23 +324,27 @@ def load_depth_pgm(path) -> DepthImage:
     return DepthImage.from_millimeters(arr.astype(float))
 
 
-def load_calibration_pairs(path) -> list[tuple[list[float], list[float]]]:
-    """Read [{"pixel": [u, v, d], "robot": [x, y, z]}, ...] with at least 4
-    pairs; every coordinate must be a JSON number. Errors name the pair,
-    not the file."""
-    data = load(Path(path).read_text())
+def _calibration_pairs(text: str) -> list[tuple[list[float], list[float]]]:
+    data = load(text)
     if not isinstance(data, list):
-        raise CalibrationError("expected a JSON list of pairs")
+        raise ValueError("expected a JSON list of pairs")
     pairs = []
     for i, entry in enumerate(data):
         try:
             pixel = number_list("pixel", entry["pixel"])
             robot = number_list("robot", entry["robot"])
         except (KeyError, TypeError, ValueError) as e:
-            raise CalibrationError(f"pair {i}: {e}") from e
+            raise ValueError(f"pair {i}: {e}") from e
         if len(pixel) != 3 or len(robot) != 3:
-            raise CalibrationError(f"pair {i}: points must be 3-d")
+            raise ValueError(f"pair {i}: points must be 3-d")
         pairs.append((pixel, robot))
     if len(pairs) < 4:
-        raise CalibrationError(f"need at least 4 calibration pairs, got {len(pairs)}")
+        raise ValueError(f"need at least 4 calibration pairs, got {len(pairs)}")
     return pairs
+
+
+def load_calibration_pairs(path) -> list[tuple[list[float], list[float]]]:
+    """Read [{"pixel": [u, v, d], "robot": [x, y, z]}, ...] with at least 4
+    pairs; every coordinate must be a JSON number. An unreadable or invalid
+    file is a DocumentError naming the file, then the pair."""
+    return read_file(path, _calibration_pairs)

@@ -91,8 +91,9 @@ def select_best_grasp(
         raise NoGraspError("no grasp candidates to select from")
     if top_n < 1:
         raise ValueError("top_n must be at least 1")
-    ranked = sorted(range(len(candidates)), key=lambda i: (-candidates[i].confidence, i))
-    pool = ranked[: min(top_n, len(ranked))]
+    pool = range(len(candidates))
+    if len(candidates) > top_n:
+        pool = sorted(pool, key=lambda i: (-candidates[i].confidence, i))[:top_n]
     cx, cy = box.center
 
     def key(i: int):
@@ -126,24 +127,16 @@ def nms(
     """Greedy category-aware non-maximum suppression.
 
     Detections below ``score_floor`` are dropped first; the rest are taken
-    score-descending and each survivor suppresses same-category boxes whose
-    IoU with it exceeds ``iou_threshold``. Output preserves the score order.
+    score-descending (ties in input order), and each is kept unless a kept
+    box of its category has an IoU above ``iou_threshold`` with it. Output
+    preserves the score order.
     """
-    alive = [d for d in detections if d.score >= score_floor]
-    order = sorted(range(len(alive)), key=lambda i: (-alive[i].score, i))
     kept: list[ObjectDetection] = []
-    suppressed = set()
-    for i in order:
-        if i in suppressed:
-            continue
-        kept.append(alive[i])
-        for j in order:
-            if j == i or j in suppressed:
-                continue
-            if alive[j].category == alive[i].category and aabb_iou(
-                alive[i].box, alive[j].box
-            ) > iou_threshold:
-                suppressed.add(j)
+    for d in sorted((d for d in detections if d.score >= score_floor), key=lambda d: -d.score):
+        if not any(
+            k.category == d.category and aabb_iou(k.box, d.box) > iou_threshold for k in kept
+        ):
+            kept.append(d)
     return kept
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -72,13 +72,7 @@ class NoiseModel:
                 raise ValueError(f"{name} must be non-negative, got {v}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "drop_prob": self.drop_prob,
-            "box_sigma": self.box_sigma,
-            "angle_sigma": self.angle_sigma,
-            "relation_flip_prob": self.relation_flip_prob,
-            "score_sigma": self.score_sigma,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NoiseModel":
@@ -466,9 +460,7 @@ def oracle_predict(
         draws = rng.normal(size=5 + 2 * len(rects))
         if u_drop < noise.drop_prob or not live.coverage(i) < coverage_threshold:
             continue
-        # numpy floats, as before: a huge box_sigma then overflows to inf
-        # downstream instead of raising OverflowError
-        jitter = draws[:4]
+        jitter = draws[:4].tolist()
         score_draw = float(draws[4])
         b = o.box
         x0, x1 = sorted((b.xmin + noise.box_sigma * jitter[0], b.xmax + noise.box_sigma * jitter[2]))

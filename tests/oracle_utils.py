@@ -14,7 +14,9 @@ record at every removal and draws each relation flip by scalar calls.
 The polygon clip calls one helper per side test and per crossing, the
 evaluator scans the record for every query, clips before it compares
 angles and makes a Fraction at every rank, and scene and detection rows
-are read one field at a time by the strict readers.
+are read one field at a time by the strict readers. Non-maximum
+suppression marks every box a survivor overlaps, and grasp selection
+always ranks every candidate by confidence.
 """
 
 from __future__ import annotations
@@ -795,3 +797,40 @@ def per_field_detections(data: dict):
                 raise ValueError(f"detections[{i}].grasps[{j}]: {e}") from e
         candidates[instance_id] = grasps
     return detections, candidates
+
+
+def reference_nms(detections, iou_threshold: float = 0.3, score_floor: float = 0.05):
+    """Greedy category-aware non-maximum suppression that marks, for every
+    survivor in score order, each same-category box it overlaps by more
+    than ``iou_threshold`` as suppressed."""
+    from stackgrasp.geometry import aabb_iou
+
+    alive = [d for d in detections if d.score >= score_floor]
+    order = sorted(range(len(alive)), key=lambda i: (-alive[i].score, i))
+    kept = []
+    suppressed = set()
+    for i in order:
+        if i in suppressed:
+            continue
+        kept.append(alive[i])
+        for j in order:
+            if j == i or j in suppressed:
+                continue
+            if alive[j].category == alive[i].category and aabb_iou(
+                alive[i].box, alive[j].box
+            ) > iou_threshold:
+                suppressed.add(j)
+    return kept
+
+
+def reference_select_best_grasp(candidates, box, top_n: int = 3):
+    """The candidate ``select_best_grasp`` picks, always ranking the whole
+    list by confidence before taking the ``top_n`` pool."""
+    ranked = sorted(range(len(candidates)), key=lambda i: (-candidates[i].confidence, i))
+    cx, cy = box.center
+
+    def key(i):
+        r = candidates[i].rect
+        return ((r.x - cx) ** 2 + (r.y - cy) ** 2, -candidates[i].confidence, i)
+
+    return candidates[min(ranked[:top_n], key=key)]

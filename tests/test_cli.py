@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -550,6 +551,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "box area overflows to inf" in err and "Traceback" not in err
 
+    def test_trial_data_error_names_the_regime_and_trial(self, tmp_path, capsys):
+        cfg = {"regimes": [{"count_range": [2, 4], "trials": 1, "noise": {"box_sigma": 1e200}}]}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(path)]) == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: regimes[0]: trial 0: box area overflows to inf")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_trial_log_on_a_file_is_a_data_error(self, tmp_path, capsys):
+        path = sim_config(tmp_path)
+        log = tmp_path / "afile"
+        log.write_text("")
+        assert main(["simulate", "--config", str(path), "--trial-log", str(log)]) == 2
+        assert capsys.readouterr().err == f"error: {log}: File exists\n"
+
 
 def calibration_pairs():
     linear = [[0.002, 0.0, 0.0], [0.0, 0.002, 0.0], [0.0, 0.0, 1.0]]
@@ -785,6 +805,33 @@ def test_bad_input_is_a_data_error(tmp_path, scene_file, capsys, command, doc, w
     err = capsys.readouterr().err
     assert where in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "plan", "simulate", "calibrate", "augment"])
+@pytest.mark.parametrize(
+    "kind, reason", [("directory", "Is a directory"), ("under-a-file", "Not a directory")]
+)
+def test_unwritable_output_is_a_data_error(tmp_path, scene_file, capsys, command, kind, reason):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps(calibration_pairs()))
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"regimes": [{"count_range": [2, 4], "trials": 1}]}))
+    argv = {
+        "eval": ["eval", "--gt", str(scene_file), "--pred", str(scene_file)],
+        "plan": ["plan", "--pred", str(scene_file), "--target", "1"],
+        "simulate": ["simulate", "--config", str(sim)],
+        "calibrate": ["calibrate", "--pairs", str(pairs)],
+        "augment": ["augment", "--scene", str(scene_file)],
+    }[command]
+    blocker = tmp_path / "blocker"
+    if kind == "directory":
+        blocker.mkdir()
+        out = blocker
+    else:
+        blocker.write_text("")
+        out = blocker / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: {reason}\n"
 
 
 # The README simulation config cut to one trial per regime.

@@ -226,6 +226,16 @@ class TestFileIo:
         with pytest.raises(SceneParseError, match="gone.json"):
             load_scene(tmp_path / "gone.json")
 
+    def test_load_error_reads_file_then_field(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"image": {"width": "640", "height": 480}}))
+        with pytest.raises(SceneParseError) as exc:
+            load_scene(path)
+        assert str(exc.value) == f"{path}: image: width must be an integer, got '640'"
+        with pytest.raises(SceneParseError) as exc:
+            load_scene(tmp_path / "gone.json")
+        assert str(exc.value) == f"{tmp_path / 'gone.json'}: No such file or directory"
+
 
 class TestHflip:
     def test_frozen_mapping(self):

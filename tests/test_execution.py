@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackgrasp._json import DocumentError
 from stackgrasp.execution import (
     AffineMap,
     CalibrationError,
@@ -567,23 +568,27 @@ class TestLoadCalibrationPairs:
         # the file's own rule, read before any fit
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps([{"pixel": [0, 0, 500], "robot": [0, 0, 0.5]}] * 3))
-        with pytest.raises(CalibrationError, match="need at least 4 calibration pairs, got 3"):
+        with pytest.raises(DocumentError, match="need at least 4 calibration pairs, got 3"):
             load_calibration_pairs(path)
 
     def test_not_a_list(self, tmp_path):
         path = tmp_path / "pairs.json"
         path.write_text("{}")
-        with pytest.raises(CalibrationError, match="JSON list"):
+        with pytest.raises(DocumentError, match="JSON list"):
             load_calibration_pairs(path)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps([{"pixel": [0, 0, 500]}]))
-        with pytest.raises(CalibrationError, match="pair 0"):
+        with pytest.raises(DocumentError, match="pair 0"):
             load_calibration_pairs(path)
 
     def test_wrong_dimension(self, tmp_path):
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps([{"pixel": [0, 0], "robot": [0, 0, 0]}]))
-        with pytest.raises(CalibrationError, match="3-d"):
+        with pytest.raises(DocumentError, match="3-d"):
             load_calibration_pairs(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DocumentError, match="gone.json: No such file or directory"):
+            load_calibration_pairs(tmp_path / "gone.json")

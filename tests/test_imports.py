@@ -4,8 +4,8 @@ the input boundary decodes JSON. The checks read the source with ``ast``:
 a name bound by an import must be read somewhere in its module
 (``__init__.py`` re-exports, so it is left out), a ``_private`` function,
 class or constant must be read in some module of the package, by name or
-as an attribute, and no module but ``_json.py`` may call ``json.loads`` or
-``json.load``."""
+as an attribute, and no module but ``_json.py`` may call ``json.loads``,
+``json.load`` or a ``read_text`` method."""
 
 import ast
 from pathlib import Path
@@ -140,3 +140,32 @@ def test_only_the_boundary_decodes_json(path):
         assert json_decode_calls(path.read_text()) != []
     else:
         assert json_decode_calls(path.read_text()) == []
+
+
+def read_text_calls(source: str) -> list[int]:
+    """The line of every call of a method named ``read_text`` in the source,
+    on any object (``Path(p).read_text()``, ``path.read_text(...)``)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "read_text"
+    )
+
+
+def test_finds_a_read_text_call():
+    source = (
+        "from pathlib import Path\n"
+        "a = Path(p).read_text()\nb = p.read_text(encoding='utf-8')\n"
+        "c = p.read_bytes()\nd = p.write_text(a)\nread_text = 1\n"
+    )
+    assert read_text_calls(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_boundary_reads_text_files(path):
+    if path.name == "_json.py":
+        assert read_text_calls(path.read_text()) != []
+    else:
+        assert read_text_calls(path.read_text()) == []

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stackgrasp.anchors import AnchorConfig, GraspDelta, generate_anchors
 from stackgrasp.geometry import AABox, OrientedRect
@@ -19,6 +21,8 @@ from stackgrasp.perception import (
     select_best_grasp,
     serialize_predictions,
 )
+
+from oracle_utils import reference_nms, reference_select_best_grasp
 
 SMALL = AnchorConfig(grid_w=2, grid_h=2, k=1)
 
@@ -125,6 +129,39 @@ class TestSelectBestGrasp:
         with pytest.raises(ValueError):
             select_best_grasp([cand(0, 0, 0.5)], self.BOX, top_n=0)
 
+    # no more candidates than top_n: the whole list is the pool
+    @pytest.mark.parametrize(
+        "cands, top_n, index",
+        [
+            ([cand(3, 3, 0.2)], 1, 0),
+            ([cand(3, 3, 0.2)], 3, 0),
+            # confidence tie: the nearer wins, then the lower index
+            ([cand(0, 0, 0.5), cand(9, 9, 0.5)], 2, 1),
+            ([cand(8, 10, 0.5, theta=5.0), cand(12, 10, 0.5)], 2, 0),
+            # distance tie: the more confident wins, then the lower index
+            ([cand(8, 10, 0.4), cand(10, 12, 0.6), cand(12, 10, 0.6)], 3, 1),
+            ([cand(10, 8, 0.7), cand(10, 12, 0.7), cand(8, 10, 0.7)], 3, 0),
+            # the least confident is nearest and still in the pool
+            ([cand(0, 0, 0.9), cand(20, 20, 0.8), cand(10, 10, 0.1)], 3, 2),
+            ([cand(0, 0, 0.9), cand(10, 10, 0.1)], 3, 1),
+        ],
+    )
+    def test_pool_of_every_candidate(self, cands, top_n, index):
+        assert select_best_grasp(cands, self.BOX, top_n) is cands[index]
+
+    @given(
+        points=st.lists(
+            st.tuples(st.sampled_from([8.0, 10.0, 12.0]), st.sampled_from([8.0, 10.0, 12.0]),
+                      st.sampled_from([0.25, 0.5, 0.75])),
+            min_size=1, max_size=6,
+        ),
+        top_n=st.integers(1, 5),
+    )
+    def test_matches_ranking_every_candidate(self, points, top_n):
+        cands = [cand(x, y, c) for x, y, c in points]
+        best = select_best_grasp(cands, self.BOX, top_n)
+        assert best is reference_select_best_grasp(cands, self.BOX, top_n)
+
 
 class TestPerceive:
     def test_no_candidates_gives_graspless_object(self):
@@ -183,6 +220,23 @@ class TestNms:
         c = det(3, 9, 0, 19, 10, score=0.7)
         kept = nms([a, b, c], iou_threshold=0.3)
         assert [d.instance_id for d in kept] == [1, 3]
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 6), st.integers(1, 6),
+                      st.sampled_from([0.0, 0.04, 0.05, 0.5, 0.9]), st.sampled_from("ab")),
+            max_size=10,
+        ),
+        iou_threshold=st.sampled_from([0.0, 0.1, 0.3, 1 / 3, 0.5, 1.0]),
+    )
+    def test_matches_suppressing_every_overlap(self, rows, iou_threshold):
+        # small integer boxes and few scores, so IoU and score ties are common
+        dets = [
+            det(i, x, y, x + w, y + h, score=s, category=c)
+            for i, (x, y, w, h, s, c) in enumerate(rows)
+        ]
+        kept = nms(dets, iou_threshold)
+        assert [id(d) for d in kept] == [id(d) for d in reference_nms(dets, iou_threshold)]
 
 
 def sample_predictions() -> ScenePredictions:
