@@ -37,7 +37,7 @@ from .dataset import (
 from .evaluation import MatchThresholds, evaluate, sequential_success
 from .execution import CalibrationError, fit_affine, load_calibration_pairs
 from .perception import ScenePredictions, parse_predictions
-from .reasoning import ManipulationGraph, build_graph, next_action, symmetrize
+from .reasoning import ManipulationGraph, build_graph, next_action, resolve_target, symmetrize
 from .simulation import parse_sim_config, run_trial
 
 EXIT_OK = 0
@@ -103,7 +103,7 @@ def _collect_eval_inputs(gt: Path, pred: Path) -> list[tuple[str, Path, Path]]:
     return pairs
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     thresholds = MatchThresholds(
         iou=args.iou, jaccard=args.jaccard, angle_deg=args.angle, top_n=args.topn
     )
@@ -131,7 +131,6 @@ def _cmd_eval(args) -> int:
         f"image accuracy         {report.relations.image_accuracy:.4f}",
     ]
     _emit(_json_text(data), args.out, args.pretty, "\n".join(lines) + "\n")
-    return EXIT_OK
 
 
 # The plan writer produces exactly the text of json.dumps(plan, indent=2).
@@ -155,7 +154,7 @@ def _edge_text(above: int, below: int, confidence: float) -> str:
     )
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args) -> None:
     preds = read_file(args.pred, _predictions)
     if not preds.detections:
         raise ValueError(f"{args.pred}: no detections to plan over")
@@ -168,10 +167,7 @@ def _cmd_plan(args) -> int:
 
     # an id is ASCII digits with an optional minus; other text is a category
     target = int(args.target) if re.fullmatch(r"-?[0-9]+", args.target) else args.target
-    if isinstance(target, int):
-        resolved = any(p.detection.instance_id == target for p in perceived)
-    else:
-        resolved = any(p.detection.category == target for p in perceived)
+    resolved = resolve_target(perceived, target) is not None
     if not resolved and not args.assume_hidden:
         raise ValueError(
             f"target {args.target!r} matches no detection; pass --assume-hidden "
@@ -233,7 +229,6 @@ def _cmd_plan(args) -> int:
         "}\n"
     )
     _emit(text, args.out, args.pretty, "\n".join(lines) + "\n")
-    return EXIT_OK
 
 
 def _trial_seed(base: int, regime_index: int, trial_index: int) -> int:
@@ -241,7 +236,7 @@ def _trial_seed(base: int, regime_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     path = Path(args.config)
     base_seed, regimes = read_file(path, parse_sim_config)
     if args.seed is not None:
@@ -279,10 +274,9 @@ def _cmd_simulate(args) -> int:
     width = max(len(r["name"]) for r in rows)
     lines = [f"{r['name']:<{width}}  {r['summary']}" for r in rows]
     _emit(_json_text(data), args.out, args.pretty, "\n".join(lines) + "\n")
-    return EXIT_OK
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args) -> None:
     pairs = load_calibration_pairs(args.pairs)
     affine = fit_affine(pairs)  # CalibrationError propagates as a numeric failure
     if affine.residual_rms > CALIBRATION_WARN_RMS_MM:
@@ -296,17 +290,15 @@ def _cmd_calibrate(args) -> int:
         f"residual RMS  {affine.residual_rms:.6f}\n"
     )
     _emit(_json_text(affine.to_json_dict()), args.out, args.pretty, table)
-    return EXIT_OK
 
 
-def _cmd_augment(args) -> int:
+def _cmd_augment(args) -> None:
     record = load_scene(args.scene)
     if args.rot90:
         record = rot90(record, args.rot90)
     if args.hflip:
         record = hflip(record)
     _emit(serialize_scene(record), args.out, False, "")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="scene file or directory")
     p.add_argument("--pred", required=True, help="predictions file or directory")
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
-    p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--jaccard", type=float, default=0.25)
-    p.add_argument("--angle", type=float, default=30.0)
-    p.add_argument("--topn", type=int, default=3)
+    p.add_argument("--iou", type=float, default=MatchThresholds.iou)
+    p.add_argument("--jaccard", type=float, default=MatchThresholds.jaccard)
+    p.add_argument("--angle", type=float, default=MatchThresholds.angle_deg)
+    p.add_argument("--topn", type=int, default=MatchThresholds.top_n)
     p.add_argument("--pretty", action="store_true", help="print a summary table")
     p.set_defaults(func=_cmd_eval)
 
@@ -380,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     # CalibrationError and LinAlgError are ValueErrors: caught first
     try:
-        return args.func(args)
+        args.func(args)
     except (CalibrationError, np.linalg.LinAlgError, OverflowError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -391,6 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 def run() -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ._json import DocumentError, box_row, grasp_rect, integer, json_list, json_object, load, read_file, string
-from .geometry import AABox, OrientedRect, normalize_angle
+from .geometry import AABox, OrientedRect
 from .perception import GraspCandidate, ObjectDetection, ScenePredictions
 
 
@@ -193,27 +193,27 @@ def save_scene(path, record: SceneRecord) -> None:
     Path(path).write_text(serialize_scene(record))
 
 
+def _remap(record: SceneRecord, width: int, height: int, box, rect) -> SceneRecord:
+    """``record`` at image size ``width`` x ``height``, with every object's
+    box mapped by ``box`` and every grasp rectangle by ``rect``; the
+    rectangle normalizes the angle it is given."""
+    return replace(
+        record,
+        width=width,
+        height=height,
+        objects=tuple(replace(o, box=box(o.box)) for o in record.objects),
+        grasps=tuple(replace(g, rect=rect(g.rect)) for g in record.grasps),
+    )
+
+
 def hflip(record: SceneRecord) -> SceneRecord:
     """Mirror the scene across the vertical axis; an involution."""
     w = record.width
-    objects = tuple(
-        replace(o, box=AABox(w - o.box.xmax, o.box.ymin, w - o.box.xmin, o.box.ymax))
-        for o in record.objects
+    return _remap(
+        record, w, record.height,
+        lambda b: AABox(w - b.xmax, b.ymin, w - b.xmin, b.ymax),
+        lambda r: OrientedRect(w - r.x, r.y, r.w, r.h, -r.theta),
     )
-    grasps = tuple(
-        replace(
-            g,
-            rect=OrientedRect(
-                x=w - g.rect.x,
-                y=g.rect.y,
-                w=g.rect.w,
-                h=g.rect.h,
-                theta=normalize_angle(-g.rect.theta),
-            ),
-        )
-        for g in record.grasps
-    )
-    return replace(record, objects=objects, grasps=grasps)
 
 
 def rot90(record: SceneRecord, quarter_turns: int = 1) -> SceneRecord:
@@ -222,34 +222,14 @@ def rot90(record: SceneRecord, quarter_turns: int = 1) -> SceneRecord:
     Odd turn counts swap the image dimensions; grasp angles advance by 90
     degrees per turn modulo 180. Relations are unaffected.
     """
-    turns = quarter_turns % 4
-    out = record
-    for _ in range(turns):
-        w = out.width
-        objects = tuple(
-            replace(
-                o,
-                box=AABox(o.box.ymin, w - o.box.xmax, o.box.ymax, w - o.box.xmin),
-            )
-            for o in out.objects
+    for _ in range(quarter_turns % 4):
+        w = record.width
+        record = _remap(
+            record, record.height, w,
+            lambda b: AABox(b.ymin, w - b.xmax, b.ymax, w - b.xmin),
+            lambda r: OrientedRect(r.y, w - r.x, r.w, r.h, r.theta + 90.0),
         )
-        grasps = tuple(
-            replace(
-                g,
-                rect=OrientedRect(
-                    x=g.rect.y,
-                    y=w - g.rect.x,
-                    w=g.rect.w,
-                    h=g.rect.h,
-                    theta=normalize_angle(g.rect.theta + 90.0),
-                ),
-            )
-            for g in out.grasps
-        )
-        out = replace(
-            out, width=out.height, height=out.width, objects=objects, grasps=grasps
-        )
-    return out
+    return record
 
 
 def record_to_predictions(record: SceneRecord) -> ScenePredictions:

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._json import integer, number
 from .dataset import SceneGrasp, SceneObject, SceneRecord
 from .geometry import aabb_iou, angle_difference, rotated_jaccard
 from .perception import PerceivedObject, ScenePredictions
@@ -30,6 +31,9 @@ class MatchThresholds:
     top_n: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("iou", "jaccard", "angle_deg"):
+            object.__setattr__(self, name, number(name, getattr(self, name)))
+        object.__setattr__(self, "top_n", integer("top_n", self.top_n))
         if not (0.0 < self.iou <= 1.0):
             raise ValueError("iou threshold must be in (0, 1]")
         if not (0.0 <= self.jaccard < 1.0):

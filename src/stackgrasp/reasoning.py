@@ -198,6 +198,26 @@ def _best(ids, scores) -> int:
     return min(ids, key=lambda i: (-scores[i], i))
 
 
+def resolve_target(
+    detections: Sequence[PerceivedObject],
+    target: int | str | None,
+) -> int | None:
+    """The instance id that ``target`` names among ``detections``, or None
+    when none matches. An int is an instance id; a string is a category,
+    resolved to its best-scoring detection with ties to the lower id."""
+    if isinstance(target, int):
+        return target if any(p.detection.instance_id == target for p in detections) else None
+    if isinstance(target, str):
+        scores = {
+            p.detection.instance_id: p.detection.score
+            for p in detections
+            if p.detection.category == target
+        }
+        if scores:
+            return _best(scores, scores)
+    return None
+
+
 def next_action(
     g: ManipulationGraph,
     detections: Sequence[PerceivedObject],
@@ -205,28 +225,16 @@ def next_action(
 ) -> GraspAction:
     """Choose the next object to grasp.
 
-    If the target is detected: grasp it when nothing is stacked on it,
-    otherwise grasp the best-scoring leaf among the objects stacked above
-    it. If the target is not detected (hidden, or absent): grasp the
-    best-scoring leaf overall to uncover more of the scene. Score ties go
-    to the lower instance id.
+    If the target is detected (``resolve_target``): grasp it when nothing
+    is stacked on it, otherwise grasp the best-scoring leaf among the
+    objects stacked above it. If it is not detected (hidden, or absent):
+    grasp the best-scoring leaf overall to uncover more of the scene.
+    Score ties go to the lower instance id.
     """
     if not detections:
         raise EmptySceneError("no detections to act on")
     scores = {p.detection.instance_id: p.detection.score for p in detections}
-
-    target_id: int | None = None
-    if isinstance(target, int):
-        target_id = target if target in scores else None
-    elif isinstance(target, str):
-        matches = [
-            p.detection.instance_id
-            for p in detections
-            if p.detection.category == target
-        ]
-        if matches:
-            target_id = _best(matches, scores)
-
+    target_id = resolve_target(detections, target)
     if target_id is None:
         free = leaves(g) & set(scores)
         if not free:

@@ -49,6 +49,18 @@ _MIN_PARENT_SIDE = 24
 _MIN_CHILD_SIDE = 8
 
 
+def _only_fields(data, known, name: str, what: str | None = None) -> dict:
+    """``data`` when it is an object with no field outside ``known``;
+    otherwise a ValueError, ``<what> must be an object`` (``what``
+    defaults to ``name``) or ``unknown <name> fields: [...]``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what or name} must be an object")
+    bad = set(data) - set(known)
+    if bad:
+        raise ValueError(f"unknown {name} fields: {sorted(bad)}")
+    return data
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Corruption applied by the oracle predictor; all defaults are zero."""
@@ -76,12 +88,7 @@ class NoiseModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NoiseModel":
-        if not isinstance(data, dict):
-            raise ValueError("noise must be an object")
-        bad = set(data) - set(cls.__dataclass_fields__)
-        if bad:
-            raise ValueError(f"unknown noise fields: {sorted(bad)}")
-        return cls(**data)
+        return cls(**_only_fields(data, cls.__dataclass_fields__, "noise"))
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,7 @@ class TrialConfig:
         if not (isinstance(self.count_range, (tuple, list)) and len(self.count_range) == 2):
             raise ValueError(f"count_range must be a pair of integers, got {self.count_range!r}")
         lo, hi = (integer(f"count_range[{i}]", v) for i, v in enumerate(self.count_range))
+        object.__setattr__(self, "count_range", (lo, hi))
         threshold = number("coverage_threshold", self.coverage_threshold)
         object.__setattr__(self, "coverage_threshold", threshold)
         integer("max_stack_depth", self.max_stack_depth)
@@ -121,14 +129,7 @@ class TrialConfig:
     def from_json_dict(cls, data: dict) -> "TrialConfig":
         """Config of one simulation regime, with seed 0: the seed is not a
         regime field. Absent fields keep their defaults."""
-        if not isinstance(data, dict):
-            raise ValueError("regime must be an object")
-        bad = set(data) - (set(cls.__dataclass_fields__) - {"seed"})
-        if bad:
-            raise ValueError(f"unknown regime fields: {sorted(bad)}")
-        fields = dict(data)
-        if isinstance(fields.get("count_range"), list):
-            fields["count_range"] = tuple(fields["count_range"])
+        fields = dict(_only_fields(data, set(cls.__dataclass_fields__) - {"seed"}, "regime"))
         if "noise" in fields:
             fields["noise"] = NoiseModel.from_json_dict(fields["noise"])
         # __post_init__ checks the other fields
@@ -141,12 +142,8 @@ def parse_sim_config(source: str | dict) -> tuple[int, list[tuple[str, int, Tria
     all checked before any trial runs; errors carry the JSON path of the
     offending field."""
     data = load(source) if isinstance(source, str) else source
-    if not isinstance(data, dict):
-        raise DocumentError("$", "top level must be an object")
-    bad = set(data) - {"seed", "regimes"}
-    if bad:
-        raise DocumentError("$", f"unknown config fields: {sorted(bad)}")
     try:
+        _only_fields(data, {"seed", "regimes"}, "config", "top level")
         seed = integer("seed", data.get("seed", 0))
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
@@ -183,14 +180,16 @@ def parse_sim_config(source: str | dict) -> tuple[int, list[tuple[str, int, Tria
 
 
 class _Node:
-    __slots__ = ("x0", "y0", "w", "h", "level", "parent", "mode", "free_quads")
+    __slots__ = ("x0", "y0", "w", "h", "level", "parent", "index", "free_quads")
 
-    def __init__(self, x0, y0, w, h, level, parent):
+    def __init__(self, x0, y0, w, h, level, parent, index):
         self.x0, self.y0, self.w, self.h = x0, y0, w, h
         self.level = level
         self.parent = parent
-        self.mode = None  # None until the first child: "cover" or "quad"
-        self.free_quads = [0, 1, 2, 3]
+        self.index = index
+        # None until the first child; [] after a covering child, else the
+        # quadrants still free
+        self.free_quads: list[int] | None = None
 
 
 def _uniform(lo: float, hi: float, u: float) -> float:
@@ -203,9 +202,7 @@ def _uniform(lo: float, hi: float, u: float) -> float:
 def _eligible(node: _Node, max_depth: int) -> bool:
     if node.level >= max_depth or min(node.w, node.h) < _MIN_PARENT_SIDE:
         return False
-    if node.mode is None:
-        return True
-    return node.mode == "quad" and bool(node.free_quads)
+    return node.free_quads is None or bool(node.free_quads)
 
 
 def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
@@ -236,20 +233,19 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
             h = int(rng.integers(110, 171))
             x0 = sx + int(rng.integers(8, slot_w - w - 8 + 1))
             y0 = sy + int(rng.integers(8, slot_h - h - 8 + 1))
-            nodes.append(_Node(x0, y0, w, h, level=0, parent=None))
+            nodes.append(_Node(x0, y0, w, h, level=0, parent=None, index=i))
             continue
         parent = candidates[int(rng.integers(0, len(candidates)))]
-        if parent.mode is None:
-            parent.mode = "cover" if rng.random() < 0.4 else "quad"
-        if parent.mode == "cover":
+        if parent.free_quads is None and rng.random() < 0.4:
             # one large child that hides most of the parent
             cw = min(max(int(round(parent.w * _uniform(0.92, 0.97, rng.random()))), _MIN_CHILD_SIDE), parent.w - 2)
             ch = min(max(int(round(parent.h * _uniform(0.92, 0.97, rng.random()))), _MIN_CHILD_SIDE), parent.h - 2)
             x0 = parent.x0 + int(rng.integers(0, parent.w - cw + 1))
             y0 = parent.y0 + int(rng.integers(0, parent.h - ch + 1))
             parent.free_quads = []
-            parent.mode = "full"
         else:
+            if parent.free_quads is None:
+                parent.free_quads = [0, 1, 2, 3]
             quad = parent.free_quads.pop(int(rng.integers(0, len(parent.free_quads))))
             qw, qh = parent.w // 2, parent.h // 2
             qx0 = parent.x0 + (quad % 2) * qw
@@ -258,17 +254,16 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
             ch = min(max(int(round(parent.h * _uniform(0.34, 0.46, rng.random()))), _MIN_CHILD_SIDE), qh - 2)
             x0 = qx0 + int(rng.integers(1, qw - cw))
             y0 = qy0 + int(rng.integers(1, qh - ch))
-        nodes.append(_Node(x0, y0, cw, ch, level=parent.level + 1, parent=parent))
+        nodes.append(_Node(x0, y0, cw, ch, level=parent.level + 1, parent=parent, index=i))
 
     objects = []
     grasps = []
     edges = set()
-    index_of = {id(nd): i for i, nd in enumerate(nodes)}
-    for i, nd in enumerate(nodes):
-        instance_id = i + 1
+    for nd in nodes:
+        instance_id = nd.index + 1
         anc = nd.parent
         while anc is not None:
-            edges.add((instance_id, index_of[id(anc)] + 1))
+            edges.add((instance_id, anc.index + 1))
             anc = anc.parent
         category = CATEGORIES[int(rng.integers(0, len(CATEGORIES)))]
         side = float(min(nd.w, nd.h))
@@ -332,25 +327,22 @@ def _coverage_fraction(target: AABox, covers: Sequence[AABox]) -> float:
 
 class LiveScene:
     """A scene as a trial takes it apart, indexed for the per-step queries:
-    the live objects in order (by id), each one's grasp rects, the set of
-    relations, the ids above and below each object, each object's
-    coverage and, for zero angle and score noise, its grasp candidates.
+    the live objects in order (by id), each one's grasp rects, the ids
+    above each object (its relations), each object's coverage and, for
+    zero angle and score noise, its grasp candidates.
     A coverage is computed when first asked for and kept until an object
     above it is removed, the only removal that changes it."""
 
-    __slots__ = ("objects", "rects", "relations", "above", "below", "_coverage", "_exact")
+    __slots__ = ("objects", "rects", "above", "_coverage", "_exact")
 
     def __init__(self, scene: SceneRecord):
         self.objects = {o.instance_id: o for o in scene.objects}
         self.rects: dict[int, list[OrientedRect]] = {i: [] for i in self.objects}
         for g in scene.grasps:
             self.rects[g.owner].append(g.rect)
-        self.relations = set(scene.relations)
         self.above: dict[int, set[int]] = {i: set() for i in self.objects}
-        self.below: dict[int, set[int]] = {i: set() for i in self.objects}
         for a, b in scene.relations:
             self.above[b].add(a)
-            self.below[a].add(b)
         self._coverage: dict[int, float] = {}
         self._exact: dict[int, list[GraspCandidate]] = {}
 
@@ -379,15 +371,12 @@ class LiveScene:
 
     def remove(self, instance_id: int) -> None:
         self.require(instance_id)
-        del self.objects[instance_id], self.rects[instance_id]
+        del self.objects[instance_id], self.rects[instance_id], self.above[instance_id]
         self._coverage.pop(instance_id, None)
-        for b in self.below.pop(instance_id):
-            self.above[b].discard(instance_id)
-            self.relations.discard((instance_id, b))
-            self._coverage.pop(b, None)
-        for a in self.above.pop(instance_id):
-            self.below[a].discard(instance_id)
-            self.relations.discard((a, instance_id))
+        for b, over in self.above.items():
+            if instance_id in over:
+                over.discard(instance_id)
+                self._coverage.pop(b, None)
 
 
 def visible(live: LiveScene, instance_id: int, coverage_threshold: float) -> bool:
@@ -491,10 +480,10 @@ def oracle_predict(
 
     det_ids = [d.instance_id for d in preds.detections]
     pairs = [(a, b) for a in det_ids for b in det_ids if a != b]
-    relations = live.relations
+    above = live.above
     for (a, b), (u_flip, alt) in zip(pairs, _flip_draws(rng, len(pairs))):
         # the class of dataset.relation_label: 0 none, 1 a above b, 2 a below b
-        label = 1 if (a, b) in relations else 2 if (b, a) in relations else 0
+        label = 1 if a in above[b] else 2 if b in above[a] else 0
         if u_flip < noise.relation_flip_prob:
             label = _OTHER_LABELS[label][alt]
         preds.relations[(a, b)] = _ONE_HOT[label]
@@ -582,12 +571,13 @@ def run_trial(cfg: TrialConfig) -> TrialLog:
             break
         perceived = preds.perceived()
         labels = symmetrize(preds.relations)
-        graph = build_graph([d.instance_id for d in preds.detections], labels)
+        detected = tuple(d.instance_id for d in preds.detections)
+        graph = build_graph(detected, labels)
         action = next_action(graph, perceived, target)
         removed = action.object_id
         steps.append(
             TrialStep(
-                detections=tuple(d.instance_id for d in preds.detections),
+                detections=detected,
                 claimed_final=action.is_final_target,
                 removed=removed,
                 order_valid=not live.above[removed],

@@ -16,7 +16,9 @@ evaluator scans the record for every query, clips before it compares
 angles and makes a Fraction at every rank, and scene and detection rows
 are read one field at a time by the strict readers. Non-maximum
 suppression marks every box a survivor overlaps, and grasp selection
-always ranks every candidate by confidence.
+always ranks every candidate by confidence. The scene augmentations build
+each box and rectangle field by field and normalize every angle before
+the rectangle normalizes it again.
 """
 
 from __future__ import annotations
@@ -834,3 +836,61 @@ def reference_select_best_grasp(candidates, box, top_n: int = 3):
         return ((r.x - cx) ** 2 + (r.y - cy) ** 2, -candidates[i].confidence, i)
 
     return candidates[min(ranked[:top_n], key=key)]
+
+
+def reference_hflip(record):
+    """``dataset.hflip``: the scene mirrored across its vertical axis."""
+    from dataclasses import replace
+
+    from stackgrasp.geometry import AABox, OrientedRect, normalize_angle
+
+    w = record.width
+    objects = tuple(
+        replace(o, box=AABox(w - o.box.xmax, o.box.ymin, w - o.box.xmin, o.box.ymax))
+        for o in record.objects
+    )
+    grasps = tuple(
+        replace(
+            g,
+            rect=OrientedRect(
+                x=w - g.rect.x,
+                y=g.rect.y,
+                w=g.rect.w,
+                h=g.rect.h,
+                theta=normalize_angle(-g.rect.theta),
+            ),
+        )
+        for g in record.grasps
+    )
+    return replace(record, objects=objects, grasps=grasps)
+
+
+def reference_rot90(record, quarter_turns: int = 1):
+    """``dataset.rot90``: the scene turned counter-clockwise by
+    ``quarter_turns`` quarter turns."""
+    from dataclasses import replace
+
+    from stackgrasp.geometry import AABox, OrientedRect, normalize_angle
+
+    out = record
+    for _ in range(quarter_turns % 4):
+        w = out.width
+        objects = tuple(
+            replace(o, box=AABox(o.box.ymin, w - o.box.xmax, o.box.ymax, w - o.box.xmin))
+            for o in out.objects
+        )
+        grasps = tuple(
+            replace(
+                g,
+                rect=OrientedRect(
+                    x=g.rect.y,
+                    y=w - g.rect.x,
+                    w=g.rect.w,
+                    h=g.rect.h,
+                    theta=normalize_angle(g.rect.theta + 90.0),
+                ),
+            )
+            for g in out.grasps
+        )
+        out = replace(out, width=out.height, height=out.width, objects=objects, grasps=grasps)
+    return out

@@ -236,6 +236,19 @@ class TestPlan:
         assert len(objects) == 4
         assert objects[0] in (1, 4)
 
+    def test_pair_without_its_reverse_is_a_data_error(self, tmp_path, scene_file, capsys):
+        data = json.loads(serialize_predictions(record_to_predictions(chain_scene())))
+        data["relations"] = [r for r in data["relations"] if r["pair"] != [2, 1]]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert main(["plan", "--pred", str(path), "--target", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: pair (1, 2) present without its reverse\n"
+        # eval scores each ordered pair on its own
+        assert main(["eval", "--gt", str(scene_file), "--pred", str(path)]) == 0
+        capsys.readouterr()
+
     def test_pretty_step_list(self, pred_file, capsys):
         code = main(
             ["plan", "--pred", str(pred_file), "--target", "3", "--pretty"]

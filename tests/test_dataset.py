@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackgrasp.dataset import (
     SceneGrasp,
@@ -17,6 +19,8 @@ from stackgrasp.dataset import (
     serialize_scene,
 )
 from stackgrasp.geometry import AABox, OrientedRect
+
+from oracle_utils import reference_hflip, reference_rot90
 
 
 def sample_record() -> SceneRecord:
@@ -303,6 +307,47 @@ class TestRot90:
     def test_zero_turns_is_identity(self):
         rec = sample_record()
         assert rot90(rec, 0) is rec
+
+
+# angles at and next to the wrap points of [-90, 90), where a second
+# normalization could differ from the first, and any others
+_ANGLES = st.one_of(
+    st.sampled_from([-90.0, -45.0, -0.0, 0.0, 45.0, 90.0, 135.0, 44.99999999999999,
+                     -45.00000000000001, 89.99999999999999, -89.99999999999999, 1e-300]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def augment_records(draw):
+    """A scene of up to three objects with up to four grasps each."""
+    width, height = draw(st.integers(1, 1000)), draw(st.integers(1, 1000))
+
+    def span(limit):
+        ends = st.lists(st.integers(0, 8 * limit), min_size=2, max_size=2, unique=True)
+        lo, hi = sorted(draw(ends))
+        return lo / 8, hi / 8
+
+    coords = st.floats(-1e4, 1e4)
+    objects, grasps = [], []
+    for i in range(1, draw(st.integers(0, 3)) + 1):
+        (x0, x1), (y0, y1) = span(width), span(height)
+        objects.append(SceneObject(i, "cup", AABox(x0, y0, x1, y1)))
+        for x, y, theta in draw(st.lists(st.tuples(coords, coords, _ANGLES), max_size=4)):
+            grasps.append(SceneGrasp(i, OrientedRect(x, y, 10.0, 4.0, theta)))
+    return SceneRecord(width, height, tuple(objects), tuple(grasps), relations=())
+
+
+class TestAugmentReference:
+    """``hflip`` and ``rot90`` give the records of the field-by-field
+    references (tests/oracle_utils.py), to the bit: ``repr`` writes every
+    float exactly and tells -0.0 from 0.0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(record=augment_records(), turns=st.integers(-5, 5))
+    def test_matches_reference(self, record, turns):
+        assert repr(hflip(record)) == repr(reference_hflip(record))
+        assert repr(rot90(record, turns)) == repr(reference_rot90(record, turns))
 
 
 class TestRecordToPredictions:

@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,27 @@ class TestMatchThresholds:
             MatchThresholds(angle_deg=120.0)
         with pytest.raises(ValueError):
             MatchThresholds(top_n=0)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"top_n": 2.5}, "top_n must be an integer"),
+            ({"top_n": True}, "top_n must be an integer"),
+            ({"top_n": "3"}, "top_n must be an integer"),
+            ({"iou": "0.5"}, "iou must be a number"),
+            ({"jaccard": None}, "jaccard must be a number"),
+            ({"angle_deg": True}, "angle_deg must be a number"),
+        ],
+    )
+    def test_field_types(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            MatchThresholds(**fields)
+
+    def test_fields_are_stored_as_their_json_types(self):
+        t = MatchThresholds(iou=1, angle_deg=np.float32(45.0), top_n=np.int64(2))
+        assert json.dumps(t.to_json_dict()) == (
+            '{"iou": 1.0, "jaccard": 0.25, "angle_deg": 45.0, "top_n": 2}'
+        )
 
     def test_json_dict(self):
         assert MatchThresholds().to_json_dict() == {

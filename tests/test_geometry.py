@@ -65,7 +65,7 @@ class TestNormalizeAngle:
     @given(theta=angles)
     def test_idempotent(self, theta):
         n = normalize_angle(theta)
-        assert normalize_angle(n) == pytest.approx(n, abs=1e-9)
+        assert normalize_angle(n) == n
 
 
 class TestAngleDifference:

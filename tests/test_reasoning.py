@@ -15,6 +15,7 @@ from stackgrasp.reasoning import (
     build_graph,
     leaves,
     next_action,
+    resolve_target,
     symmetrize,
 )
 
@@ -303,6 +304,31 @@ class TestNextAction:
     def test_empty_scene_rejected(self):
         with pytest.raises(EmptySceneError):
             next_action(self.g, [], 1)
+
+
+class TestResolveTarget:
+    dets = [
+        perceived(4, score=0.6, category="stapler"),
+        perceived(2, score=0.8),
+        perceived(7, score=0.8, category="stapler"),
+        perceived(3, score=0.8, category="stapler"),
+    ]
+
+    def test_id_present(self):
+        assert resolve_target(self.dets, 7) == 7
+
+    def test_id_absent(self):
+        assert resolve_target(self.dets, 5) is None
+
+    def test_category_score_tie_prefers_lower_id(self):
+        assert resolve_target(self.dets, "stapler") == 3
+
+    def test_no_match(self):
+        assert resolve_target(self.dets, "umbrella") is None
+        assert resolve_target([], 4) is None
+
+    def test_none(self):
+        assert resolve_target(self.dets, None) is None
 
 
 class TestClearOutOracle:
