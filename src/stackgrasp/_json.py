@@ -4,10 +4,20 @@ accept a field only as the JSON type it must have (a JSON integer is read
 as a float in a number field), and the row readers build the boxes and
 grasp rectangles that scenes and predictions share. Each error names the
 field's JSON path, or the field within an object whose path the caller
-adds; ``read_file`` puts the file's path in front."""
+adds; ``read_file`` puts the file's path in front.
+
+``read_file`` pauses the cyclic garbage collector while it reads and
+parses. A decoded document and the records built from it hold no
+reference cycles, so reference counting frees them and a collection
+during a parse reclaims nothing: it only walks the growing tree, and a
+dense predictions file's tree is large enough to set off full
+collections. The collector's on/off flag is process-wide: when two
+threads read at once, one may turn the collector back on while the other
+still parses. That costs time but never changes a result."""
 
 from __future__ import annotations
 
+import gc
 import json
 import numbers
 from pathlib import Path
@@ -27,15 +37,21 @@ class DocumentError(ValueError):
 def read_file(path, parse):
     """``parse`` applied to the text of the file at ``path``. A file that
     cannot be read or decoded, or a ValueError from ``parse``, is a
-    DocumentError at the path."""
+    DocumentError at the path. The garbage collector is paused meanwhile
+    and turned back on only if it was on."""
     # eval passes hundreds of Paths a call; Path(p) would parse each again
     path = path if isinstance(path, Path) else Path(path)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return parse(path.read_text())
     except OSError as e:
         raise DocumentError(str(path), e.strerror or str(e)) from e
     except ValueError as e:
         raise DocumentError(str(path), str(e)) from e
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def load(text: str):

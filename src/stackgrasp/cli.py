@@ -166,7 +166,15 @@ def _cmd_plan(args) -> None:
     graph = build_graph([p.detection.instance_id for p in perceived], labels)
 
     # an id is ASCII digits with an optional minus; other text is a category
-    target = int(args.target) if re.fullmatch(r"-?[0-9]+", args.target) else args.target
+    target = args.target
+    if re.fullmatch(r"-?[0-9]+", target):
+        try:
+            target = int(target)
+        except ValueError:  # past the interpreter's integer digit limit
+            raise ValueError(
+                f"--target: an instance id of {len(target.lstrip('-'))} digits is past "
+                f"the limit of {sys.get_int_max_str_digits()}"
+            ) from None
     resolved = resolve_target(perceived, target) is not None
     if not resolved and not args.assume_hidden:
         raise ValueError(

@@ -43,15 +43,14 @@ def symmetrize(
     ``argmax_label`` picks the winner. Returns {(i, j): (label, confidence)}
     keyed with i < j.
     """
-    for (a, b) in relations:
-        if (b, a) not in relations:
-            raise ValueError(f"pair ({a}, {b}) present without its reverse")
     out: dict[tuple[int, int], tuple[int, float]] = {}
-    for (a, b) in relations:
+    for (a, b), p_ij in relations.items():
+        try:
+            p_ji = relations[(b, a)]
+        except KeyError:
+            raise ValueError(f"pair ({a}, {b}) present without its reverse") from None
         if a > b:
             continue
-        p_ij = relations[(a, b)]
-        p_ji = relations[(b, a)]
         joint = (
             (p_ij[0] + p_ji[0]) / 2.0,
             (p_ij[1] + p_ji[2]) / 2.0,
@@ -172,11 +171,20 @@ def leaves(g: ManipulationGraph) -> set[int]:
     return set(g.nodes) - covered
 
 
-def ancestors(g: ManipulationGraph, node: int) -> set[int]:
-    """All nodes stacked (transitively) above ``node``."""
+def _incoming(g: ManipulationGraph) -> dict[int, list[int]]:
+    # the objects directly on top of each node
     incoming: dict[int, list[int]] = {n: [] for n in g.nodes}
     for (a, b) in g.edges:
         incoming[b].append(a)
+    return incoming
+
+
+def ancestors(g: ManipulationGraph, node: int) -> set[int]:
+    """All nodes stacked (transitively) above ``node``."""
+    return _above(_incoming(g), node)
+
+
+def _above(incoming: dict[int, list[int]], node: int) -> set[int]:
     seen: set[int] = set()
     frontier = [node]
     while frontier:
@@ -241,10 +249,10 @@ def next_action(
             free = set(scores)
         return GraspAction(object_id=_best(free, scores), is_final_target=False)
 
-    above = ancestors(g, target_id) & set(scores)
+    incoming = _incoming(g)
+    above = _above(incoming, target_id) & set(scores)
     if not above:
         return GraspAction(object_id=target_id, is_final_target=True)
     # leaves of the subgraph induced on the objects above the target
-    blocked = {b for (a, b) in g.edges if a in above and b in above}
-    sub_leaves = above - blocked
+    sub_leaves = [n for n in above if above.isdisjoint(incoming[n])]
     return GraspAction(object_id=_best(sub_leaves, scores), is_final_target=False)

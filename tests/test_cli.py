@@ -285,6 +285,18 @@ class TestPlan:
         assert data["target"] == {"requested": target, "resolved": True}
         assert data["actions"][-1] == {**data["actions"][-1], "object": object_id, "is_final_target": True}
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_id_past_the_digit_limit_names_the_flag(self, id_pred_file, capsys, sign):
+        digits = sys.get_int_max_str_digits() + 700
+        target = sign + "1" * digits
+        assert main(["plan", "--pred", str(id_pred_file), "--target", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --target: an instance id of {digits} digits")
+        assert "set_int_max_str_digits" not in err
+
     def test_topn_flag_is_gone(self, pred_file, capsys):
         assert main(["plan", "--pred", str(pred_file), "--target", "3", "--topn", "3"]) == 1
         assert "--topn" in capsys.readouterr().err

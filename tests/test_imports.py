@@ -1,11 +1,12 @@
 """Every top-level import of a package module is used in that module,
 every module-level private name is read somewhere in the package, and only
-the input boundary decodes JSON. The checks read the source with ``ast``:
-a name bound by an import must be read somewhere in its module
-(``__init__.py`` re-exports, so it is left out), a ``_private`` function,
-class or constant must be read in some module of the package, by name or
-as an attribute, and no module but ``_json.py`` may call ``json.loads``,
-``json.load`` or a ``read_text`` method."""
+the input boundary decodes JSON or touches the garbage collector. The
+checks read the source with ``ast``: a name bound by an import must be
+read somewhere in its module (``__init__.py`` re-exports, so it is left
+out), a ``_private`` function, class or constant must be read in some
+module of the package, by name or as an attribute, and no module but
+``_json.py`` may call ``json.loads``, ``json.load`` or a ``read_text``
+method, or import ``gc``."""
 
 import ast
 from pathlib import Path
@@ -140,6 +141,36 @@ def test_only_the_boundary_decodes_json(path):
         assert json_decode_calls(path.read_text()) != []
     else:
         assert json_decode_calls(path.read_text()) == []
+
+
+def gc_imports(source: str) -> list[int]:
+    """The line of every statement in the source that imports the ``gc``
+    module or a name from it, at any depth (``import gc``,
+    ``import os, gc as g``, ``from gc import disable``)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "gc" and not node.level)
+    )
+
+
+def test_finds_a_gc_import():
+    source = (
+        "import gc\nimport os, gc as collector\nfrom gc import disable\n"
+        "import gcx\nfrom . import gc\nfrom .gc import x\n"
+        "def f():\n    import gc\n"
+    )
+    assert gc_imports(source) == [1, 2, 3, 8]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_boundary_imports_gc(path):
+    # read_file pauses the collector; no other module may change its state
+    if path.name == "_json.py":
+        assert gc_imports(path.read_text()) != []
+    else:
+        assert gc_imports(path.read_text()) == []
 
 
 def read_text_calls(source: str) -> list[int]:

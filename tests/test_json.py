@@ -1,5 +1,8 @@
+import gc
+import json
 import sys
 
+import numpy as np
 import pytest
 
 from stackgrasp._json import (
@@ -11,9 +14,11 @@ from stackgrasp._json import (
     load,
     number,
     number_list,
+    read_file,
     string,
 )
 from stackgrasp.geometry import AABox, OrientedRect
+from stackgrasp.perception import parse_predictions
 
 
 class TestLoad:
@@ -37,6 +42,95 @@ class TestLoad:
         with pytest.raises(DocumentError, match="not valid JSON") as exc:
             load("[" + "1" * (sys.get_int_max_str_digits() + 1) + "]")
         assert exc.value.where == "$"
+
+
+def dense_predictions_text(n: int, seed: int = 0) -> str:
+    """A predictions document of n detections and a relation row for every
+    ordered pair, about 3n**2 decoded containers."""
+    rng = np.random.default_rng(seed)
+    detections = [
+        {"id": i, "category": "cup", "bbox": [10.0 * i, 0.0, 10.0 * i + 8.0, 8.0], "score": 0.5,
+         "grasps": [{"rect": [10.0 * i + 4.0, 4.0, 6.0, 2.0, 0.0], "confidence": 0.9}]}
+        for i in range(n)
+    ]
+    relations = [
+        {"pair": [a, b], "probs": [float(p) for p in rng.dirichlet([1.0] * 3)]}
+        for a in range(n) for b in range(n) if a != b
+    ]
+    return json.dumps({"detections": detections, "relations": relations})
+
+
+def failing_parse(text):
+    raise ValueError("no good")
+
+
+class TestReadFile:
+    """read_file pauses the cyclic garbage collector while it reads and
+    parses, and leaves it on or off as it found it."""
+
+    @pytest.fixture
+    def collector(self):
+        """Sets the collector's state for a test and restores it after."""
+        was_on = gc.isenabled()
+
+        def set_state(on: bool) -> None:
+            gc.enable() if on else gc.disable()
+
+        yield set_state
+        set_state(was_on)
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_paused_during_a_read_and_restored(self, tmp_path, collector, on):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, 2]}')
+        collector(on)
+        states = []
+
+        def parse(text):
+            states.append(gc.isenabled())
+            return load(text)
+
+        assert read_file(path, parse) == {"a": [1, 2]}
+        assert states == [False]
+        assert gc.isenabled() is on
+
+    @pytest.mark.parametrize("on", [True, False])
+    @pytest.mark.parametrize(
+        "name, text, parse, message",
+        [
+            ("missing.json", None, load, "No such file"),
+            ("bad.json", "[1,", load, "not valid JSON"),
+            ("doc.json", "[]", failing_parse, "no good"),
+        ],
+        ids=["missing", "bad-json", "parse-error"],
+    )
+    def test_restored_after_an_error(self, tmp_path, collector, on, name, text, parse, message):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        collector(on)
+        with pytest.raises(DocumentError, match=message) as exc:
+            read_file(path, parse)
+        assert exc.value.where == str(path)
+        assert gc.isenabled() is on
+
+    def test_no_collection_while_a_dense_file_is_read(self, tmp_path, collector):
+        path = tmp_path / "dense.json"
+        path.write_text(dense_predictions_text(60))
+        collector(True)
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            preds = read_file(path, parse_predictions)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(preds.detections) == 60 and len(preds.relations) == 60 * 59
+        assert started == []
 
 
 class TestFields:
