@@ -16,8 +16,11 @@ large to compare). ``main`` alone maps an error to its code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
+import pickle
 import re
 import sys
 from dataclasses import replace
@@ -244,6 +247,92 @@ def _trial_seed(base: int, regime_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+# simulate runs a regime in rounds of one block of this many trials per CPU
+_TRIAL_BLOCK = 64
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _trial_block(config, base_seed: int, ri: int, block: range, logs: bool):
+    """Regime ``ri``'s trials in ``block``: (success, log text or None) for
+    each trial up to the first that fails, and that trial's error or None."""
+    results = []
+    for ti in block:
+        try:
+            log = run_trial(replace(config, seed=_trial_seed(base_seed, ri, ti)))
+        except Exception as e:
+            return results, e
+        results.append((sequential_success(log), _json_text(log.to_json_dict()) if logs else None))
+    return results, None
+
+
+def _fork_block(*block_args) -> tuple[int, int]:
+    """Fork a child that runs ``_trial_block(*block_args)`` and pickles its
+    outcome into a pipe; the child's pid and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the child never returns: os._exit skips every handler
+        code = 1
+        try:
+            os.close(r)
+            results, error = _trial_block(*block_args)
+            if isinstance(error, ValueError):
+                # only its text is reported, and a subclass such as
+                # DocumentError need not unpickle
+                error = ValueError(str(error))
+            with open(w, "wb") as pipe:
+                pickle.dump((results, error), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _trial_round(config, base_seed: int, ri: int, trials: range, logs: bool, where: str):
+    """Yield (block, results, error) for each block of ``trials`` in trial
+    order, as ``_trial_block`` gives them. This process runs the first
+    block while one forked child runs each other block; every child is
+    reaped however the caller leaves the round."""
+    blocks = [trials[i:i + _TRIAL_BLOCK] for i in range(0, len(trials), _TRIAL_BLOCK)]
+    children = {}  # pid -> read end of its pipe, until it is reaped
+    try:
+        for block in blocks[1:]:
+            pid, fd = _fork_block(config, base_seed, ri, block, logs)
+            children[pid] = fd
+        yield blocks[0], *_trial_block(config, base_seed, ri, blocks[0], logs)
+        for block, pid in zip(blocks[1:], list(children)):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            if status != 0 or not data:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(
+                    f"{where}: trials {block.start} to {block.stop - 1}: "
+                    f"a worker process ended without a result ({how})"
+                )
+            yield block, *pickle.loads(data)
+    finally:
+        if children:  # the round was abandoned: stop the children still running
+            import signal
+        for pid, fd in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
 def _cmd_simulate(args) -> None:
     path = Path(args.config)
     base_seed, regimes = read_file(path, parse_sim_config)
@@ -255,18 +344,29 @@ def _cmd_simulate(args) -> None:
     if log_dir is not None:
         log_dir.mkdir(parents=True, exist_ok=True)
 
+    # Each trial is a function of (base seed, regime, index) alone, so the
+    # blocks of a round can run in any process; their outcomes are taken
+    # in trial order, which makes every output the same for any CPU count.
+    round_size = _TRIAL_BLOCK * _cpus()
     rows = []
     for ri, (name, trials, config) in enumerate(regimes):
+        where = f"{path}: regimes[{ri}]"
         successes = 0
-        for ti in range(trials):
-            try:
-                log = run_trial(replace(config, seed=_trial_seed(base_seed, ri, ti)))
-            except ValueError as e:
-                raise ValueError(f"{path}: regimes[{ri}]: trial {ti}: {e}") from e
-            if sequential_success(log):
-                successes += 1
-            if log_dir is not None:
-                (log_dir / f"{name}_{ti:04d}.json").write_text(_json_text(log.to_json_dict()))
+        for start in range(0, trials, round_size):
+            batch = range(start, min(start + round_size, trials))
+            with contextlib.closing(
+                _trial_round(config, base_seed, ri, batch, log_dir is not None, where)
+            ) as outcomes:
+                for block, results, error in outcomes:
+                    for ti, (success, text) in zip(block, results):
+                        successes += success
+                        if log_dir is not None:
+                            (log_dir / f"{name}_{ti:04d}.json").write_text(text)
+                    if isinstance(error, ValueError):
+                        ti = block[len(results)]
+                        raise ValueError(f"{where}: trial {ti}: {error}") from error
+                    if error is not None:
+                        raise error
         rate = successes / trials
         rows.append(
             {

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from ._json import DocumentError, box_row, grasp_rect, integer, json_list, json_object, load, read_file, string
 from .geometry import AABox, OrientedRect
@@ -187,10 +186,6 @@ def load_scene(path) -> SceneRecord:
     """The scene in the file at ``path``; an error names the file, then the
     JSON path of the problem."""
     return read_file(path, parse_scene)
-
-
-def save_scene(path, record: SceneRecord) -> None:
-    Path(path).write_text(serialize_scene(record))
 
 
 def _remap(record: SceneRecord, width: int, height: int, box, rect) -> SceneRecord:

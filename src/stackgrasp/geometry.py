@@ -139,16 +139,6 @@ def rect_vertices(r: OrientedRect) -> np.ndarray:
     return np.array(_vertex_list(r), dtype=float)
 
 
-def point_in_rect(r: OrientedRect, x: float, y: float) -> bool:
-    """Inclusive point-in-rectangle test (boundary counts as inside)."""
-    dx, dy = x - r.x, y - r.y
-    t = math.radians(r.theta)
-    c, s = math.cos(t), math.sin(t)
-    xr = c * dx + s * dy
-    yr = -s * dx + c * dy
-    return abs(xr) <= r.w / 2.0 + 1e-9 and abs(yr) <= r.h / 2.0 + 1e-9
-
-
 def clip_polygon(subject, clipper):
     """Sutherland-Hodgman clip of ``subject`` by a convex CCW ``clipper``.
 
@@ -239,14 +229,4 @@ def aabb_iou(a: AABox, b: AABox) -> float:
     # the areas as AABox.area computes them
     return inter / (
         (a.xmax - a.xmin) * (a.ymax - a.ymin) + (b.xmax - b.xmin) * (b.ymax - b.ymin) - inter
-    )
-
-
-def union_box(a: AABox, b: AABox) -> AABox:
-    """Smallest axis-aligned box covering both inputs."""
-    return AABox(
-        min(a.xmin, b.xmin),
-        min(a.ymin, b.ymin),
-        max(a.xmax, b.xmax),
-        max(a.ymax, b.ymax),
     )

@@ -179,12 +179,8 @@ def _incoming(g: ManipulationGraph) -> dict[int, list[int]]:
     return incoming
 
 
-def ancestors(g: ManipulationGraph, node: int) -> set[int]:
-    """All nodes stacked (transitively) above ``node``."""
-    return _above(_incoming(g), node)
-
-
 def _above(incoming: dict[int, list[int]], node: int) -> set[int]:
+    # every node stacked, transitively, on top of ``node``
     seen: set[int] = set()
     frontier = [node]
     while frontier:

@@ -3,9 +3,11 @@ import faulthandler
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stackgrasp
-from stackgrasp.cli import CALIBRATION_WARN_RMS_MM, main
+from stackgrasp.cli import _TRIAL_BLOCK, CALIBRATION_WARN_RMS_MM, _trial_seed, main
 from stackgrasp.dataset import (
     SceneGrasp,
     SceneObject,
@@ -27,6 +29,7 @@ from stackgrasp.dataset import (
 )
 from stackgrasp.execution import AffineMap, fit_affine
 from stackgrasp.geometry import AABox, OrientedRect
+from stackgrasp.simulation import TrialConfig, run_trial
 from stackgrasp.perception import (
     GraspCandidate,
     ObjectDetection,
@@ -596,6 +599,204 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {log}: File exists\n"
 
 
+
+README_SIM = {
+    "seed": 5,
+    "regimes": [
+        {"name": "shallow", "count_range": [2, 4], "trials": 500},
+        {"name": "deep", "count_range": [6, 9], "trials": 500,
+         "target_rule": "deepest",
+         "noise": {"relation_flip_prob": 0.1, "box_sigma": 2.0}},
+    ],
+}
+_ALL_NOISE = {"drop_prob": 0.1, "box_sigma": 3.0, "angle_sigma": 20.0,
+              "relation_flip_prob": 0.2, "score_sigma": 0.1}
+# trial counts off the block size, and a last regime smaller than a block
+NOISY_SIM = {
+    "seed": 23,
+    "regimes": [
+        {"name": "flat", "count_range": [1, 6], "trials": 150, "max_stack_depth": 0,
+         "noise": _ALL_NOISE},
+        {"name": "familiar", "count_range": [4, 24], "trials": 70, "coverage_threshold": 0.7,
+         "noise": _ALL_NOISE},
+        {"name": "complex", "count_range": [6, 9], "trials": 40, "target_rule": "deepest",
+         "max_stack_depth": 3, "noise": _ALL_NOISE},
+    ],
+}
+# the first trial whose noisy box overflows is trial 82 (past the first
+# block) at this box_sigma, and trial 6 (inside it) at the second
+OVERFLOW_PAST_FIRST_BLOCK = 4e153
+OVERFLOW_IN_FIRST_BLOCK = 6e153
+
+
+def on_cpus(monkeypatch, cpus: int) -> list[int]:
+    """Make the process see ``cpus`` CPUs; the returned list collects the
+    pid of every child ``os.fork`` makes in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def run_simulate(tmp_path, capsys, config: dict, tag: str, *flags: str):
+    """Exit code, stdout, stderr, --out bytes (or None) and every trial
+    log by name of one ``simulate --out --trial-log`` run in ``tmp_path/tag``."""
+    work = tmp_path / tag
+    work.mkdir(exist_ok=True)
+    path = work / "sim.json"
+    path.write_text(json.dumps(config))
+    out, logs = work / "out.json", work / "logs"
+    code = _run_guarded(["simulate", "--config", str(path), "--out", str(out),
+                         "--trial-log", str(logs), *flags])
+    captured = capsys.readouterr()
+    # the path of the config differs between runs; nothing else may
+    err = captured.err.replace(str(path), "sim.json")
+    files = {p.name: p.read_bytes() for p in sorted(logs.glob("*")) if p.is_file()}
+    return code, captured.out, err, out.read_bytes() if out.exists() else None, files
+
+
+def rounds_forks(trials: int, cpus: int) -> int:
+    """Children a regime of ``trials`` forks on ``cpus`` CPUs: one per
+    block of each round but the first, which the calling process runs."""
+    size = _TRIAL_BLOCK * cpus
+    return sum(math.ceil(min(size, trials - start) / _TRIAL_BLOCK) - 1
+               for start in range(0, trials, size))
+
+
+class TestSimulateCpuCount:
+    """Trials run in rounds of one block per CPU the process may use; every
+    output is the same bytes for any CPU count."""
+
+    @pytest.mark.parametrize("config", [README_SIM, NOISY_SIM], ids=["readme", "noisy"])
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, capsys, config):
+        runs = {}
+        for cpus in (1, 2, 3):
+            forks = on_cpus(monkeypatch, cpus)
+            runs[cpus] = run_simulate(tmp_path, capsys, config, f"cpus{cpus}", "--pretty")
+            expected = sum(rounds_forks(r["trials"], cpus) for r in config["regimes"])
+            assert len(forks) == expected
+            assert no_child_left()
+        code, out, err, result, logs = runs[1]
+        assert code == 0 and err == "" and result is not None
+        assert len(logs) == sum(r["trials"] for r in config["regimes"])
+        assert runs[2] == runs[1]
+        assert runs[3] == runs[1]
+        if config is README_SIM:
+            successes = [r["successes"] for r in json.loads(result)["regimes"]]
+            assert successes == [500, 289]
+
+    def test_a_regime_of_one_block_forks_nothing(self, tmp_path, monkeypatch, capsys):
+        small = {"seed": 3, "regimes": [NOISY_SIM["regimes"][2],
+                                        dict(NOISY_SIM["regimes"][1], trials=_TRIAL_BLOCK)]}
+        forks = on_cpus(monkeypatch, 3)
+        assert run_simulate(tmp_path, capsys, small, "small")[0] == 0
+        assert forks == []
+
+    @pytest.mark.parametrize("sigma, first_bad", [
+        (OVERFLOW_PAST_FIRST_BLOCK, 82),
+        (OVERFLOW_IN_FIRST_BLOCK, 6),
+    ])
+    def test_failing_trial_reports_like_one_cpu(self, tmp_path, monkeypatch, capsys, sigma, first_bad):
+        config = {"seed": 5, "regimes": [
+            {"count_range": [2, 4], "trials": 300, "noise": {"box_sigma": sigma}}]}
+        runs = {}
+        for cpus in (1, 2, 3):
+            forks = on_cpus(monkeypatch, cpus)
+            runs[cpus] = run_simulate(tmp_path, capsys, config, f"cpus{cpus}")
+            assert len(forks) == cpus - 1
+            assert no_child_left()
+        code, out, err, result, logs = runs[1]
+        assert code == 2 and out == "" and result is None
+        assert err.startswith(f"error: sim.json: regimes[0]: trial {first_bad}: box area overflows")
+        assert sorted(logs) == [f"regime0_{i:04d}.json" for i in range(first_bad)]
+        assert runs[2] == runs[1]
+        assert runs[3] == runs[1]
+
+    def test_a_log_write_error_reports_like_one_cpu(self, tmp_path, monkeypatch, capsys):
+        config = {"regimes": [{"count_range": [2, 4], "trials": 300}]}
+        runs = {}
+        for cpus in (1, 2):
+            on_cpus(monkeypatch, cpus)
+            # a directory where the log of trial 70, in the second block, goes
+            (tmp_path / f"cpus{cpus}" / "logs" / "regime0_0070.json").mkdir(parents=True)
+            runs[cpus] = run_simulate(tmp_path, capsys, config, f"cpus{cpus}")
+            assert no_child_left()
+        code, out, err, result, logs = runs[1]
+        assert code == 2 and out == "" and result is None
+        assert err.startswith("error: ") and err.endswith("regime0_0070.json: Is a directory\n")
+        assert sorted(logs) == [f"regime0_{i:04d}.json" for i in range(70)]
+        assert runs[2][:2] == runs[1][:2] and runs[2][4] == logs
+        assert runs[2][2].replace("cpus2", "cpus1") == err
+
+    @pytest.mark.parametrize("die, how", [
+        (lambda: os._exit(7), "exit status 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ], ids=["exit", "sigkill"])
+    def test_a_dead_worker_is_a_clean_error(self, tmp_path, monkeypatch, capsys, die, how):
+        parent = os.getpid()
+
+        def dying_run_trial(cfg):
+            if os.getpid() != parent:
+                die()
+            return run_trial(cfg)
+
+        monkeypatch.setattr(stackgrasp.cli, "run_trial", dying_run_trial)
+        on_cpus(monkeypatch, 2)
+        config = {"regimes": [{"count_range": [2, 4], "trials": 200}]}
+        code, out, err, result, logs = run_simulate(tmp_path, capsys, config, "dead")
+        assert code == 2 and out == "" and result is None
+        assert err == ("error: sim.json: regimes[0]: trials 64 to 127: "
+                       f"a worker process ended without a result ({how})\n")
+        assert sorted(logs) == [f"regime0_{i:04d}.json" for i in range(_TRIAL_BLOCK)]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("where", ["caller", "child"])
+    def test_a_huge_regime_runs_one_round_at_a_time(self, tmp_path, monkeypatch, capsys, where):
+        # a stand-in trial: one real log, returned for every seed
+        log = run_trial(TrialConfig(seed=1, count_range=(2, 4)))
+        round_size = 2 * _TRIAL_BLOCK
+        # the fourth round's first block is the caller's, its second a child's
+        bad = 3 * round_size + 5 + (_TRIAL_BLOCK if where == "child" else 0)
+        bad_seed = _trial_seed(0, 0, bad)
+        started = tmp_path / "started"
+
+        def counting_run_trial(cfg):
+            fd = os.open(started, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, b".")
+            finally:
+                os.close(fd)
+            if cfg.seed == bad_seed:
+                raise ValueError("stand-in failure")
+            return log
+
+        monkeypatch.setattr(stackgrasp.cli, "run_trial", counting_run_trial)
+        on_cpus(monkeypatch, 2)
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({"regimes": [{"count_range": [2, 4], "trials": 2**32}]}))
+        begin = time.monotonic()
+        assert _run_guarded(["simulate", "--config", str(path)]) == 2
+        assert time.monotonic() - begin < 30
+        assert capsys.readouterr().err == f"error: {path}: regimes[0]: trial {bad}: stand-in failure\n"
+        # every trial of the first three rounds ran; none past the fourth began
+        assert 3 * round_size < started.stat().st_size <= 4 * round_size
+        assert no_child_left()
+
+
 def calibration_pairs():
     linear = [[0.002, 0.0, 0.0], [0.0, 0.002, 0.0], [0.0, 0.0, 1.0]]
     offset = [-0.64, -0.48, 0.0]
@@ -934,8 +1135,9 @@ def _mutate_slot(draw, slots, kind):
 
 def _run_guarded(argv: list[str]) -> int:
     """``main(argv)`` in this process; a call still running after 60 s dumps
-    every thread's stack and exits, so a hang fails the run."""
-    faulthandler.dump_traceback_later(60, exit=True)
+    every thread's stack and exits, so a hang fails the run. The dump goes
+    to the process's own stderr, which ``capsys`` leaves in place."""
+    faulthandler.dump_traceback_later(60, exit=True, file=sys.__stderr__)
     try:
         return main(argv)
     finally:

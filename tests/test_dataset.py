@@ -15,7 +15,6 @@ from stackgrasp.dataset import (
     record_to_predictions,
     relation_label,
     rot90,
-    save_scene,
     serialize_scene,
 )
 from stackgrasp.geometry import AABox, OrientedRect
@@ -217,7 +216,7 @@ class TestFileIo:
     def test_save_load(self, tmp_path):
         rec = sample_record()
         path = tmp_path / "scene.json"
-        save_scene(path, rec)
+        path.write_text(serialize_scene(rec))
         assert load_scene(path) == rec
 
     def test_load_error_names_file(self, tmp_path):

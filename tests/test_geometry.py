@@ -12,11 +12,9 @@ from stackgrasp.geometry import (
     angle_difference,
     clip_polygon,
     normalize_angle,
-    point_in_rect,
     polygon_area,
     rect_vertices,
     rotated_jaccard,
-    union_box,
 )
 
 from oracle_utils import (
@@ -154,26 +152,6 @@ class TestRectVertices:
     def test_axis_aligned_corners(self):
         v = rect_vertices(OrientedRect(1, 2, 4, 2, 0))
         assert np.allclose(v, [(-1, 1), (3, 1), (3, 3), (-1, 3)])
-
-
-class TestPointInRect:
-    def test_center_and_corners_inside(self):
-        r = OrientedRect(0, 0, 4, 2, 30)
-        assert point_in_rect(r, 0, 0)
-        for x, y in rect_vertices(r):
-            assert point_in_rect(r, x, y)
-
-    def test_outside(self):
-        r = OrientedRect(0, 0, 4, 2, 0)
-        assert not point_in_rect(r, 2.1, 0)
-        assert not point_in_rect(r, 0, 1.1)
-
-    def test_rotation_moves_membership(self):
-        # (1.9, 0.9) is a corner region only covered without rotation
-        r0 = OrientedRect(0, 0, 4, 2, 0)
-        r45 = OrientedRect(0, 0, 4, 2, 45)
-        assert point_in_rect(r0, 1.9, 0.9)
-        assert not point_in_rect(r45, 1.9, -0.9)
 
 
 class TestClipPolygon:
@@ -322,8 +300,3 @@ class TestAABBIoU:
 
     def test_touching_edges_is_zero(self):
         assert aabb_iou(AABox(0, 0, 1, 1), AABox(1, 0, 2, 1)) == 0.0
-
-
-def test_union_box():
-    u = union_box(AABox(0, 0, 1, 1), AABox(2, -1, 3, 0.5))
-    assert u.as_tuple() == (0, -1, 3, 1)

@@ -10,7 +10,8 @@ from stackgrasp.reasoning import (
     EmptySceneError,
     GraspAction,
     ManipulationGraph,
-    ancestors,
+    _above,
+    _incoming,
     argmax_label,
     build_graph,
     leaves,
@@ -236,11 +237,12 @@ class TestLeavesAncestors:
         assert leaves(self.g()) == {1, 4}
 
     def test_ancestors_transitive(self):
-        g = self.g()
-        assert ancestors(g, 3) == {1, 2}
-        assert ancestors(g, 2) == {1}
-        assert ancestors(g, 1) == set()
-        assert ancestors(g, 4) == set()
+        # the ancestor walk next_action runs over its incoming-edge map
+        incoming = _incoming(self.g())
+        assert _above(incoming, 3) == {1, 2}
+        assert _above(incoming, 2) == {1}
+        assert _above(incoming, 1) == set()
+        assert _above(incoming, 4) == set()
 
 
 class TestNextAction:
