@@ -29,7 +29,6 @@ from stackgrasp.dataset import (
 )
 from stackgrasp.execution import AffineMap, fit_affine
 from stackgrasp.geometry import AABox, OrientedRect
-from stackgrasp.simulation import TrialConfig, run_trial
 from stackgrasp.perception import (
     GraspCandidate,
     ObjectDetection,
@@ -37,6 +36,7 @@ from stackgrasp.perception import (
     parse_predictions,
     serialize_predictions,
 )
+from stackgrasp.simulation import TrialConfig, run_trial
 
 from oracle_utils import per_field_detections, per_field_scene, per_row_relations, plan_document
 
