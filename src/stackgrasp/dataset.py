@@ -17,11 +17,6 @@ from .geometry import AABox, OrientedRect
 from .perception import GraspCandidate, ObjectDetection, ScenePredictions
 
 
-# the scene parser's name for the boundary's error: ``where`` holds the
-# JSON path of the problem
-SceneParseError = DocumentError
-
-
 @dataclass(frozen=True)
 class SceneObject:
     instance_id: int
@@ -69,12 +64,6 @@ class SceneRecord:
                 raise ValueError(f"conflicting or duplicate relation ({above}, {below})")
             seen_pairs.add((above, below))
 
-    def object_by_id(self, instance_id: int) -> SceneObject:
-        for o in self.objects:
-            if o.instance_id == instance_id:
-                return o
-        raise KeyError(instance_id)
-
     def grasps_of(self, instance_id: int) -> list[SceneGrasp]:
         return [g for g in self.grasps if g.owner == instance_id]
 
@@ -97,23 +86,23 @@ def parse_scene(source: str | dict) -> SceneRecord:
     carry the JSON path of the offending field."""
     data = load(source) if isinstance(source, str) else source
     if not isinstance(data, dict):
-        raise SceneParseError("$", "top level must be an object")
+        raise DocumentError("$", "top level must be an object")
     image = data.get("image")
     if not isinstance(image, dict):
-        raise SceneParseError("image", "missing or not an object")
+        raise DocumentError("image", "missing or not an object")
     try:
         width = integer("width", image["width"])
         height = integer("height", image["height"])
         image_path = _optional_string("path", image.get("path"))
     except (KeyError, ValueError) as e:
-        raise SceneParseError("image", str(e)) from e
+        raise DocumentError("image", str(e)) from e
 
     objects = []
     for i, o in enumerate(json_list(data, "objects")):
         try:
             objects.append(SceneObject(*box_row(o)))
         except (KeyError, TypeError, ValueError) as e:
-            raise SceneParseError(f"objects[{i}]", str(e)) from e
+            raise DocumentError(f"objects[{i}]", str(e)) from e
 
     grasps = []
     for i, g in enumerate(json_list(data, "grasps")):
@@ -121,7 +110,7 @@ def parse_scene(source: str | dict) -> SceneRecord:
             rect = grasp_rect(g)
             grasps.append(SceneGrasp(integer("owner", g["owner"]), rect))
         except (KeyError, TypeError, ValueError) as e:
-            raise SceneParseError(f"grasps[{i}]", str(e)) from e
+            raise DocumentError(f"grasps[{i}]", str(e)) from e
 
     relations = []
     for i, r in enumerate(json_list(data, "relations")):
@@ -134,7 +123,7 @@ def parse_scene(source: str | dict) -> SceneRecord:
                 r = json_object(r)
                 above, below = integer("above", r["above"]), integer("below", r["below"])
             except (KeyError, TypeError, ValueError) as e:
-                raise SceneParseError(f"relations[{i}]", str(e)) from e
+                raise DocumentError(f"relations[{i}]", str(e)) from e
         relations.append((above, below))
 
     try:
@@ -148,7 +137,7 @@ def parse_scene(source: str | dict) -> SceneRecord:
             depth_path=_optional_string("depth_path", data.get("depth_path")),
         )
     except ValueError as e:
-        raise SceneParseError("$", str(e)) from e
+        raise DocumentError("$", str(e)) from e
 
 
 def scene_to_json_dict(record: SceneRecord) -> dict:

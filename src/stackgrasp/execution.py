@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._json import load, number, number_list, read_file
+from ._json import json_object, load, number, number_list, read_file
 from .geometry import OrientedRect, normalize_angle, rect_vertices
 
 
@@ -87,6 +87,10 @@ class AffineMap:
         offset = np.asarray(self.offset, dtype=float)
         if linear.shape != (3, 3) or offset.shape != (3,):
             raise ValueError("linear must be 3x3 and offset length 3")
+        # NaN passes the singular check, so every value is checked first
+        for name, value in (("linear", linear), ("offset", offset), ("residual_rms", self.residual_rms)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if abs(float(np.linalg.det(linear))) <= 1e-9:
             raise ValueError("linear part is singular")
         object.__setattr__(self, "linear", linear)
@@ -109,7 +113,11 @@ class AffineMap:
     @classmethod
     def from_json_dict(cls, data: dict) -> "AffineMap":
         """The map of ``to_json_dict``: ``linear`` three rows of three JSON
-        numbers, ``offset`` three and ``residual_rms`` one (default 0)."""
+        numbers, ``offset`` three and ``residual_rms`` one (default 0); any
+        other document is a ValueError naming the field at fault."""
+        for name in ("linear", "offset"):
+            if name not in json_object(data):
+                raise ValueError(f"{name}: missing")
         linear = data["linear"]
         if type(linear) is not list or len(linear) != 3:
             raise ValueError(f"linear must be a list of 3 rows, got {linear!r}")
@@ -147,7 +155,8 @@ def fit_affine(pairs: Sequence[tuple[Sequence[float], Sequence[float]]]) -> Affi
     linear = params[:3, :].T
     offset = params[3, :]
     residuals = design @ params - rob
-    rms = float(np.sqrt(np.mean(np.sum(residuals**2, axis=1))))
+    with np.errstate(over="ignore"):  # AffineMap rejects a non-finite RMS
+        rms = float(np.sqrt(np.mean(np.sum(residuals**2, axis=1))))
     try:
         return AffineMap(linear=linear, offset=offset, residual_rms=rms)
     except ValueError as e:
@@ -295,20 +304,9 @@ def to_robot_pose(
     return RobotGraspPose(point=point, approach=approach, roll=roll, opening=opening)
 
 
-def save_depth_pgm(path, depth: DepthImage) -> None:
-    """Write a 16-bit binary PGM (big-endian, maxval 65535); invalid pixels
-    are stored as 0 millimeters."""
-    values = np.where(depth.valid, np.rint(depth.values), 0.0)
-    if np.any(values < 0) or np.any(values > 65535):
-        raise ValueError("depth values outside the 16-bit millimeter range")
-    arr = values.astype(">u2")
-    with open(path, "wb") as f:
-        f.write(f"P5\n{depth.width} {depth.height}\n65535\n".encode("ascii"))
-        f.write(arr.tobytes())
-
-
 def load_depth_pgm(path) -> DepthImage:
-    """Read a binary PGM written by :func:`save_depth_pgm` (or compatible)."""
+    """Read a binary 16-bit PGM (``P5``, maxval 65535, big-endian millimeters,
+    0 meaning missing)."""
     raw = Path(path).read_bytes()
     m = re.match(rb"^P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s", raw)
     if m is None:

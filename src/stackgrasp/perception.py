@@ -8,7 +8,6 @@ class probabilities for every ordered object pair.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -153,36 +152,6 @@ class ScenePredictions:
             perceive(d, self.grasp_candidates.get(d.instance_id, []), top_n)
             for d in self.detections
         ]
-
-
-def predictions_to_json_dict(preds: ScenePredictions) -> dict:
-    dets = []
-    for d in sorted(preds.detections, key=lambda d: d.instance_id):
-        grasps = [
-            {
-                "rect": [float(g.rect.x), float(g.rect.y), float(g.rect.w), float(g.rect.h), float(g.rect.theta)],
-                "confidence": float(g.confidence),
-            }
-            for g in preds.grasp_candidates.get(d.instance_id, [])
-        ]
-        dets.append(
-            {
-                "id": d.instance_id,
-                "category": d.category,
-                "bbox": [float(v) for v in d.box.as_tuple()],
-                "score": float(d.score),
-                "grasps": grasps,
-            }
-        )
-    relations = [
-        {"pair": [a, b], "probs": [float(p) for p in probs]}
-        for (a, b), probs in sorted(preds.relations.items())
-    ]
-    return {"detections": dets, "relations": relations}
-
-
-def serialize_predictions(preds: ScenePredictions) -> str:
-    return json.dumps(predictions_to_json_dict(preds), indent=2) + "\n"
 
 
 def _relation(i: int, r) -> tuple[int, int, float, float, float]:

@@ -86,10 +86,6 @@ class NoiseModel:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "NoiseModel":
-        return cls(**_only_fields(data, cls.__dataclass_fields__, "noise"))
-
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -125,16 +121,6 @@ class TrialConfig:
         if string("target_rule", self.target_rule) not in ("random", "deepest"):
             raise ValueError(f"unknown target rule {self.target_rule!r}")
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TrialConfig":
-        """Config of one simulation regime, with seed 0: the seed is not a
-        regime field. Absent fields keep their defaults."""
-        fields = dict(_only_fields(data, set(cls.__dataclass_fields__) - {"seed"}, "regime"))
-        if "noise" in fields:
-            fields["noise"] = NoiseModel.from_json_dict(fields["noise"])
-        # __post_init__ checks the other fields
-        return cls(seed=0, **fields)
-
 
 def parse_sim_config(source: str | dict) -> tuple[int, list[tuple[str, int, TrialConfig]]]:
     """The base seed and every regime's name, trial count and config (seed
@@ -164,7 +150,14 @@ def parse_sim_config(source: str | dict) -> tuple[int, list[tuple[str, int, Tria
             # a trial's seed is one 32-bit word, so more trials repeat a seed
             if not 1 <= trials <= 2**32:
                 raise ValueError("'trials' must be from 1 to 2**32")
-            config = TrialConfig.from_json_dict(fields)
+            # trials derive their seeds from the base seed, so no regime sets one
+            _only_fields(fields, TrialConfig.__dataclass_fields__.keys() - {"seed"}, "regime")
+            if "noise" in fields:
+                fields["noise"] = NoiseModel(
+                    **_only_fields(fields["noise"], NoiseModel.__dataclass_fields__, "noise")
+                )
+            # the constructors check every value; absent fields keep their defaults
+            config = TrialConfig(seed=0, **fields)
             # names become trial log file names
             if name in names:
                 raise ValueError(f"duplicate regime name {name!r}")

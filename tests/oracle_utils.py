@@ -19,11 +19,16 @@ suppression marks every box a survivor overlaps, and grasp selection
 always ranks every candidate by confidence. The scene augmentations build
 each box and rectangle field by field and normalize every angle before
 the rectangle normalizes it again.
+
+It also holds two writers that the package, which only reads these
+formats, does not need: the predictions JSON writer and the 16-bit PGM
+depth writer, with which tests make input files.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 
@@ -696,9 +701,9 @@ def non_empty_category(row) -> str:
 def per_field_scene(source):
     """``dataset.parse_scene`` with every field of every row read by the
     strict readers of ``stackgrasp._json``, one field at a time. Raises the
-    parser's SceneParseError for the first bad field."""
-    from stackgrasp._json import integer, json_list, load, number_list, string
-    from stackgrasp.dataset import SceneGrasp, SceneObject, SceneParseError, SceneRecord
+    parser's DocumentError for the first bad field."""
+    from stackgrasp._json import DocumentError, integer, json_list, load, number_list, string
+    from stackgrasp.dataset import SceneGrasp, SceneObject, SceneRecord
     from stackgrasp.geometry import AABox, OrientedRect
 
     def optional_string(name, value):
@@ -706,16 +711,16 @@ def per_field_scene(source):
 
     data = load(source) if isinstance(source, str) else source
     if not isinstance(data, dict):
-        raise SceneParseError("$", "top level must be an object")
+        raise DocumentError("$", "top level must be an object")
     image = data.get("image")
     if not isinstance(image, dict):
-        raise SceneParseError("image", "missing or not an object")
+        raise DocumentError("image", "missing or not an object")
     try:
         width = integer("width", image["width"])
         height = integer("height", image["height"])
         image_path = optional_string("path", image.get("path"))
     except (KeyError, ValueError) as e:
-        raise SceneParseError("image", str(e)) from e
+        raise DocumentError("image", str(e)) from e
     objects = []
     for i, o in enumerate(json_list(data, "objects")):
         try:
@@ -730,7 +735,7 @@ def per_field_scene(source):
                 )
             )
         except (KeyError, TypeError, ValueError) as e:
-            raise SceneParseError(f"objects[{i}]", str(e)) from e
+            raise DocumentError(f"objects[{i}]", str(e)) from e
     grasps = []
     for i, g in enumerate(json_list(data, "grasps")):
         try:
@@ -738,14 +743,14 @@ def per_field_scene(source):
             rect = OrientedRect(*number_list("rect", g["rect"], 5))
             grasps.append(SceneGrasp(owner=integer("owner", g["owner"]), rect=rect))
         except (KeyError, TypeError, ValueError) as e:
-            raise SceneParseError(f"grasps[{i}]", str(e)) from e
+            raise DocumentError(f"grasps[{i}]", str(e)) from e
     relations = []
     for i, r in enumerate(json_list(data, "relations")):
         try:
             require_object(r)
             relations.append((integer("above", r["above"]), integer("below", r["below"])))
         except (KeyError, TypeError, ValueError) as e:
-            raise SceneParseError(f"relations[{i}]", str(e)) from e
+            raise DocumentError(f"relations[{i}]", str(e)) from e
     try:
         return SceneRecord(
             width=width,
@@ -757,7 +762,7 @@ def per_field_scene(source):
             depth_path=optional_string("depth_path", data.get("depth_path")),
         )
     except ValueError as e:
-        raise SceneParseError("$", str(e)) from e
+        raise DocumentError("$", str(e)) from e
 
 
 def per_field_detections(data: dict):
@@ -894,3 +899,48 @@ def reference_rot90(record, quarter_turns: int = 1):
         )
         out = replace(out, width=out.height, height=out.width, objects=objects, grasps=grasps)
     return out
+
+
+def predictions_to_json_dict(preds) -> dict:
+    """The predictions document of a ``ScenePredictions``: detections by
+    id, each with its grasp candidates, and relations by pair."""
+    dets = []
+    for d in sorted(preds.detections, key=lambda d: d.instance_id):
+        grasps = [
+            {
+                "rect": [float(g.rect.x), float(g.rect.y), float(g.rect.w), float(g.rect.h), float(g.rect.theta)],
+                "confidence": float(g.confidence),
+            }
+            for g in preds.grasp_candidates.get(d.instance_id, [])
+        ]
+        dets.append(
+            {
+                "id": d.instance_id,
+                "category": d.category,
+                "bbox": [float(v) for v in d.box.as_tuple()],
+                "score": float(d.score),
+                "grasps": grasps,
+            }
+        )
+    relations = [
+        {"pair": [a, b], "probs": [float(p) for p in probs]}
+        for (a, b), probs in sorted(preds.relations.items())
+    ]
+    return {"detections": dets, "relations": relations}
+
+
+def serialize_predictions(preds) -> str:
+    """The predictions file text of a ``ScenePredictions``."""
+    return json.dumps(predictions_to_json_dict(preds), indent=2) + "\n"
+
+
+def save_depth_pgm(path, depth) -> None:
+    """Write a ``DepthImage`` as a 16-bit binary PGM (big-endian, maxval
+    65535); invalid pixels are stored as 0 millimeters."""
+    values = np.where(depth.valid, np.rint(depth.values), 0.0)
+    if np.any(values < 0) or np.any(values > 65535):
+        raise ValueError("depth values outside the 16-bit millimeter range")
+    arr = values.astype(">u2")
+    with open(path, "wb") as f:
+        f.write(f"P5\n{depth.width} {depth.height}\n65535\n".encode("ascii"))
+        f.write(arr.tobytes())

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import faulthandler
+import io
 import json
 import math
 import os
@@ -34,11 +36,16 @@ from stackgrasp.perception import (
     ObjectDetection,
     ScenePredictions,
     parse_predictions,
-    serialize_predictions,
 )
 from stackgrasp.simulation import TrialConfig, run_trial
 
-from oracle_utils import per_field_detections, per_field_scene, per_row_relations, plan_document
+from oracle_utils import (
+    per_field_detections,
+    per_field_scene,
+    per_row_relations,
+    plan_document,
+    serialize_predictions,
+)
 
 
 def chain_scene() -> SceneRecord:
@@ -1061,7 +1068,7 @@ def test_unwritable_output_is_a_data_error(tmp_path, scene_file, capsys, command
 
 
 # The README simulation config cut to one trial per regime.
-README_SIM = {
+README_SIM_ONE_TRIAL = {
     "seed": 5,
     "regimes": [
         {"name": "shallow", "count_range": [2, 4], "trials": 1},
@@ -1115,7 +1122,7 @@ def _mutated(draw, doc, keys):
 @st.composite
 def mutated_sim_configs(draw):
     """The README config with the mutations of ``_mutated``."""
-    return _mutated(draw, copy.deepcopy(README_SIM), _KEYS)
+    return _mutated(draw, copy.deepcopy(README_SIM_ONE_TRIAL), _KEYS)
 
 
 def _mutate_slot(draw, slots, kind):
@@ -1207,6 +1214,131 @@ def test_mutated_document_exits_cleanly(case):
         argv = [arg.format(**files) for arg in command]
         code = _run_guarded(argv + ["--out", str(Path(tmp) / "out.json")])
     assert code in (0, 2, 3)
+
+
+# Flags and paths for the flag and path fuzz test. A value flag takes a
+# value from _FLAG_VALUES: float and int edges, the empty and blank
+# strings, non-ASCII digits (which int() and float() read) and a few that
+# pass. An input path is one of _INPUT_KINDS and an output path one of
+# _OUTPUT_KINDS; FIFOs stay out, since one with no writer blocks by design.
+_FLAG_VALUES = [
+    "nan", "inf", "-0", "1e308", str(2**70), "9" * 5000, "", "  ",
+    "\u0663", "\uff11\uff12", "1", "0.5", "-1",
+]
+_INPUT_KINDS = ["valid", "missing", "directory", "empty", "non-utf8"]
+_OUTPUT_KINDS = ["new", "existing-directory", "file", "missing-parent"]
+# each subcommand's flags: the content of a valid input file, "out" for an
+# output path, "value" for a value flag and None for a switch; the
+# required flags come first
+_SUBCOMMANDS = {
+    "eval": (2, {"--gt": "scene", "--pred": "predictions", "--out": "out", "--iou": "value",
+                 "--jaccard": "value", "--angle": "value", "--topn": "value", "--pretty": None}),
+    "plan": (2, {"--pred": "predictions", "--target": "value", "--assume-hidden": None,
+                 "--out": "out", "--pretty": None}),
+    "simulate": (1, {"--config": "config", "--seed": "value", "--out": "out",
+                     "--trial-log": "out", "--pretty": None}),
+    "calibrate": (1, {"--pairs": "pairs", "--out": "out", "--pretty": None}),
+    "augment": (1, {"--scene": "scene", "--rot90": "value", "--hflip": None, "--out": "out"}),
+}
+# what an error about a value flag names: the flag, or the field it sets
+_NAMED_AS = {"--iou": "iou", "--jaccard": "jaccard", "--angle": "angle", "--topn": "top_n",
+             "--target": "target", "--seed": "--seed", "--rot90": "--rot90"}
+
+
+def _valid_inputs() -> dict[str, str]:
+    return {
+        "scene": serialize_scene(chain_scene()),
+        "predictions": serialize_predictions(record_to_predictions(chain_scene())),
+        "config": json.dumps({"seed": 1, "regimes": [{"count_range": [2, 4], "trials": 2}]}),
+        "pairs": json.dumps(calibration_pairs()),
+    }
+
+
+@st.composite
+def flag_and_path_cases(draw):
+    """A subcommand, its required flags and a subset of the others, each
+    with a drawn value or path kind: (subcommand, [(flag, value or kind or
+    None)])."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    required, flags = _SUBCOMMANDS[command]
+    names = list(flags)
+    chosen = names[:required] + [f for f in names[required:] if draw(st.booleans())]
+    drawn = []
+    for flag in chosen:
+        kind = flags[flag]
+        if kind == "value":
+            drawn.append((flag, draw(st.sampled_from(_FLAG_VALUES))))
+        elif kind is not None:
+            # half the paths are the first kind, valid, so that runs get
+            # past their inputs to the other flags' handlers
+            kinds = _OUTPUT_KINDS if kind == "out" else _INPUT_KINDS
+            drawn.append((flag, kinds[0] if draw(st.booleans()) else draw(st.sampled_from(kinds))))
+        else:
+            drawn.append((flag, None))
+    return command, drawn
+
+
+def _path_of(tmp: Path, flag: str, kind: str, content: str | None) -> Path:
+    """A path of ``kind`` under ``tmp`` for ``flag``; a valid input holds
+    ``content``, and the input directory holds one valid scene file."""
+    directory = tmp / "dir"
+    if not directory.exists():
+        directory.mkdir()
+        (directory / "scene.json").write_text(serialize_scene(chain_scene()))
+    stem = flag.strip("-")
+    if kind == "missing":
+        return tmp / f"{stem}-missing.json"
+    if kind == "directory":
+        return directory
+    if kind == "existing-directory":
+        (tmp / stem).mkdir()
+        return tmp / stem
+    path = tmp / f"{stem}.json"
+    if kind == "new":
+        return path
+    if kind == "missing-parent":
+        return tmp / "nowhere" / path.name
+    if kind == "non-utf8":
+        path.write_bytes(b'{"a": "\xff\xfe"}')
+    else:  # "empty", "file" (a file where a directory or a new file is expected), "valid"
+        path.write_text(content if kind == "valid" else "")
+    return path
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=flag_and_path_cases())
+def test_flags_and_paths_keep_the_exit_code_contract(case):
+    """Any subcommand with any subset of its flags, given edge values and
+    every kind of path, exits 0, 1, 2 or 3 without a traceback; a data
+    error (2) names a flag or path it was given that is at fault."""
+    command, drawn = case
+    _, flags = _SUBCOMMANDS[command]
+    valid = _valid_inputs()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, named = [command], set()
+        for flag, drawn_value in drawn:
+            argv.append(flag)
+            kind = flags[flag]
+            if kind == "value":
+                argv.append(drawn_value)
+                named.add(_NAMED_AS[flag])
+            elif kind is not None:
+                path = _path_of(Path(tmp), flag, drawn_value, valid.get(kind))
+                argv.append(str(path))
+                # a path of any other kind is at fault; eval reads a
+                # directory of scenes, and names --gt and --pred when only
+                # one of them is a directory
+                named.add(flag)
+                if drawn_value not in ("valid", "new") and (drawn_value, command) != ("directory", "eval"):
+                    named.add(str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _run_guarded(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert any(name in err for name in named), (argv, err)
 
 
 # Rows that take the parser's slower branch: converted or rejected.
@@ -1329,6 +1461,19 @@ def test_mutated_rows_parse_like_the_field_readers(case):
         assert _parsed_or_error(fast) == _parsed_or_error(lambda: per_field_detections(doc))
 
 
+def calibrate_process(pairs: Path, timeout: float) -> subprocess.CompletedProcess:
+    """``stackgrasp calibrate --pairs PAIRS`` in a new interpreter, whose
+    stderr shows every warning as a user would see it."""
+    src = str(Path(stackgrasp.__file__).resolve().parents[1])
+    pythonpath = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from stackgrasp.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "calibrate", "--pairs", str(pairs)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
 class TestCalibrate:
     def test_good_fit(self, tmp_path, capsys):
         path = tmp_path / "pairs.json"
@@ -1410,17 +1555,22 @@ class TestCalibrate:
         pairs[3][where][2] = "VALUE"
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps(pairs).replace('"VALUE"', value))
-        src = str(Path(stackgrasp.__file__).resolve().parents[1])
-        pythonpath = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from stackgrasp.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "calibrate", "--pairs", str(path)],
-            capture_output=True, text=True, timeout=5, env=env,
-        )
+        proc = calibrate_process(path, timeout=5)
         assert proc.returncode == 3
         assert "pair 3: non-finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_overflowing_fit_is_one_error_line(self, tmp_path):
+        # the residuals of robot coordinates near 1e308 overflow; the map
+        # was written with "residual_rms": Infinity, which is not JSON
+        pixels = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 0, 2), (1, 1, 3)]
+        pairs = [{"pixel": p, "robot": [1e308 * (i % 2), 1e308 * (i // 2 % 2), 1e308]}
+                 for i, p in enumerate(pixels)]
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(pairs))
+        proc = calibrate_process(path, timeout=30)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: residual_rms must be finite\n"
 
     def test_pretty_summary(self, tmp_path, capsys):
         path = tmp_path / "pairs.json"
@@ -1449,7 +1599,8 @@ class TestAugment:
     def test_hflip_mirrors_boxes(self, scene_file, capsys):
         assert main(["augment", "--scene", str(scene_file), "--hflip"]) == 0
         rec = parse_scene(capsys.readouterr().out)
-        assert rec.object_by_id(4).box == AABox(140.0, 300.0, 240.0, 340.0)
+        assert rec.objects[3].instance_id == 4
+        assert rec.objects[3].box == AABox(140.0, 300.0, 240.0, 340.0)
         assert rec.grasps_of(4)[0].rect.theta == -30.5
 
     def test_rot90_swaps_dimensions(self, scene_file, capsys):

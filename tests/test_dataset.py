@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackgrasp._json import DocumentError
 from stackgrasp.dataset import (
     SceneGrasp,
     SceneObject,
-    SceneParseError,
     SceneRecord,
     hflip,
     load_scene,
@@ -96,9 +96,6 @@ class TestSceneRecordValidation:
 
     def test_lookup_helpers(self):
         rec = sample_record()
-        assert rec.object_by_id(2).category == "notebook"
-        with pytest.raises(KeyError):
-            rec.object_by_id(99)
         assert [g.owner for g in rec.grasps_of(1)] == [1]
 
 
@@ -147,16 +144,16 @@ class TestParseSerialize:
 
 class TestParseErrors:
     def test_invalid_json(self):
-        with pytest.raises(SceneParseError, match="not valid JSON") as exc:
+        with pytest.raises(DocumentError, match="not valid JSON") as exc:
             parse_scene("[1,")
         assert exc.value.where == "$"
 
     def test_top_level_not_object(self):
-        with pytest.raises(SceneParseError, match="top level"):
+        with pytest.raises(DocumentError, match="top level"):
             parse_scene("[]")
 
     def test_missing_image(self):
-        with pytest.raises(SceneParseError) as exc:
+        with pytest.raises(DocumentError) as exc:
             parse_scene("{}")
         assert exc.value.where == "image"
 
@@ -165,7 +162,7 @@ class TestParseErrors:
             "image": {"width": 100, "height": 100},
             "objects": [{"id": 1, "category": "cup", "bbox": [0, 0, 10]}],
         }
-        with pytest.raises(SceneParseError, match="bbox needs 4") as exc:
+        with pytest.raises(DocumentError, match="bbox needs 4") as exc:
             parse_scene(json.dumps(data))
         assert exc.value.where == "objects[0]"
 
@@ -175,7 +172,7 @@ class TestParseErrors:
             "objects": [{"id": 1, "category": "cup", "bbox": [0, 0, 10, 10]}],
             "grasps": [{"owner": 1, "rect": [5, 5, 4, 2]}],
         }
-        with pytest.raises(SceneParseError, match="rect needs 5") as exc:
+        with pytest.raises(DocumentError, match="rect needs 5") as exc:
             parse_scene(json.dumps(data))
         assert exc.value.where == "grasps[0]"
 
@@ -188,14 +185,14 @@ class TestParseErrors:
             ],
             "relations": [{"above": 1, "below": 2}, {"above": 1}],
         }
-        with pytest.raises(SceneParseError) as exc:
+        with pytest.raises(DocumentError) as exc:
             parse_scene(json.dumps(data))
         assert exc.value.where == "relations[1]"
 
     @pytest.mark.parametrize("key", ["objects", "grasps", "relations"])
     def test_array_of_wrong_type(self, key):
         data = {"image": {"width": 100, "height": 100}, key: 5}
-        with pytest.raises(SceneParseError, match="expected a list") as exc:
+        with pytest.raises(DocumentError, match="expected a list") as exc:
             parse_scene(json.dumps(data))
         assert exc.value.where == key
 
@@ -207,7 +204,7 @@ class TestParseErrors:
                 {"id": 1, "category": "box", "bbox": [20, 20, 30, 30]},
             ],
         }
-        with pytest.raises(SceneParseError, match="duplicate object ids") as exc:
+        with pytest.raises(DocumentError, match="duplicate object ids") as exc:
             parse_scene(json.dumps(data))
         assert exc.value.where == "$"
 
@@ -222,20 +219,20 @@ class TestFileIo:
     def test_load_error_names_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
-        with pytest.raises(SceneParseError, match="bad.json"):
+        with pytest.raises(DocumentError, match="bad.json"):
             load_scene(path)
 
     def test_load_missing_file(self, tmp_path):
-        with pytest.raises(SceneParseError, match="gone.json"):
+        with pytest.raises(DocumentError, match="gone.json"):
             load_scene(tmp_path / "gone.json")
 
     def test_load_error_reads_file_then_field(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"image": {"width": "640", "height": 480}}))
-        with pytest.raises(SceneParseError) as exc:
+        with pytest.raises(DocumentError) as exc:
             load_scene(path)
         assert str(exc.value) == f"{path}: image: width must be an integer, got '640'"
-        with pytest.raises(SceneParseError) as exc:
+        with pytest.raises(DocumentError) as exc:
             load_scene(tmp_path / "gone.json")
         assert str(exc.value) == f"{tmp_path / 'gone.json'}: No such file or directory"
 

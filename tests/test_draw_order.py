@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from stackgrasp.dataset import scene_to_json_dict
-from stackgrasp.perception import predictions_to_json_dict
 from stackgrasp.simulation import (
     LiveScene,
     NoiseModel,
@@ -20,6 +19,8 @@ from stackgrasp.simulation import (
     oracle_predict,
     remove_object,
 )
+
+from oracle_utils import predictions_to_json_dict
 
 SCENE_CONFIGS = {
     "shallow": TrialConfig(seed=0, count_range=(2, 4)),

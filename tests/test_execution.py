@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from stackgrasp.execution import (
     grasp_point,
     load_calibration_pairs,
     load_depth_pgm,
-    save_depth_pgm,
     to_robot_pose,
 )
 from stackgrasp.geometry import OrientedRect
@@ -29,6 +29,7 @@ from oracle_utils import (
     exhaustive_grasp_point,
     gather_depths_ok,
     loop_approach_vector,
+    save_depth_pgm,
 )
 
 
@@ -118,6 +119,38 @@ class TestAffineMap:
         assert m.linear.dtype == float and m.offset.tolist() == [0.0, 0.0, 1.0]
         assert m.residual_rms == 0.0
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"linear": [[math.nan, 0, 0], [0, 1, 0], [0, 0, 1]]}, "linear"),
+            ({"linear": [[1, 0, 0], [0, math.inf, 0], [0, 0, 1]]}, "linear"),
+            ({"offset": [0, -math.inf, 0]}, "offset"),
+            ({"residual_rms": math.nan}, "residual_rms"),
+            ({"residual_rms": math.inf}, "residual_rms"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, fields, name):
+        # a NaN determinant passes the singular check; the field is named first
+        data = {**AffineMap.identity().to_json_dict(), **fields}
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            AffineMap(np.array(data["linear"]), np.array(data["offset"]), data["residual_rms"])
+        # json.loads reads NaN and Infinity
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            AffineMap.from_json_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"offset": [0, 0, 0]}, "^linear: missing$"),
+            ({"linear": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "^offset: missing$"),
+            ([], "^expected an object, got list$"),
+            (None, "^expected an object, got NoneType$"),
+        ],
+    )
+    def test_from_json_dict_names_a_missing_field(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            AffineMap.from_json_dict(data)
+
 
 class TestFitAffine:
     def exact_pairs(self, linear, offset, rng, n=12):
@@ -167,6 +200,14 @@ class TestFitAffine:
         ]
         with pytest.raises(CalibrationError):
             fit_affine(pairs)
+
+    def test_overflowing_residual_is_a_calibration_error(self):
+        pixels = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 0, 2), (1, 1, 3)]
+        pairs = [(p, (1e308 * (i % 2), 1e308 * (i // 2 % 2), 1e308)) for i, p in enumerate(pixels)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning on the way
+            with pytest.raises(CalibrationError, match="^residual_rms must be finite$"):
+                fit_affine(pairs)
 
     def test_non_3d_points_rejected(self):
         pairs = [((0, 0), (0, 0))] * 4

@@ -1,19 +1,24 @@
 """Every top-level import of a package module is used in that module,
-every module-level private name is read somewhere in the package, and only
-the input boundary decodes JSON or touches the garbage collector. The
-checks read the source with ``ast``: a name bound by an import must be
-read somewhere in its module (``__init__.py`` re-exports, so it is left
-out), a ``_private`` function, class or constant must be read in some
-module of the package, by name or as an attribute, and no module but
-``_json.py`` may call ``json.loads``, ``json.load`` or a ``read_text``
+every module-level private name is read somewhere in the package, every
+public name has a reader, and only the input boundary decodes JSON or
+touches the garbage collector. The checks read the source with ``ast``: a
+name bound by an import must be read somewhere in its module
+(``__init__.py`` re-exports, so it is left out), a ``_private`` function,
+class or constant must be read in some module of the package, by name or
+as an attribute, a public function, class or method must be read the same
+way by the package, a ``perfbench`` script or the acceptance tests, or be
+named in the README's code or be a command's entry point, and no module
+but ``_json.py`` may call ``json.loads``, ``json.load`` or a ``read_text``
 method, or import ``gc``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stackgrasp"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "stackgrasp"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -100,6 +105,74 @@ def test_finds_an_unused_private_name():
 def test_no_unused_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unused_private_names(sources) == []
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    # module-level functions and classes, and the methods of those classes
+    # (``Class.method``), whose names do not start with an underscore
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [
+                f"{node.name}.{f.name}"
+                for f in node.body
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    return [n for n in names if not n.rsplit(".", 1)[-1].startswith("_")]
+
+
+def unused_public_names(sources: dict[str, str], readers: set[str]) -> list[str]:
+    """``module.name`` or ``module.Class.method`` for every public function,
+    class or method of the given sources (module name to text) whose name
+    no source reads and ``readers`` does not hold, in module then
+    definition order."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set(readers).union(*map(_reads, trees.values()))
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _public_definitions(tree)
+        if name.rsplit(".", 1)[-1] not in read
+    ]
+
+
+def outside_readers() -> set[str]:
+    """The names read outside the package: by a ``perfbench`` script or the
+    acceptance tests, every identifier in a README code span or block, and
+    the function of each ``module:function`` entry point in pyproject.toml."""
+    scripts = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    out = set().union(*(_reads(ast.parse(p.read_text())) for p in scripts))
+    code = re.findall(r"```.*?```|`[^`]+`", (ROOT / "README.md").read_text(), re.S)
+    out.update(re.findall(r"[A-Za-z_]\w*", "\n".join(code)))
+    out.update(re.findall(r'=\s*"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    return out
+
+
+def test_finds_an_unused_public_name():
+    sources = {
+        "a": "def used():\n    pass\n"
+             "def documented():\n    pass\n"
+             "def left_behind():\n    pass\n"
+             "class Shape:\n"
+             "    def area(self):\n        return 1\n"
+             "    def unread(self):\n        return 2\n"
+             "    def _private(self):\n        return self.area()\n",
+        "b": "from a import used\nimport a\nx = a.Shape().area\n",
+    }
+    assert unused_public_names(sources, {"documented"}) == ["a.left_behind", "a.Shape.unread"]
+
+
+def test_outside_readers_hold_each_kind_of_reader():
+    # the entry point, a README code block, a perfbench script and an
+    # acceptance test
+    assert {"run", "symmetrize", "gen_pick", "assert_grad_close"} <= outside_readers()
+
+
+def test_no_unused_public_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unused_public_names(sources, outside_readers()) == []
 
 
 def json_decode_calls(source: str) -> list[int]:

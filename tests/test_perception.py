@@ -17,12 +17,15 @@ from stackgrasp.perception import (
     nms,
     parse_predictions,
     perceive,
-    predictions_to_json_dict,
     select_best_grasp,
-    serialize_predictions,
 )
 
-from oracle_utils import reference_nms, reference_select_best_grasp
+from oracle_utils import (
+    predictions_to_json_dict,
+    reference_nms,
+    reference_select_best_grasp,
+    serialize_predictions,
+)
 
 SMALL = AnchorConfig(grid_w=2, grid_h=2, k=1)
 

@@ -9,12 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import grid_coverage_fraction, rebuilt_predict, rebuilt_run_trial
+from oracle_utils import (
+    grid_coverage_fraction,
+    predictions_to_json_dict,
+    rebuilt_predict,
+    rebuilt_run_trial,
+)
 from stackgrasp import simulation
 from stackgrasp._json import DocumentError
 from stackgrasp.dataset import SceneGrasp, SceneObject, SceneRecord, serialize_scene
 from stackgrasp.geometry import AABox, OrientedRect, aabb_iou
-from stackgrasp.perception import predictions_to_json_dict
 from stackgrasp.simulation import (
     CATEGORIES,
     SCENE_HEIGHT,
@@ -104,6 +108,13 @@ def without(scene, gone):
     )
 
 
+def regime_config(fields) -> TrialConfig:
+    """The config that ``parse_sim_config`` reads from a regime of one
+    trial with ``fields`` and the default ``count_range`` unless given."""
+    regime = {"count_range": [6, 9], "trials": 1, **fields}
+    return parse_sim_config({"regimes": [regime]})[1][0][2]
+
+
 class TestNoiseModel:
     def test_validation(self):
         with pytest.raises(ValueError, match="drop_prob"):
@@ -115,11 +126,13 @@ class TestNoiseModel:
 
     def test_json_round_trip(self):
         m = NoiseModel(drop_prob=0.1, box_sigma=2.0, relation_flip_prob=0.3)
-        assert NoiseModel.from_json_dict(m.to_json_dict()) == m
+        assert regime_config({"noise": m.to_json_dict()}).noise == m
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown noise fields"):
-            NoiseModel.from_json_dict({"drop_prob": 0.1, "blur": 1.0})
+            regime_config({"noise": {"drop_prob": 0.1, "blur": 1.0}})
+        with pytest.raises(ValueError, match="noise must be an object"):
+            regime_config({"noise": []})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -127,12 +140,12 @@ class TestNoiseModel:
     )
     def test_fields_must_be_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a number"):
-            NoiseModel.from_json_dict({field: value})
+            regime_config({"noise": {field: value}})
         with pytest.raises(ValueError, match=f"{field} must be a number"):
             NoiseModel(**{field: value})
 
     def test_fields_become_floats(self):
-        m = NoiseModel.from_json_dict({"box_sigma": 2, "drop_prob": np.float32(0.5)})
+        m = regime_config({"noise": {"box_sigma": 2, "drop_prob": np.float32(0.5)}}).noise
         assert type(m.box_sigma) is float and m.box_sigma == 2.0
         assert type(m.drop_prob) is float and m.drop_prob == 0.5
         assert m.to_json_dict()["box_sigma"] == 2.0
@@ -154,7 +167,7 @@ class TestTrialConfig:
             TrialConfig(seed=0, count_range=(1, 7), max_stack_depth=0)
         TrialConfig(seed=0, count_range=(1, 6), max_stack_depth=0)
 
-    def test_from_json_dict(self):
+    def test_read_from_a_regime(self):
         data = {
             "count_range": [2, 4],
             "target_rule": "deepest",
@@ -162,7 +175,7 @@ class TestTrialConfig:
             "coverage_threshold": 0.7,
             "max_stack_depth": 2,
         }
-        assert TrialConfig.from_json_dict(data) == TrialConfig(
+        assert regime_config(data) == TrialConfig(
             seed=0,
             count_range=(2, 4),
             target_rule="deepest",
@@ -170,7 +183,7 @@ class TestTrialConfig:
             coverage_threshold=0.7,
             max_stack_depth=2,
         )
-        assert TrialConfig.from_json_dict({}) == TrialConfig(seed=0)
+        assert regime_config({}) == TrialConfig(seed=0)
 
     @pytest.mark.parametrize(
         "fields, name",
@@ -188,7 +201,7 @@ class TestTrialConfig:
             TrialConfig(seed=0, **fields)
         with pytest.raises(ValueError, match=rf"{re.escape(name)} must be an integer"):
             data = {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
-            TrialConfig.from_json_dict(data)
+            regime_config(data)
 
     def test_integer_fields_accept_numpy_integers(self):
         cfg = TrialConfig(seed=0, count_range=(np.int64(2), np.int64(4)), max_stack_depth=np.int32(2))
@@ -212,12 +225,12 @@ class TestTrialConfig:
     @pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
     def test_coverage_threshold_must_be_a_number(self, value):
         with pytest.raises(ValueError, match="coverage_threshold must be a number"):
-            TrialConfig.from_json_dict({"coverage_threshold": value})
+            regime_config({"coverage_threshold": value})
 
     @pytest.mark.parametrize("value", [5, None, ["random"]])
     def test_target_rule_must_be_a_string(self, value):
         with pytest.raises(ValueError, match="target_rule must be a string"):
-            TrialConfig.from_json_dict({"target_rule": value})
+            regime_config({"target_rule": value})
 
     def test_number(self):
         assert number("x", 3) == 3.0 and type(number("x", 3)) is float
@@ -226,14 +239,12 @@ class TestTrialConfig:
             with pytest.raises(ValueError, match="x must be a number"):
                 number("x", value)
 
-    def test_from_json_dict_rejects_unknown_fields(self):
+    def test_unknown_regime_fields_rejected(self):
         with pytest.raises(ValueError, match=r"unknown regime fields: \['noize', 'targt_rule'\]"):
-            TrialConfig.from_json_dict({"targt_rule": "deepest", "noize": {}})
+            regime_config({"targt_rule": "deepest", "noize": {}})
         # trial seeds come from the config's base seed, never from a regime
         with pytest.raises(ValueError, match="unknown regime fields"):
-            TrialConfig.from_json_dict({"seed": 3})
-        with pytest.raises(ValueError, match="must be an object"):
-            TrialConfig.from_json_dict([])
+            regime_config({"seed": 3})
 
     def test_bad_rule_and_threshold(self):
         with pytest.raises(ValueError, match="target rule"):
@@ -482,10 +493,9 @@ class TestCoverageOracle:
             while scene.objects:
                 shown = oracle_predict(live, ZERO, np.random.default_rng(seed), threshold)
                 expected = []
+                boxes = {o.instance_id: o.box for o in scene.objects}
                 for o in scene.objects:
-                    covers = [
-                        scene.object_by_id(a).box for a, b in scene.relations if b == o.instance_id
-                    ]
+                    covers = [boxes[a] for a, b in scene.relations if b == o.instance_id]
                     seen = grid_coverage_fraction(o.box, covers) < threshold
                     assert visible(live, o.instance_id, threshold) == seen
                     if seen:
@@ -501,8 +511,9 @@ class TestOraclePredict:
         scene = stack_scene()
         preds = oracle_predict(LiveScene(scene), ZERO, np.random.default_rng(0), 0.8)
         assert [d.instance_id for d in preds.detections] == [1, 2, 3, 4]
+        boxes = {o.instance_id: o.box for o in scene.objects}
         for d in preds.detections:
-            assert d.box == scene.object_by_id(d.instance_id).box
+            assert d.box == boxes[d.instance_id]
             assert d.score == 1.0
             cands = preds.grasp_candidates[d.instance_id]
             assert [c.rect for c in cands] == [g.rect for g in scene.grasps_of(d.instance_id)]
