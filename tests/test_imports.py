@@ -138,15 +138,16 @@ def unused_public_names(sources: dict[str, str], readers: set[str]) -> list[str]
     ]
 
 
-def outside_readers() -> set[str]:
-    """The names read outside the package: by a ``perfbench`` script or the
-    acceptance tests, every identifier in a README code span or block, and
-    the function of each ``module:function`` entry point in pyproject.toml."""
-    scripts = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+def outside_readers(root: Path = ROOT) -> set[str]:
+    """The names read outside the package of the checkout at ``root``: by a
+    ``perfbench`` script or the acceptance tests, every identifier in a
+    README code span or block, and the function of each
+    ``module:function`` entry point in pyproject.toml."""
+    scripts = [*sorted((root / "perfbench").glob("*.py")), root / "tests" / "test_acceptance.py"]
     out = set().union(*(_reads(ast.parse(p.read_text())) for p in scripts))
-    code = re.findall(r"```.*?```|`[^`]+`", (ROOT / "README.md").read_text(), re.S)
+    code = re.findall(r"```.*?```|`[^`]+`", (root / "README.md").read_text(), re.S)
     out.update(re.findall(r"[A-Za-z_]\w*", "\n".join(code)))
-    out.update(re.findall(r'=\s*"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    out.update(re.findall(r'=\s*"[\w.]+:(\w+)"', (root / "pyproject.toml").read_text()))
     return out
 
 
@@ -164,10 +165,18 @@ def test_finds_an_unused_public_name():
     assert unused_public_names(sources, {"documented"}) == ["a.left_behind", "a.Shape.unread"]
 
 
-def test_outside_readers_hold_each_kind_of_reader():
-    # the entry point, a README code block, a perfbench script and an
-    # acceptance test
-    assert {"run", "symmetrize", "gen_pick", "assert_grad_close"} <= outside_readers()
+def test_finds_each_kind_of_outside_reader(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "perfbench" / "bench.py").write_text("from pkg import timed\ntimed.call()\n")
+    (tmp_path / "tests" / "test_acceptance.py").write_text("def test_a():\n    checked()\n")
+    (tmp_path / "README.md").write_text(
+        "Prose names unread.\n`spanned(x)`\n```python\nblocked.attr\n```\n"
+    )
+    (tmp_path / "pyproject.toml").write_text('[project.scripts]\ntool = "pkg.cli:entry"\n')
+    assert outside_readers(tmp_path) == {
+        "timed", "call", "checked", "spanned", "x", "python", "blocked", "attr", "entry",
+    }
 
 
 def test_no_unused_public_names():
