@@ -23,7 +23,6 @@ import os
 import pickle
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +251,9 @@ _TRIAL_BLOCK = 64
 
 
 def _cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -264,7 +265,7 @@ def _trial_block(config, base_seed: int, ri: int, block: range, logs: bool):
     results = []
     for ti in block:
         try:
-            log = run_trial(replace(config, seed=_trial_seed(base_seed, ri, ti)))
+            log = run_trial(_trial_seed(base_seed, ri, ti), config)
         except Exception as e:
             return results, e
         results.append((sequential_success(log), _json_text(log.to_json_dict()) if logs else None))

@@ -91,8 +91,9 @@ class AffineMap:
         for name, value in (("linear", linear), ("offset", offset), ("residual_rms", self.residual_rms)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
-        if abs(float(np.linalg.det(linear))) <= 1e-9:
-            raise ValueError("linear part is singular")
+        with np.errstate(over="ignore"):  # an overflow to inf is not singular
+            if abs(float(np.linalg.det(linear))) <= 1e-9:
+                raise ValueError("linear part is singular")
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "offset", offset)
 

@@ -89,7 +89,6 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    seed: int
     count_range: tuple[int, int] = (6, 9)
     target_rule: str = "random"  # or "deepest"
     noise: NoiseModel = NoiseModel()
@@ -123,9 +122,9 @@ class TrialConfig:
 
 
 def parse_sim_config(source: str | dict) -> tuple[int, list[tuple[str, int, TrialConfig]]]:
-    """The base seed and every regime's name, trial count and config (seed
-    0) of a simulation config, given as text or as the decoded document,
-    all checked before any trial runs; errors carry the JSON path of the
+    """The base seed and every regime's name, trial count and config of a
+    simulation config, given as text or as the decoded document, all
+    checked before any trial runs; errors carry the JSON path of the
     offending field."""
     data = load(source) if isinstance(source, str) else source
     try:
@@ -151,13 +150,13 @@ def parse_sim_config(source: str | dict) -> tuple[int, list[tuple[str, int, Tria
             if not 1 <= trials <= 2**32:
                 raise ValueError("'trials' must be from 1 to 2**32")
             # trials derive their seeds from the base seed, so no regime sets one
-            _only_fields(fields, TrialConfig.__dataclass_fields__.keys() - {"seed"}, "regime")
+            _only_fields(fields, TrialConfig.__dataclass_fields__, "regime")
             if "noise" in fields:
                 fields["noise"] = NoiseModel(
                     **_only_fields(fields["noise"], NoiseModel.__dataclass_fields__, "noise")
                 )
             # the constructors check every value; absent fields keep their defaults
-            config = TrialConfig(seed=0, **fields)
+            config = TrialConfig(**fields)
             # names become trial log file names
             if name in names:
                 raise ValueError(f"duplicate regime name {name!r}")
@@ -323,8 +322,8 @@ class LiveScene:
     the live objects in order (by id), each one's grasp rects, the ids
     above each object (its relations), each object's coverage and, for
     zero angle and score noise, its grasp candidates.
-    A coverage is computed when first asked for and kept until an object
-    above it is removed, the only removal that changes it."""
+    A coverage is computed when first asked for and kept until
+    ``remove_object`` takes an object above it, the one change to it."""
 
     __slots__ = ("objects", "rects", "above", "_coverage", "_exact")
 
@@ -361,15 +360,6 @@ class LiveScene:
         if cands is None:
             cands = self._exact[instance_id] = [GraspCandidate(g, 1.0) for g in self.rects[instance_id]]
         return list(cands)
-
-    def remove(self, instance_id: int) -> None:
-        self.require(instance_id)
-        del self.objects[instance_id], self.rects[instance_id], self.above[instance_id]
-        self._coverage.pop(instance_id, None)
-        for b, over in self.above.items():
-            if instance_id in over:
-                over.discard(instance_id)
-                self._coverage.pop(b, None)
 
 
 def visible(live: LiveScene, instance_id: int, coverage_threshold: float) -> bool:
@@ -485,7 +475,13 @@ def oracle_predict(
 
 def remove_object(live: LiveScene, instance_id: int) -> None:
     """Take one object, its grasps and its relations out of the live scene."""
-    live.remove(instance_id)
+    live.require(instance_id)
+    del live.objects[instance_id], live.rects[instance_id], live.above[instance_id]
+    live._coverage.pop(instance_id, None)
+    for b, over in live.above.items():
+        if instance_id in over:
+            over.discard(instance_id)
+            live._coverage.pop(b, None)
 
 
 def select_target(scene: SceneRecord, rule: str, rng: np.random.Generator) -> int:
@@ -541,24 +537,24 @@ class TrialLog:
         }
 
 
-def run_trial(cfg: TrialConfig) -> TrialLog:
+def run_trial(seed: int, cfg: TrialConfig) -> TrialLog:
     """One grasp-remove episode: predict, reason, remove, repeat.
 
     The loop ends when the true target is removed or nothing is detected.
     Each step removes one live object, so the target goes by the last step
     at the latest. Per-step noise draws come from a generator seeded by
-    (seed, step), so a trial is one deterministic function of its config.
+    (seed, step), so a trial is a pure function of its seed and config.
     One ``LiveScene`` serves every step's prediction, visibility check and
     removal.
     """
-    scene = generate_scene(cfg.seed, cfg)
-    target = select_target(scene, cfg.target_rule, np.random.default_rng([cfg.seed, 17]))
+    scene = generate_scene(seed, cfg)
+    target = select_target(scene, cfg.target_rule, np.random.default_rng([seed, 17]))
 
     live = LiveScene(scene)
     steps: list[TrialStep] = []
     reason = "no_detections"
     for step_index in range(len(scene.objects)):
-        rng = np.random.default_rng([cfg.seed, 1009, step_index])
+        rng = np.random.default_rng([seed, 1009, step_index])
         preds = oracle_predict(live, cfg.noise, rng, cfg.coverage_threshold)
         if not preds.detections:
             break
@@ -582,7 +578,7 @@ def run_trial(cfg: TrialConfig) -> TrialLog:
             reason = "target_removed"
             break
     return TrialLog(
-        seed=cfg.seed,
+        seed=seed,
         target=target,
         scene=scene,
         steps=tuple(steps),

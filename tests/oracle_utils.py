@@ -429,7 +429,7 @@ def rebuilt_predict(scene, noise, rng, coverage_threshold: float):
     return preds
 
 
-def rebuilt_run_trial(cfg):
+def rebuilt_run_trial(seed, cfg):
     """``simulation.run_trial`` as a loop that keeps no state but the scene
     record: it predicts with ``rebuilt_predict``, scans the relations for
     the order check, and builds a smaller record at every removal. Returns
@@ -440,13 +440,13 @@ def rebuilt_run_trial(cfg):
     from stackgrasp.reasoning import build_graph, next_action, symmetrize
     from stackgrasp.simulation import TrialLog, TrialStep, generate_scene, select_target
 
-    scene = generate_scene(cfg.seed, cfg)
-    target = select_target(scene, cfg.target_rule, np.random.default_rng([cfg.seed, 17]))
+    scene = generate_scene(seed, cfg)
+    target = select_target(scene, cfg.target_rule, np.random.default_rng([seed, 17]))
     current = scene
     steps, coverages = [], []
     reason = None  # stays None only if the steps run out before the target
     for step_index in range(len(scene.objects)):
-        rng = np.random.default_rng([cfg.seed, 1009, step_index])
+        rng = np.random.default_rng([seed, 1009, step_index])
         preds = rebuilt_predict(current, cfg.noise, rng, cfg.coverage_threshold)
         if not preds.detections:
             reason = "no_detections"
@@ -474,7 +474,7 @@ def rebuilt_run_trial(cfg):
         if removed == target:
             reason = "target_removed"
             break
-    log = TrialLog(cfg.seed, target, scene, tuple(steps), reason, cfg.noise)
+    log = TrialLog(seed, target, scene, tuple(steps), reason, cfg.noise)
     return log, coverages
 
 

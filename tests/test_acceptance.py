@@ -76,8 +76,7 @@ def test_criterion_1_oracle_equivalence_metrics():
     records = []
     for count_range, base in (((2, 5), 0), ((6, 9), 10_000)):
         for s in range(100):
-            cfg = TrialConfig(seed=base + s, count_range=count_range)
-            records.append(generate_scene(base + s, cfg))
+            records.append(generate_scene(base + s, TrialConfig(count_range=count_range)))
     preds = [record_to_predictions(r) for r in records]
     report = evaluate(records, preds)
     elapsed = time.monotonic() - start
@@ -362,7 +361,7 @@ def test_criterion_6_zero_noise_end_to_end():
     for count_range in ((2, 5), (6, 9)):
         invisible_starts = 0
         for s in range(500):
-            log = run_trial(TrialConfig(seed=s, count_range=count_range))
+            log = run_trial(s, TrialConfig(count_range=count_range))
             assert sequential_success(log), (count_range, s)
             assert log.reason == "target_removed"
             assert log.steps[-1].removed == log.target
@@ -382,11 +381,9 @@ def test_criterion_7_noise_monotonicity():
     rates = []
     for p in (0.0, 0.1, 0.2, 0.4):
         ok = 0
+        cfg = TrialConfig(count_range=(6, 9), noise=NoiseModel(relation_flip_prob=p))
         for s in range(500):
-            cfg = TrialConfig(
-                seed=s, count_range=(6, 9), noise=NoiseModel(relation_flip_prob=p)
-            )
-            ok += sequential_success(run_trial(cfg))
+            ok += sequential_success(run_trial(s, cfg))
         rates.append(ok / 500)
     assert rates[0] == 1.0, rates
     for lo, hi in zip(rates[1:], rates):

@@ -713,6 +713,15 @@ class TestSimulateCpuCount:
         assert run_simulate(tmp_path, capsys, small, "small")[0] == 0
         assert forks == []
 
+    def test_without_fork_runs_in_one_process(self, tmp_path, monkeypatch, capsys):
+        on_cpus(monkeypatch, 1)
+        one = run_simulate(tmp_path, capsys, README_SIM, "cpus1", "--pretty")
+        # a platform such as Windows, where os has no fork
+        on_cpus(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        assert run_simulate(tmp_path, capsys, README_SIM, "nofork", "--pretty") == one
+        assert one[0] == 0 and len(one[4]) == 1000
+
     @pytest.mark.parametrize("sigma, first_bad", [
         (OVERFLOW_PAST_FIRST_BLOCK, 82),
         (OVERFLOW_IN_FIRST_BLOCK, 6),
@@ -756,10 +765,10 @@ class TestSimulateCpuCount:
     def test_a_dead_worker_is_a_clean_error(self, tmp_path, monkeypatch, capsys, die, how):
         parent = os.getpid()
 
-        def dying_run_trial(cfg):
+        def dying_run_trial(seed, cfg):
             if os.getpid() != parent:
                 die()
-            return run_trial(cfg)
+            return run_trial(seed, cfg)
 
         monkeypatch.setattr(stackgrasp.cli, "run_trial", dying_run_trial)
         on_cpus(monkeypatch, 2)
@@ -774,20 +783,20 @@ class TestSimulateCpuCount:
     @pytest.mark.parametrize("where", ["caller", "child"])
     def test_a_huge_regime_runs_one_round_at_a_time(self, tmp_path, monkeypatch, capsys, where):
         # a stand-in trial: one real log, returned for every seed
-        log = run_trial(TrialConfig(seed=1, count_range=(2, 4)))
+        log = run_trial(1, TrialConfig(count_range=(2, 4)))
         round_size = 2 * _TRIAL_BLOCK
         # the fourth round's first block is the caller's, its second a child's
         bad = 3 * round_size + 5 + (_TRIAL_BLOCK if where == "child" else 0)
         bad_seed = _trial_seed(0, 0, bad)
         started = tmp_path / "started"
 
-        def counting_run_trial(cfg):
+        def counting_run_trial(seed, cfg):
             fd = os.open(started, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
             try:
                 os.write(fd, b".")
             finally:
                 os.close(fd)
-            if cfg.seed == bad_seed:
+            if seed == bad_seed:
                 raise ValueError("stand-in failure")
             return log
 
@@ -1571,6 +1580,21 @@ class TestCalibrate:
         proc = calibrate_process(path, timeout=30)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == "error: residual_rms must be finite\n"
+
+    def test_overflowing_determinant_is_only_the_residual_warning(self, tmp_path):
+        # the linear part's determinant overflows to inf, which is not
+        # singular; lstsq loses the exact fit at this scale
+        pixels = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 0, 2), (1, 1, 3)]
+        pairs = [{"pixel": p, "robot": [1e120 * v for v in p]} for p in pixels]
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(pairs))
+        proc = calibrate_process(path, timeout=30)
+        assert proc.returncode == 0
+        rms = json.loads(proc.stdout)["residual_rms"]
+        assert proc.stderr == (
+            f"warning: calibration residual RMS {rms:.2f} mm per point is above "
+            f"{CALIBRATION_WARN_RMS_MM} mm\n"
+        )
 
     def test_pretty_summary(self, tmp_path, capsys):
         path = tmp_path / "pairs.json"

@@ -23,15 +23,14 @@ from stackgrasp.simulation import (
 from oracle_utils import predictions_to_json_dict
 
 SCENE_CONFIGS = {
-    "shallow": TrialConfig(seed=0, count_range=(2, 4)),
+    "shallow": TrialConfig(count_range=(2, 4)),
     "deep": TrialConfig(
-        seed=0,
         count_range=(6, 9),
         target_rule="deepest",
         noise=NoiseModel(relation_flip_prob=0.1, box_sigma=2.0),
     ),
-    "flat": TrialConfig(seed=0, count_range=(1, 6), max_stack_depth=0),
-    "crowded": TrialConfig(seed=0, count_range=(1, 24)),
+    "flat": TrialConfig(count_range=(1, 6), max_stack_depth=0),
+    "crowded": TrialConfig(count_range=(1, 24)),
 }
 
 SCENE_DIGESTS = {

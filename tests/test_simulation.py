@@ -41,10 +41,6 @@ from stackgrasp.simulation import (
 ZERO = NoiseModel()
 
 
-def cfg_with(seed, **kw):
-    return TrialConfig(seed=seed, **kw)
-
-
 def obj(instance_id, x0, y0, x1, y1, category="cup"):
     return SceneObject(
         instance_id=instance_id,
@@ -153,19 +149,25 @@ class TestNoiseModel:
 
 class TestTrialConfig:
     def test_defaults_valid(self):
-        cfg = TrialConfig(seed=0)
+        cfg = TrialConfig()
         assert cfg.count_range == (6, 9)
+
+    def test_holds_no_seed(self):
+        # run_trial(seed, cfg) takes it, so every trial of a regime shares cfg
+        assert list(TrialConfig.__dataclass_fields__) == [
+            "count_range", "target_rule", "noise", "coverage_threshold", "max_stack_depth"
+        ]
 
     def test_bad_ranges(self):
         with pytest.raises(ValueError, match="count range"):
-            TrialConfig(seed=0, count_range=(0, 5))
+            TrialConfig(count_range=(0, 5))
         with pytest.raises(ValueError, match="count range"):
-            TrialConfig(seed=0, count_range=(5, 3))
+            TrialConfig(count_range=(5, 3))
 
     def test_capacity_limit(self):
         with pytest.raises(ValueError, match="at most 6 objects"):
-            TrialConfig(seed=0, count_range=(1, 7), max_stack_depth=0)
-        TrialConfig(seed=0, count_range=(1, 6), max_stack_depth=0)
+            TrialConfig(count_range=(1, 7), max_stack_depth=0)
+        TrialConfig(count_range=(1, 6), max_stack_depth=0)
 
     def test_read_from_a_regime(self):
         data = {
@@ -176,14 +178,13 @@ class TestTrialConfig:
             "max_stack_depth": 2,
         }
         assert regime_config(data) == TrialConfig(
-            seed=0,
             count_range=(2, 4),
             target_rule="deepest",
             noise=NoiseModel(relation_flip_prob=0.1, box_sigma=2.0),
             coverage_threshold=0.7,
             max_stack_depth=2,
         )
-        assert regime_config({}) == TrialConfig(seed=0)
+        assert regime_config({}) == TrialConfig()
 
     @pytest.mark.parametrize(
         "fields, name",
@@ -198,29 +199,29 @@ class TestTrialConfig:
     )
     def test_integer_fields_are_not_truncated(self, fields, name):
         with pytest.raises(ValueError, match=rf"{re.escape(name)} must be an integer"):
-            TrialConfig(seed=0, **fields)
+            TrialConfig(**fields)
         with pytest.raises(ValueError, match=rf"{re.escape(name)} must be an integer"):
             data = {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
             regime_config(data)
 
     def test_integer_fields_accept_numpy_integers(self):
-        cfg = TrialConfig(seed=0, count_range=(np.int64(2), np.int64(4)), max_stack_depth=np.int32(2))
+        cfg = TrialConfig(count_range=(np.int64(2), np.int64(4)), max_stack_depth=np.int32(2))
         assert cfg.count_range == (2, 4)
 
     @pytest.mark.parametrize(
         "count_range", [(2, 4), [2, 4], (np.int64(2), np.int32(4)), [np.int64(2), 4]]
     )
     def test_count_range_is_stored_as_an_int_pair(self, count_range):
-        cfg = TrialConfig(seed=1, count_range=count_range)
-        assert cfg == TrialConfig(seed=1, count_range=(2, 4))
-        assert hash(cfg) == hash(TrialConfig(seed=1, count_range=(2, 4)))
+        cfg = TrialConfig(count_range=count_range)
+        assert cfg == TrialConfig(count_range=(2, 4))
+        assert hash(cfg) == hash(TrialConfig(count_range=(2, 4)))
         assert type(cfg.count_range) is tuple
         assert [type(v) for v in cfg.count_range] == [int, int]
 
     @pytest.mark.parametrize("count_range", [5, (2,), (2, 3, 4)])
     def test_count_range_must_be_a_pair(self, count_range):
         with pytest.raises(ValueError, match="count_range must be a pair"):
-            TrialConfig(seed=0, count_range=count_range)
+            TrialConfig(count_range=count_range)
 
     @pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
     def test_coverage_threshold_must_be_a_number(self, value):
@@ -248,9 +249,9 @@ class TestTrialConfig:
 
     def test_bad_rule_and_threshold(self):
         with pytest.raises(ValueError, match="target rule"):
-            TrialConfig(seed=0, target_rule="nearest")
+            TrialConfig(target_rule="nearest")
         with pytest.raises(ValueError, match="coverage threshold"):
-            TrialConfig(seed=0, coverage_threshold=0.0)
+            TrialConfig(coverage_threshold=0.0)
 
 
 class TestParseSimConfig:
@@ -267,12 +268,12 @@ class TestParseSimConfig:
         expected = (
             5,
             [
-                ("shallow", 500, TrialConfig(seed=0, count_range=(2, 4))),
+                ("shallow", 500, TrialConfig(count_range=(2, 4))),
                 (
                     "regime1",
                     3,
                     TrialConfig(
-                        seed=0, count_range=(6, 9), target_rule="deepest",
+                        count_range=(6, 9), target_rule="deepest",
                         noise=NoiseModel(relation_flip_prob=0.1, box_sigma=2.0),
                     ),
                 ),
@@ -317,20 +318,20 @@ class TestParseSimConfig:
 
 class TestGenerateScene:
     def test_deterministic(self):
-        cfg = cfg_with(0)
+        cfg = TrialConfig()
         a = generate_scene(123, cfg)
         b = generate_scene(123, cfg)
         assert serialize_scene(a) == serialize_scene(b)
 
     def test_different_seeds_differ(self):
-        cfg = cfg_with(0)
+        cfg = TrialConfig()
         a = generate_scene(1, cfg)
         b = generate_scene(2, cfg)
         assert serialize_scene(a) != serialize_scene(b)
 
     @pytest.mark.parametrize("count_range", [(2, 5), (6, 9)])
     def test_invariants(self, count_range):
-        cfg = cfg_with(0, count_range=count_range)
+        cfg = TrialConfig(count_range=count_range)
         for seed in range(30):
             scene = generate_scene(seed, cfg)
             objs = {o.instance_id: o for o in scene.objects}
@@ -488,7 +489,7 @@ class TestCoverageOracle:
     @pytest.mark.parametrize("count_range", [(2, 4), (6, 9), (1, 24)])
     def test_visible_agrees_on_generated_scenes(self, count_range, threshold):
         for seed in range(25):
-            scene = generate_scene(seed, cfg_with(0, count_range=count_range))
+            scene = generate_scene(seed, TrialConfig(count_range=count_range))
             live = LiveScene(scene)
             while scene.objects:
                 shown = oracle_predict(live, ZERO, np.random.default_rng(seed), threshold)
@@ -601,7 +602,7 @@ class TestRemoveObject:
         in its coverages, which are all asked for so that a stale cached
         one would show at the next removal."""
         hi = data.draw(st.integers(1, min(24, 6 * (1 + depth))))
-        cfg = cfg_with(0, count_range=(data.draw(st.integers(1, hi)), hi), max_stack_depth=depth)
+        cfg = TrialConfig(count_range=(data.draw(st.integers(1, hi)), hi), max_stack_depth=depth)
         scene = generate_scene(seed, cfg)
         order = data.draw(st.permutations([o.instance_id for o in scene.objects]))
         live = LiveScene(scene)
@@ -639,14 +640,14 @@ class TestSelectTarget:
 
 class TestRunTrial:
     def test_reproducible(self):
-        cfg = cfg_with(77, count_range=(4, 6))
-        a = run_trial(cfg)
-        b = run_trial(cfg)
+        cfg = TrialConfig(count_range=(4, 6))
+        a = run_trial(77, cfg)
+        b = run_trial(77, cfg)
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_zero_noise_always_succeeds(self):
         for seed in range(25):
-            log = run_trial(cfg_with(seed, count_range=(4, 7)))
+            log = run_trial(seed, TrialConfig(count_range=(4, 7)))
             assert log.reason == "target_removed"
             assert all(s.order_valid for s in log.steps)
             assert log.steps[-1].removed == log.target
@@ -654,18 +655,18 @@ class TestRunTrial:
             assert log.to_json_dict()["outcome"]["success"]
 
     def test_final_step_claims_target(self):
-        log = run_trial(cfg_with(3, count_range=(4, 7)))
+        log = run_trial(3, TrialConfig(count_range=(4, 7)))
         assert log.steps[-1].claimed_final
         assert all(not s.claimed_final for s in log.steps[:-1])
 
     def test_drop_everything_stops_early(self):
-        log = run_trial(cfg_with(5, count_range=(2, 4), noise=NoiseModel(drop_prob=1.0)))
+        log = run_trial(5, TrialConfig(count_range=(2, 4), noise=NoiseModel(drop_prob=1.0)))
         assert log.reason == "no_detections"
         assert log.steps == ()
         assert not log.to_json_dict()["outcome"]["success"]
 
     def test_log_json_shape(self):
-        log = run_trial(cfg_with(9, count_range=(2, 4)))
+        log = run_trial(9, TrialConfig(count_range=(2, 4)))
         data = log.to_json_dict()
         assert set(data) == {"seed", "target", "noise", "scene", "steps", "outcome"}
         assert data["seed"] == 9
@@ -699,7 +700,6 @@ def _trial_configs(draw):
         score_sigma=draw(_SIGMAS),
     )
     return TrialConfig(
-        seed=draw(st.integers(0, 2**32)),
         count_range=(draw(st.integers(1, hi)), hi),
         target_rule=draw(st.sampled_from(["random", "deepest"])),
         noise=noise,
@@ -719,22 +719,25 @@ class TestStepCalls:
     more prediction when nothing is detected."""
 
     @pytest.mark.parametrize(
-        "cfg",
+        "seed, cfg",
         [
-            cfg_with(2, noise=_NOISY),  # no detections after 4 steps
-            cfg_with(4, noise=_NOISY),  # no detections at the first step
-            cfg_with(6, noise=_NOISY),  # target removed at step 7
-            cfg_with(6, noise=NoiseModel(relation_flip_prob=0.5, drop_prob=0.5), count_range=(1, 24)),
-            cfg_with(
+            (2, TrialConfig(noise=_NOISY)),  # no detections after 4 steps
+            (4, TrialConfig(noise=_NOISY)),  # no detections at the first step
+            (6, TrialConfig(noise=_NOISY)),  # target removed at step 7
+            (6, TrialConfig(noise=NoiseModel(relation_flip_prob=0.5, drop_prob=0.5), count_range=(1, 24))),
+            (
                 2,
-                noise=NoiseModel(box_sigma=3.0, angle_sigma=4.0),
-                count_range=(6, 12),
-                max_stack_depth=2,
-                coverage_threshold=0.7,
+                TrialConfig(
+                    noise=NoiseModel(box_sigma=3.0, angle_sigma=4.0),
+                    count_range=(6, 12),
+                    max_stack_depth=2,
+                    coverage_threshold=0.7,
+                ),
             ),
         ],
+        ids=[f"cfg{i}" for i in range(5)],
     )
-    def test_each_step_calls_through_the_module(self, cfg):
+    def test_each_step_calls_through_the_module(self, seed, cfg):
         calls = {}
 
         def counted(name):
@@ -748,7 +751,7 @@ class TestStepCalls:
 
         names = ("oracle_predict", "visible", "remove_object")
         with mock.patch.multiple(simulation, **{n: counted(n) for n in names}):
-            log = run_trial(cfg)
+            log = run_trial(seed, cfg)
         steps = len(log.steps)
         assert calls.get("visible", 0) == calls.get("remove_object", 0) == steps
         assert calls["oracle_predict"] == steps + (log.reason == "no_detections")
@@ -760,9 +763,9 @@ class TestTrialEnds:
     that detects nothing."""
 
     @settings(max_examples=200, deadline=None)
-    @given(cfg=_trial_configs())
-    def test_target_removed_or_nothing_detected(self, cfg):
-        log = run_trial(cfg)
+    @given(seed=st.integers(0, 2**32), cfg=_trial_configs())
+    def test_target_removed_or_nothing_detected(self, seed, cfg):
+        log = run_trial(seed, cfg)
         assert log.reason in ("target_removed", "no_detections")
         assert len(log.steps) <= len(log.scene.objects)
         # a step that detects nothing still has the target in the scene
@@ -777,8 +780,8 @@ class TestTrialOracle:
     scene record at every removal and every coverage at every step."""
 
     @settings(max_examples=300, deadline=None)
-    @given(cfg=_trial_configs())
-    def test_matches_rebuilt_loop(self, cfg):
+    @given(seed=st.integers(0, 2**32), cfg=_trial_configs())
+    def test_matches_rebuilt_loop(self, seed, cfg):
         coverages = []
         remove = simulation.remove_object
 
@@ -787,8 +790,8 @@ class TestTrialOracle:
             coverages.append([(i, live.coverage(i)) for i in live.objects])
 
         with mock.patch.object(simulation, "remove_object", remove_and_record):
-            log = run_trial(cfg)
-        expected_log, expected_coverages = rebuilt_run_trial(cfg)
+            log = run_trial(seed, cfg)
+        expected_log, expected_coverages = rebuilt_run_trial(seed, cfg)
         assert log.to_json_dict() == expected_log.to_json_dict()
         assert coverages == expected_coverages
 
@@ -801,7 +804,7 @@ class TestTrialOracle:
         threshold=st.floats(0.0, 1.0, exclude_min=True),
     )
     def test_predictions_match_scalar_draws(self, seed, count_range, pending, flip, threshold):
-        scene = generate_scene(seed, cfg_with(0, count_range=count_range))
+        scene = generate_scene(seed, TrialConfig(count_range=count_range))
         noise = NoiseModel(relation_flip_prob=flip, box_sigma=1.0)
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         if pending:
