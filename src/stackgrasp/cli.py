@@ -25,8 +25,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._json import DocumentError, load, read_file
 from .dataset import (
     hflip,
@@ -37,10 +35,8 @@ from .dataset import (
     serialize_scene,
 )
 from .evaluation import MatchThresholds, evaluate, sequential_success
-from .execution import CalibrationError, fit_affine, load_calibration_pairs
 from .perception import ScenePredictions, parse_predictions
 from .reasoning import ManipulationGraph, build_graph, next_action, resolve_target, symmetrize
-from .simulation import parse_sim_config, run_trial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -241,11 +237,6 @@ def _cmd_plan(args) -> None:
     _emit(text, args.out, args.pretty, "\n".join(lines) + "\n")
 
 
-def _trial_seed(base: int, regime_index: int, trial_index: int) -> int:
-    ss = np.random.SeedSequence([base, regime_index, trial_index])
-    return int(ss.generate_state(1)[0])
-
-
 # simulate runs a regime in rounds of one block of this many trials per CPU
 _TRIAL_BLOCK = 64
 
@@ -262,10 +253,12 @@ def _cpus() -> int:
 def _trial_block(config, base_seed: int, ri: int, block: range, logs: bool):
     """Regime ``ri``'s trials in ``block``: (success, log text or None) for
     each trial up to the first that fails, and that trial's error or None."""
+    from . import simulation
+
     results = []
     for ti in block:
         try:
-            log = run_trial(_trial_seed(base_seed, ri, ti), config)
+            log = simulation.run_trial(simulation.trial_seed(base_seed, ri, ti), config)
         except Exception as e:
             return results, e
         results.append((sequential_success(log), _json_text(log.to_json_dict()) if logs else None))
@@ -335,8 +328,10 @@ def _trial_round(config, base_seed: int, ri: int, trials: range, logs: bool, whe
 
 
 def _cmd_simulate(args) -> None:
+    from . import simulation
+
     path = Path(args.config)
-    base_seed, regimes = read_file(path, parse_sim_config)
+    base_seed, regimes = read_file(path, simulation.parse_sim_config)
     if args.seed is not None:
         if args.seed < 0:
             raise ValueError(f"--seed: seed must be non-negative, got {args.seed}")
@@ -386,8 +381,10 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_calibrate(args) -> None:
-    pairs = load_calibration_pairs(args.pairs)
-    affine = fit_affine(pairs)  # CalibrationError propagates as a numeric failure
+    from . import execution
+
+    pairs = execution.load_calibration_pairs(args.pairs)
+    affine = execution.fit_affine(pairs)  # CalibrationError propagates as a numeric failure
     if affine.residual_rms > CALIBRATION_WARN_RMS_MM:
         print(
             f"warning: calibration residual RMS {affine.residual_rms:.2f} mm per "
@@ -474,15 +471,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _calibration_failed(e: ValueError) -> bool:
+    """Whether ``e`` is execution's CalibrationError. Only execution raises
+    one, so until some command has loaded it (and with it numpy) no error
+    is."""
+    execution = sys.modules.get(f"{__package__}.execution")
+    return execution is not None and isinstance(e, execution.CalibrationError)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
-    # CalibrationError and LinAlgError are ValueErrors: caught first
     try:
         args.func(args)
-    except (CalibrationError, np.linalg.LinAlgError, OverflowError, FloatingPointError) as e:
+    except (OverflowError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as e:  # an output file, or the trial log directory
@@ -491,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_NUMERIC if _calibration_failed(e) else EXIT_DATA
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._json import json_object, load, number, number_list, read_file
-from .geometry import OrientedRect, normalize_angle, rect_vertices
+from .geometry import OrientedRect, _vertex_list, normalize_angle
 
 
 class CalibrationError(ValueError):
@@ -134,8 +134,9 @@ def fit_affine(pairs: Sequence[tuple[Sequence[float], Sequence[float]]]) -> Affi
 
     Each pair is ((u, v, d), (x, y, z)). Raises CalibrationError for fewer
     than 4 pairs, a non-finite coordinate, a rank-deficient design (e.g.
-    coplanar pixels), or a fit whose linear part is singular. The per-point
-    RMS residual of the fit is stored on the returned map.
+    coplanar pixels), a least-squares solve that fails, or a fit whose
+    linear part is singular. The per-point RMS residual of the fit is
+    stored on the returned map.
     """
     if len(pairs) < 4:
         raise CalibrationError(f"need at least 4 reference pairs, got {len(pairs)}")
@@ -148,7 +149,10 @@ def fit_affine(pairs: Sequence[tuple[Sequence[float], Sequence[float]]]) -> Affi
     if bad.any():
         raise CalibrationError(f"pair {int(np.argmax(bad))}: non-finite coordinate")
     design = np.hstack([pix, np.ones((len(pairs), 1))])
-    params, _, rank, _ = np.linalg.lstsq(design, rob, rcond=None)
+    try:
+        params, _, rank, _ = np.linalg.lstsq(design, rob, rcond=None)
+    except np.linalg.LinAlgError as e:  # e.g. "SVD did not converge"
+        raise CalibrationError(str(e)) from e
     if rank < 4:
         raise CalibrationError(
             "rank-deficient calibration (reference pixels are degenerate)"
@@ -162,6 +166,15 @@ def fit_affine(pairs: Sequence[tuple[Sequence[float], Sequence[float]]]) -> Affi
         return AffineMap(linear=linear, offset=offset, residual_rms=rms)
     except ValueError as e:
         raise CalibrationError(str(e)) from e
+
+
+def rect_vertices(r: OrientedRect) -> np.ndarray:
+    """Corner coordinates of ``r``, shape (4, 2), counter-clockwise.
+
+    The first corner is the rotated image of ``(-w/2, -h/2)``; the centroid
+    of the four corners equals the rectangle center.
+    """
+    return np.array(_vertex_list(r), dtype=float)
 
 
 def grasp_point(depth: DepthImage, rect: OrientedRect) -> tuple[int, int, float]:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 _MIN_SIDE = 1e-6
 
 
@@ -128,15 +126,6 @@ def _vertex_list(r: OrientedRect) -> list[tuple[float, float]]:
         (x + chw - shh, y + shw + chh),
         (x - chw - shh, y - shw + chh),
     ]
-
-
-def rect_vertices(r: OrientedRect) -> np.ndarray:
-    """Corner coordinates of ``r``, shape (4, 2), counter-clockwise.
-
-    The first corner is the rotated image of ``(-w/2, -h/2)``; the centroid
-    of the four corners equals the rectangle center.
-    """
-    return np.array(_vertex_list(r), dtype=float)
 
 
 def clip_polygon(subject, clipper):

@@ -5,6 +5,11 @@ with a two-way confidence term mined over hard negatives; the relation
 branch is a plain negative log-likelihood. Everything returns both the value
 and its gradient with respect to the raw prediction inputs so the formulas
 can be checked against finite differences.
+
+Only ``grasp_loss`` and ``relation_loss`` build arrays, and they import
+numpy when called: ``perception`` imports this module, and ``plan`` and
+``eval`` never load numpy. The ``np.ndarray`` field annotations are never
+evaluated.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .anchors import AnchorAssignment, GraspDelta
 
@@ -102,6 +105,8 @@ def grasp_loss(
         raise ValueError(
             f"{len(assignment.positives)} positives but {len(gt_deltas)} target deltas"
         )
+    import numpy as np
+
     n = len(preds)
     delta_grads = np.zeros((n, 5))
     logit_grads = np.zeros((n, 2))
@@ -195,6 +200,8 @@ def relation_loss(
     Probabilities are clamped to 1e-12 before the log; clamped pairs are
     reported. A pair without a ground-truth label is an error.
     """
+    import numpy as np
+
     grads = np.zeros((len(preds), 3))
     value = 0.0
     clamped = []

@@ -537,6 +537,13 @@ class TrialLog:
         }
 
 
+def trial_seed(base: int, regime_index: int, trial_index: int) -> int:
+    """The seed of a config's trial ``trial_index`` in regime
+    ``regime_index`` under base seed ``base``."""
+    ss = np.random.SeedSequence([base, regime_index, trial_index])
+    return int(ss.generate_state(1)[0])
+
+
 def run_trial(seed: int, cfg: TrialConfig) -> TrialLog:
     """One grasp-remove episode: predict, reason, remove, repeat.
 

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stackgrasp
-from stackgrasp.cli import _TRIAL_BLOCK, CALIBRATION_WARN_RMS_MM, _trial_seed, main
+from stackgrasp.cli import _TRIAL_BLOCK, CALIBRATION_WARN_RMS_MM, main
 from stackgrasp.dataset import (
     SceneGrasp,
     SceneObject,
@@ -29,7 +29,7 @@ from stackgrasp.dataset import (
     record_to_predictions,
     serialize_scene,
 )
-from stackgrasp.execution import AffineMap, fit_affine
+from stackgrasp.execution import AffineMap, CalibrationError, fit_affine
 from stackgrasp.geometry import AABox, OrientedRect
 from stackgrasp.perception import (
     GraspCandidate,
@@ -37,7 +37,7 @@ from stackgrasp.perception import (
     ScenePredictions,
     parse_predictions,
 )
-from stackgrasp.simulation import TrialConfig, run_trial
+from stackgrasp.simulation import TrialConfig, run_trial, trial_seed
 
 from oracle_utils import (
     per_field_detections,
@@ -770,7 +770,7 @@ class TestSimulateCpuCount:
                 die()
             return run_trial(seed, cfg)
 
-        monkeypatch.setattr(stackgrasp.cli, "run_trial", dying_run_trial)
+        monkeypatch.setattr(stackgrasp.simulation, "run_trial", dying_run_trial)
         on_cpus(monkeypatch, 2)
         config = {"regimes": [{"count_range": [2, 4], "trials": 200}]}
         code, out, err, result, logs = run_simulate(tmp_path, capsys, config, "dead")
@@ -787,7 +787,7 @@ class TestSimulateCpuCount:
         round_size = 2 * _TRIAL_BLOCK
         # the fourth round's first block is the caller's, its second a child's
         bad = 3 * round_size + 5 + (_TRIAL_BLOCK if where == "child" else 0)
-        bad_seed = _trial_seed(0, 0, bad)
+        bad_seed = trial_seed(0, 0, bad)
         started = tmp_path / "started"
 
         def counting_run_trial(seed, cfg):
@@ -800,7 +800,7 @@ class TestSimulateCpuCount:
                 raise ValueError("stand-in failure")
             return log
 
-        monkeypatch.setattr(stackgrasp.cli, "run_trial", counting_run_trial)
+        monkeypatch.setattr(stackgrasp.simulation, "run_trial", counting_run_trial)
         on_cpus(monkeypatch, 2)
         path = tmp_path / "sim.json"
         path.write_text(json.dumps({"regimes": [{"count_range": [2, 4], "trials": 2**32}]}))
@@ -1470,16 +1470,24 @@ def test_mutated_rows_parse_like_the_field_readers(case):
         assert _parsed_or_error(fast) == _parsed_or_error(lambda: per_field_detections(doc))
 
 
-def calibrate_process(pairs: Path, timeout: float) -> subprocess.CompletedProcess:
-    """``stackgrasp calibrate --pairs PAIRS`` in a new interpreter, whose
-    stderr shows every warning as a user would see it."""
+def fresh_interpreter(script: str, *args: str, timeout: float) -> subprocess.CompletedProcess:
+    """``python -c SCRIPT ARGS...`` in a new interpreter that imports this
+    package, with its stdout and stderr as text."""
     src = str(Path(stackgrasp.__file__).resolve().parents[1])
     pythonpath = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from stackgrasp.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", "calibrate", "--pairs", str(pairs)],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+def calibrate_process(pairs: Path, timeout: float) -> subprocess.CompletedProcess:
+    """``stackgrasp calibrate --pairs PAIRS`` in a new interpreter, whose
+    stderr shows every warning as a user would see it."""
+    return fresh_interpreter(
+        "import sys; from stackgrasp.cli import main; sys.exit(main(sys.argv[1:]))",
+        "calibrate", "--pairs", str(pairs), timeout=timeout,
     )
 
 
@@ -1602,6 +1610,59 @@ class TestCalibrate:
         assert main(["calibrate", "--pairs", str(path), "--pretty"]) == 0
         out = capsys.readouterr().out
         assert "pairs         6" in out
+
+    def test_a_failed_solve_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        # numpy's LinAlgError leaves fit_affine as a CalibrationError with
+        # its text, and calibrate prints that text alone and exits 3
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+        pairs = calibration_pairs()
+        with pytest.raises(CalibrationError, match="^SVD did not converge$") as failed:
+            fit_affine([(p["pixel"], p["robot"]) for p in pairs])
+        assert isinstance(failed.value.__cause__, np.linalg.LinAlgError)
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(pairs))
+        assert main(["calibrate", "--pairs", str(path), "--pretty"]) == 3
+        assert capsys.readouterr() == ("", "error: SVD did not converge\n")
+
+
+# Runs in a new interpreter: plan, eval and augment on the files named by
+# its arguments, then simulate on the config named last; prints whether
+# numpy was loaded before simulate, the exit codes, and simulate's table.
+STARTUP_SCRIPT = """
+import json, sys
+import stackgrasp, stackgrasp.cli
+scene, preds, config = sys.argv[1:]
+codes = [
+    stackgrasp.cli.main(["plan", "--pred", preds, "--target", "3", "--pretty"]),
+    stackgrasp.cli.main(["eval", "--gt", scene, "--pred", preds, "--pretty"]),
+    stackgrasp.cli.main(["augment", "--scene", scene, "--rot90", "1", "--hflip"]),
+]
+loaded = "numpy" in sys.modules
+resolved = [f.__module__ for f in (stackgrasp.simulation.run_trial,
+                                    stackgrasp.execution.fit_affine)]
+codes.append(stackgrasp.cli.main(["simulate", "--config", config, "--pretty"]))
+print(json.dumps({"numpy_before_simulate": loaded, "codes": codes, "resolved": resolved}))
+"""
+
+
+class TestStartup:
+    def test_plan_eval_and_augment_never_load_numpy(self, tmp_path, scene_file, pred_file):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(README_SIM))
+        proc = fresh_interpreter(
+            STARTUP_SCRIPT, str(scene_file), str(pred_file), str(config), timeout=120
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        *output, report = proc.stdout.splitlines()
+        assert json.loads(report) == {
+            "numpy_before_simulate": False,
+            "codes": [0, 0, 0, 0],
+            "resolved": ["stackgrasp.simulation", "stackgrasp.execution"],
+        }
+        assert output[-2:] == ["shallow  100.0% (500/500)", "deep     57.8% (289/500)"]
 
 
 class TestAugment:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackgrasp.execution import rect_vertices
 from stackgrasp.geometry import (
     AABox,
     OrientedRect,
@@ -13,7 +14,6 @@ from stackgrasp.geometry import (
     clip_polygon,
     normalize_angle,
     polygon_area,
-    rect_vertices,
     rotated_jaccard,
 )
 

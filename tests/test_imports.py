@@ -9,7 +9,8 @@ as an attribute, a public function, class or method must be read the same
 way by the package, a ``perfbench`` script or the acceptance tests, or be
 named in the README's code or be a command's entry point, and no module
 but ``_json.py`` may call ``json.loads``, ``json.load`` or a ``read_text``
-method, or import ``gc``."""
+method, or import ``gc``. Only ``simulation.py`` and ``execution.py``
+import numpy outside a function, so importing the rest never loads it."""
 
 import ast
 import re
@@ -282,3 +283,44 @@ def test_only_the_boundary_reads_text_files(path):
         assert read_text_calls(path.read_text()) != []
     else:
         assert read_text_calls(path.read_text()) == []
+
+
+def module_level_numpy_imports(source: str) -> list[int]:
+    """The line of every statement that imports numpy, a numpy submodule or
+    a name from either and that runs when the module is imported: any such
+    import outside a function body (``import numpy as np``,
+    ``from numpy.linalg import norm``, one under an ``if`` or a class)."""
+    lines = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)) or (
+            isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "numpy"
+        ):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
+
+
+def test_finds_a_module_level_numpy_import():
+    source = (
+        "import numpy as np\nimport os, numpy.linalg\nfrom numpy import zeros\n"
+        "import numpyx\nfrom . import numpy\nif True:\n    from numpy.random import default_rng\n"
+        "class A:\n    import numpy\n"
+        "def f():\n    import numpy as np\n    return np\n"
+    )
+    assert module_level_numpy_imports(source) == [1, 2, 3, 7, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_array_modules_import_numpy(path):
+    # the package loads these two on first use; plan, eval and augment
+    # then start without numpy
+    if path.name in ("simulation.py", "execution.py"):
+        assert module_level_numpy_imports(path.read_text()) != []
+    else:
+        assert module_level_numpy_imports(path.read_text()) == []
