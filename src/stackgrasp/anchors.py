@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import AABox, OrientedRect, angle_difference, normalize_angle
+from ._json import integer, number
+from .geometry import AABox, OrientedRect, _slot_setters, angle_difference, normalize_angle
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,13 @@ class AnchorConfig:
     anchor_size: float = 24.0
 
     def __post_init__(self) -> None:
+        # the cell sizes divide by the grid sizes, so each must be an
+        # integer that converts to a float
+        for name in ("grid_w", "grid_h", "k"):
+            value = integer(name, getattr(self, name))
+            number(name, value)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "anchor_size", number("anchor_size", self.anchor_size))
         if self.grid_w < 1 or self.grid_h < 1:
             raise ValueError("grid dimensions must be positive")
         if self.k < 1:
@@ -37,7 +45,7 @@ class AnchorConfig:
         return self.grid_w * self.grid_h * self.k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class OrientedAnchor:
     """One square anchor: center, side length, canonical orientation."""
 
@@ -48,6 +56,22 @@ class OrientedAnchor:
     theta: float
     cell: tuple[int, int]  # (row, col)
     orient_index: int
+
+    def __init__(
+        self, x: float, y: float, w: float, h: float, theta: float,
+        cell: tuple[int, int], orient_index: int,
+    ) -> None:
+        set_x, set_y, set_w, set_h, set_theta, set_cell, set_orient_index = _ANCHOR_SLOTS
+        set_x(self, x)
+        set_y(self, y)
+        set_w(self, w)
+        set_h(self, h)
+        set_theta(self, theta)
+        set_cell(self, cell)
+        set_orient_index(self, orient_index)
+
+
+_ANCHOR_SLOTS = _slot_setters(OrientedAnchor)
 
 
 def anchor_orientations(k: int) -> list[float]:
@@ -108,12 +132,13 @@ def decode_grasp(anchor: OrientedAnchor, delta: GraspDelta, k: int) -> OrientedR
         raise ValueError(f"size delta overflow: dw={delta.dw}, dh={delta.dh}")
     if not (math.isfinite(w) and math.isfinite(h)):
         raise ValueError(f"size delta overflow: dw={delta.dw}, dh={delta.dh}")
+    # positional: x, y, w, h, theta
     return OrientedRect(
-        x=delta.dx * anchor.w + anchor.x,
-        y=delta.dy * anchor.h + anchor.y,
-        w=w,
-        h=h,
-        theta=delta.dtheta * (90.0 / k) + anchor.theta,
+        delta.dx * anchor.w + anchor.x,
+        delta.dy * anchor.h + anchor.y,
+        w,
+        h,
+        delta.dtheta * (90.0 / k) + anchor.theta,
     )
 
 

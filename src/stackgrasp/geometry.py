@@ -8,7 +8,7 @@ into the half-open range [-90, 90) and angle distances live in [0, 90].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 _MIN_SIDE = 1e-6
 
@@ -18,7 +18,15 @@ def normalize_angle(theta: float) -> float:
     return (theta + 90.0) % 180.0 - 90.0
 
 
-@dataclass(frozen=True)
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot in the slotted dataclass
+    ``cls``, in field order. A hand-written ``__init__`` stores each field
+    once through these, past the frozen ``__setattr__``, where the
+    generated one calls ``object.__setattr__`` per field."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class OrientedRect:
     """Grasp rectangle: center ``(x, y)``, size ``(w, h)``, rotation ``theta``.
 
@@ -32,22 +40,27 @@ class OrientedRect:
     h: float
     theta: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, x: float, y: float, w: float, h: float, theta: float) -> None:
         # A float sum is finite only when every term is, and the leading 0.0
         # converts each int term on its own, as math.isfinite does. The sum
         # also fails when it overflows, or when a term is too large for a
         # float or not a number; the per-name test then tells these apart.
         try:
-            finite = math.isfinite(0.0 + self.x + self.y + self.w + self.h + self.theta)
+            finite = math.isfinite(0.0 + x + y + w + h + theta)
         except (OverflowError, TypeError):
             finite = False
         if not finite:
-            for name in ("x", "y", "w", "h", "theta"):
-                if not math.isfinite(getattr(self, name)):
+            for name, v in zip(("x", "y", "w", "h", "theta"), (x, y, w, h, theta)):
+                if not math.isfinite(v):
                     raise ValueError(f"non-finite rectangle parameter {name}")
-        if self.w < _MIN_SIDE or self.h < _MIN_SIDE:
-            raise ValueError(f"degenerate rectangle: w={self.w}, h={self.h}")
-        object.__setattr__(self, "theta", normalize_angle(self.theta))
+        if w < _MIN_SIDE or h < _MIN_SIDE:
+            raise ValueError(f"degenerate rectangle: w={w}, h={h}")
+        set_x, set_y, set_w, set_h, set_theta = _RECT_SLOTS
+        set_x(self, x)
+        set_y(self, y)
+        set_w(self, w)
+        set_h(self, h)
+        set_theta(self, normalize_angle(theta))
 
     @property
     def center(self) -> tuple[float, float]:
@@ -58,7 +71,10 @@ class OrientedRect:
         return self.w * self.h
 
 
-@dataclass(frozen=True)
+_RECT_SLOTS = _slot_setters(OrientedRect)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class AABox:
     """Axis-aligned box with strictly ordered corners and a finite, non-zero
     area."""
@@ -68,28 +84,29 @@ class AABox:
     xmax: float
     ymax: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float) -> None:
         # one isfinite test, as in OrientedRect
         try:
-            finite = math.isfinite(0.0 + self.xmin + self.ymin + self.xmax + self.ymax)
+            finite = math.isfinite(0.0 + xmin + ymin + xmax + ymax)
         except (OverflowError, TypeError):
             finite = False
         if not finite:
-            for name in ("xmin", "ymin", "xmax", "ymax"):
-                if not math.isfinite(getattr(self, name)):
+            for name, v in zip(("xmin", "ymin", "xmax", "ymax"), (xmin, ymin, xmax, ymax)):
+                if not math.isfinite(v):
                     raise ValueError(f"non-finite box coordinate {name}")
-        if not (self.xmin < self.xmax and self.ymin < self.ymax):
-            raise ValueError(
-                f"empty box: ({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
-            )
+        if not (xmin < xmax and ymin < ymax):
+            raise ValueError(f"empty box: ({xmin}, {ymin}, {xmax}, {ymax})")
         # the overlap ratios divide by areas (the area property, inline),
         # so an area may neither underflow to 0 nor overflow to inf
-        area = (self.xmax - self.xmin) * (self.ymax - self.ymin)
+        area = (xmax - xmin) * (ymax - ymin)
         if not 0.0 < area < math.inf:
             what = "underflows to 0" if area == 0.0 else "overflows to inf"
-            raise ValueError(
-                f"box area {what}: ({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
-            )
+            raise ValueError(f"box area {what}: ({xmin}, {ymin}, {xmax}, {ymax})")
+        set_xmin, set_ymin, set_xmax, set_ymax = _BOX_SLOTS
+        set_xmin(self, xmin)
+        set_ymin(self, ymin)
+        set_xmax(self, xmax)
+        set_ymax(self, ymax)
 
     @property
     def width(self) -> float:
@@ -109,6 +126,9 @@ class AABox:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.xmin, self.ymin, self.xmax, self.ymax)
+
+
+_BOX_SLOTS = _slot_setters(AABox)
 
 
 def _vertex_list(r: OrientedRect) -> list[tuple[float, float]]:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ._json import box_row, grasp_rect, integer, json_list, json_object, load, number, number_list
 from .anchors import AnchorConfig, decode_grasp, generate_anchors
-from .geometry import AABox, OrientedRect, aabb_iou
+from .geometry import AABox, OrientedRect, _slot_setters, aabb_iou
 from .losses import GraspPrediction, check_relation, softmax2
 
 
@@ -36,14 +36,20 @@ class ObjectDetection:
             raise ValueError("empty category name")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GraspCandidate:
     rect: OrientedRect
     confidence: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.confidence) and 0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"grasp confidence {self.confidence} outside [0, 1]")
+    def __init__(self, rect: OrientedRect, confidence: float) -> None:
+        if not (math.isfinite(confidence) and 0.0 <= confidence <= 1.0):
+            raise ValueError(f"grasp confidence {confidence} outside [0, 1]")
+        set_rect, set_confidence = _CANDIDATE_SLOTS
+        set_rect(self, rect)
+        set_confidence(self, confidence)
+
+
+_CANDIDATE_SLOTS = _slot_setters(GraspCandidate)
 
 
 @dataclass(frozen=True)
@@ -70,12 +76,11 @@ def decode_roi_grasps(
     anchors = generate_anchors(roi, cfg)
     if len(preds) != len(anchors):
         raise ValueError(f"expected {len(anchors)} predictions, got {len(preds)}")
-    out = []
-    for anchor, pred in zip(anchors, preds):
-        rect = decode_grasp(anchor, pred.delta, cfg.k)
-        conf = softmax2(*pred.logits)[0]
-        out.append(GraspCandidate(rect=rect, confidence=conf))
-    return out
+    k = cfg.k
+    return [
+        GraspCandidate(decode_grasp(anchor, pred.delta, k), softmax2(*pred.logits)[0])
+        for anchor, pred in zip(anchors, preds)
+    ]
 
 
 def select_best_grasp(
@@ -85,14 +90,17 @@ def select_best_grasp(
 ) -> GraspCandidate:
     """Among the top_n most confident candidates, pick the one whose center
     is nearest the box center; ties go to higher confidence, then lower
-    index."""
+    index. ``top_n`` is an integer of at least 1."""
     if not candidates:
         raise NoGraspError("no grasp candidates to select from")
+    top_n = integer("top_n", top_n)
     if top_n < 1:
         raise ValueError("top_n must be at least 1")
     pool = range(len(candidates))
     if len(candidates) > top_n:
-        pool = sorted(pool, key=lambda i: (-candidates[i].confidence, i))[:top_n]
+        # a stable sort keeps equal confidences in index order
+        confidences = [c.confidence for c in candidates]
+        pool = sorted(pool, key=confidences.__getitem__, reverse=True)[:top_n]
     cx, cy = box.center
 
     def key(i: int):

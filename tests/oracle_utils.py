@@ -15,8 +15,9 @@ The polygon clip calls one helper per side test and per crossing, the
 evaluator scans the record for every query, clips before it compares
 angles and makes a Fraction at every rank, and scene and detection rows
 are read one field at a time by the strict readers. Non-maximum
-suppression marks every box a survivor overlaps, and grasp selection
-always ranks every candidate by confidence. The scene augmentations build
+suppression marks every box a survivor overlaps, grasp selection
+always ranks every candidate by confidence, and a ROI's grasps are decoded
+in a loop that builds each candidate by keyword. The scene augmentations build
 each box and rectangle field by field and normalize every angle before
 the rectangle normalizes it again.
 
@@ -841,6 +842,24 @@ def reference_select_best_grasp(candidates, box, top_n: int = 3):
         return ((r.x - cx) ** 2 + (r.y - cy) ** 2, -candidates[i].confidence, i)
 
     return candidates[min(ranked[:top_n], key=key)]
+
+
+def reference_decode_roi_grasps(roi, preds, cfg):
+    """``decode_roi_grasps``: one ``decode_grasp``, one softmax and one
+    candidate built by keyword per anchor, appended in anchor order."""
+    from stackgrasp.anchors import decode_grasp, generate_anchors
+    from stackgrasp.losses import softmax2
+    from stackgrasp.perception import GraspCandidate
+
+    anchors = generate_anchors(roi, cfg)
+    if len(preds) != len(anchors):
+        raise ValueError(f"expected {len(anchors)} predictions, got {len(preds)}")
+    out = []
+    for anchor, pred in zip(anchors, preds):
+        rect = decode_grasp(anchor, pred.delta, cfg.k)
+        conf = softmax2(*pred.logits)[0]
+        out.append(GraspCandidate(rect=rect, confidence=conf))
+    return out
 
 
 def reference_hflip(record):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,28 @@ class TestAnchorConfig:
             AnchorConfig(k=0)
         with pytest.raises(ValueError):
             AnchorConfig(anchor_size=-1.0)
+
+    # each was accepted, and a float grid failed later in generate_anchors
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("grid_w", 2.5, "grid_w must be an integer, got 2.5"),
+            ("grid_h", 3.0, "grid_h must be an integer, got 3.0"),
+            ("k", 1.5, "k must be an integer, got 1.5"),
+            ("k", True, "k must be an integer, got True"),
+            ("grid_h", 10**400, "grid_h is too large for a float"),
+            ("anchor_size", "24", "anchor_size must be a number, got '24'"),
+            ("anchor_size", False, "anchor_size must be a number, got False"),
+        ],
+    )
+    def test_field_types(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AnchorConfig(**{field: value})
+
+    def test_integer_anchor_size_is_read_as_a_float(self):
+        cfg = AnchorConfig(grid_w=2, anchor_size=24)
+        assert type(cfg.anchor_size) is float and cfg.anchor_size == 24.0
+        assert len(generate_anchors(AABox(0, 0, 10, 10), cfg)) == 2 * 7 * 4
 
 
 class TestGenerateAnchors:

@@ -10,7 +10,10 @@ way by the package, a ``perfbench`` script or the acceptance tests, or be
 named in the README's code or be a command's entry point, and no module
 but ``_json.py`` may call ``json.loads``, ``json.load`` or a ``read_text``
 method, or import ``gc``. Only ``simulation.py`` and ``execution.py``
-import numpy outside a function, so importing the rest never loads it."""
+import numpy outside a function, so importing the rest never loads it.
+The value types built per anchor or per input row store each field once
+through its slot: they define no ``__post_init__`` and touch neither
+``object.__setattr__`` nor ``__dict__``."""
 
 import ast
 import re
@@ -324,3 +327,49 @@ def test_only_the_array_modules_import_numpy(path):
         assert module_level_numpy_imports(path.read_text()) != []
     else:
         assert module_level_numpy_imports(path.read_text()) == []
+
+
+def slow_constructor_parts(source: str, classes) -> list[int]:
+    """The line of every ``__post_init__`` definition, ``object.__setattr__``
+    reference and ``__dict__`` attribute, at any depth, in the module-level
+    classes of the source whose names ``classes`` holds."""
+    lines = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.ClassDef) and node.name in classes):
+            continue
+        for n in ast.walk(node):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == "__post_init__":
+                lines.append(n.lineno)
+            elif isinstance(n, ast.Attribute) and (
+                n.attr == "__dict__"
+                or (n.attr == "__setattr__" and isinstance(n.value, ast.Name) and n.value.id == "object")
+            ):
+                lines.append(n.lineno)
+    return sorted(lines)
+
+
+def test_finds_a_slow_constructor_part():
+    source = (
+        "class Fast:\n    def __post_init__(self):\n        object.__setattr__(self, 'x', 1)\n"
+        "class Slow:\n    def __post_init__(self):\n        pass\n"
+        "    def __init__(self, x):\n        setter = object.__setattr__\n"
+        "        self.__dict__['x'] = x\n        vars(self)\n        super().__setattr__('y', 2)\n"
+    )
+    assert slow_constructor_parts(source, {"Slow"}) == [5, 8, 9]
+
+
+# built per anchor (OrientedAnchor, OrientedRect, GraspCandidate) or per
+# input row (OrientedRect, AABox)
+VALUE_TYPES = [
+    ("geometry.py", "OrientedRect"),
+    ("geometry.py", "AABox"),
+    ("anchors.py", "OrientedAnchor"),
+    ("perception.py", "GraspCandidate"),
+]
+
+
+@pytest.mark.parametrize("module, cls", VALUE_TYPES, ids=[c for _, c in VALUE_TYPES])
+def test_value_types_store_each_field_once(module, cls):
+    source = (PACKAGE / module).read_text()
+    assert f"class {cls}:" in source
+    assert slow_constructor_parts(source, {cls}) == []

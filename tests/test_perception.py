@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackgrasp.anchors import AnchorConfig, GraspDelta, generate_anchors
@@ -22,12 +22,23 @@ from stackgrasp.perception import (
 
 from oracle_utils import (
     predictions_to_json_dict,
+    reference_decode_roi_grasps,
     reference_nms,
     reference_select_best_grasp,
     serialize_predictions,
 )
 
 SMALL = AnchorConfig(grid_w=2, grid_h=2, k=1)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type and text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return (type(e), str(e))
 
 
 def det(instance_id, x0, y0, x1, y1, score=0.9, category="cup"):
@@ -87,6 +98,49 @@ class TestDecodeRoiGrasps:
         cands = decode_roi_grasps(roi, preds, SMALL)
         assert all(c.confidence == pytest.approx(0.75) for c in cands)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        corner=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        size=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+        cfg=st.builds(
+            AnchorConfig, grid_w=st.integers(1, 7), grid_h=st.integers(1, 7),
+            k=st.integers(1, 6), anchor_size=st.floats(0.5, 64.0),
+        ),
+        pool=st.lists(
+            st.builds(
+                GraspPrediction,
+                # sizes from exp(-10) to exp(5) times the anchor's; an
+                # overflowing one has its own test
+                delta=st.builds(
+                    GraspDelta, *[st.floats(-20, 20) | FINITE] * 2,
+                    *[st.floats(-10.0, 5.0)] * 2, st.floats(-20, 20) | FINITE,
+                ),
+                logits=st.tuples(FINITE, FINITE),
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_matches_the_keyword_loop(self, corner, size, cfg, pool):
+        # the floats are compared bit for bit: == on the fields, and repr,
+        # which tells -0.0 from 0.0
+        roi = AABox(corner[0], corner[1], corner[0] + size[0], corner[1] + size[1])
+        preds = [pool[i % len(pool)] for i in range(cfg.anchors_per_roi)]
+        got, want = outcome(decode_roi_grasps, roi, preds, cfg), outcome(
+            reference_decode_roi_grasps, roi, preds, cfg
+        )
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_size_overflow_raises_as_the_keyword_loop(self):
+        roi = AABox(0, 0, 20, 20)
+        preds = [GraspPrediction(GraspDelta(0, 0, 0, 0, 0), (0.0, 0.0))] * 3
+        preds.append(GraspPrediction(GraspDelta(0.0, 0.0, 0.0, 800.0, 0.0), (0.0, 0.0)))
+        with pytest.raises(ValueError) as got:
+            decode_roi_grasps(roi, preds, SMALL)
+        with pytest.raises(ValueError) as want:
+            reference_decode_roi_grasps(roi, preds, SMALL)
+        assert str(got.value) == str(want.value) == "size delta overflow: dw=0.0, dh=800.0"
+
 
 def cand(x, y, confidence, w=4.0, h=2.0, theta=0.0):
     return GraspCandidate(rect=OrientedRect(x, y, w, h, theta), confidence=confidence)
@@ -131,6 +185,14 @@ class TestSelectBestGrasp:
     def test_bad_top_n(self):
         with pytest.raises(ValueError):
             select_best_grasp([cand(0, 0, 0.5)], self.BOX, top_n=0)
+
+    # a pool shorter than top_n (no ranking) and one longer (ranked and cut)
+    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("top_n", [1.5, 2.0, True, "2"])
+    def test_top_n_must_be_an_integer(self, count, top_n):
+        cands = [cand(i, i, 0.5) for i in range(count)]
+        with pytest.raises(ValueError, match=f"^top_n must be an integer, got {top_n!r}$"):
+            select_best_grasp(cands, self.BOX, top_n)
 
     # no more candidates than top_n: the whole list is the pool
     @pytest.mark.parametrize(
