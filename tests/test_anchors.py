@@ -52,7 +52,6 @@ class TestAnchorConfig:
         with pytest.raises(ValueError):
             AnchorConfig(anchor_size=-1.0)
 
-    # each was accepted, and a float grid failed later in generate_anchors
     @pytest.mark.parametrize(
         "field, value, message",
         [
