@@ -36,7 +36,7 @@ from .dataset import (
 )
 from .evaluation import MatchThresholds, evaluate, sequential_success
 from .perception import ScenePredictions, parse_predictions
-from .reasoning import ManipulationGraph, build_graph, next_action, resolve_target, symmetrize
+from .reasoning import build_graph, plan, resolve_target, symmetrize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -188,17 +188,11 @@ def _cmd_plan(args) -> None:
     for e in edge_text:
         incident[e[0]].append(e)
         incident[e[1]].append(e)
-    edges = dict(graph.edges)
     # only the first step's graph carries the cycle repairs
-    deleted_text = _json_array(
-        [_edge_text(*e) for e in graph.deleted_edges], _GRAPH_INDENT
-    )
+    deleted_text = _json_array([_edge_text(*e) for e in graph.deleted_edges], _GRAPH_INDENT)
     steps = []
     lines = []
-    current = graph
-    remaining = list(perceived)
-    while remaining:
-        action = next_action(current, remaining, target)
+    for action in plan(graph, perceived, target):
         steps.append(
             "    {\n"
             f'      "object": {int.__repr__(action.object_id)},\n'
@@ -214,15 +208,10 @@ def _cmd_plan(args) -> None:
             f"step {len(steps)}: grasp object {action.object_id}"
             + (" (target)" if action.is_final_target else "")
         )
-        if action.is_final_target:
-            break
-        removed = action.object_id
-        remaining = [p for p in remaining if p.detection.instance_id != removed]
-        del node_text[removed]
-        for e in incident.pop(removed):
-            if edges.pop(e, None) is not None:
-                del edge_text[e]
-        current = ManipulationGraph(nodes=frozenset(node_text), edges=edges)
+        # the next step's graph is this one without the grasped object
+        del node_text[action.object_id]
+        for e in incident.pop(action.object_id):
+            edge_text.pop(e, None)
         deleted_text = "[]"
 
     text = (
@@ -321,10 +310,10 @@ def _trial_round(config, base_seed: int, ri: int, trials: range, logs: bool, whe
     finally:
         if children:  # the round was abandoned: stop the children still running
             import signal
-        for pid, fd in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
+            for pid, fd in children.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(fd)
 
 
 def _cmd_simulate(args) -> None:

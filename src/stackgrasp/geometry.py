@@ -164,32 +164,23 @@ def clip_polygon(subject, clipper):
         # a vertex is inside when it lies left of (or on) the directed edge
         # a->b: ux * (py - ay) - uy * (px - ax) >= 0
         ux, uy = bx - ax, by - ay
-        # the clip line's terms of the segment intersection
-        dcx, dcy = ax - bx, ay - by
-        tol = 1e-12 * math.hypot(dcx, dcy)
-        n1 = ax * by - ay * bx
         source, output = output, []
         sx, sy = source[-1]
-        s_in = ux * (sy - ay) - uy * (sx - ax) >= 0.0
+        s_side = ux * (sy - ay) - uy * (sx - ax)
+        s_in = s_side >= 0.0
         for e in source:
             ex, ey = e
-            e_in = ux * (ey - ay) - uy * (ex - ax) >= 0.0
+            e_side = ux * (ey - ay) - uy * (ex - ax)
+            e_in = e_side >= 0.0
             if e_in != s_in:
-                dpx, dpy = sx - ex, sy - ey
-                den = dcx * dpy - dcy * dpx
-                # a segment (anti)parallel to the clip line only "crosses" it
-                # through rounding noise in the side test; its endpoints
-                # already lie on the line, so taking one keeps the polygon
-                # intact. den is the product of the two lengths and the sine
-                # of the angle between the lines.
-                if abs(den) <= tol * math.hypot(dpx, dpy):
-                    output.append(e)
-                else:
-                    n2 = sx * ey - sy * ex
-                    output.append(((n1 * dpx - n2 * dcx) / den, (n1 * dpy - n2 * dcy) / den))
+                # the crossing as a point of the segment s->e: a segment that
+                # runs along the clip line, its ends on either side only by
+                # rounding, keeps its crossing on that line
+                t = s_side / (s_side - e_side)
+                output.append((sx + t * (ex - sx), sy + t * (ey - sy)))
             if e_in:
                 output.append(e)
-            sx, sy, s_in = ex, ey, e_in
+            sx, sy, s_side, s_in = ex, ey, e_side, e_in
     return output
 
 

@@ -3,12 +3,14 @@ directed acyclic graph and pick the next object to grasp.
 
 Relation classes for an ordered pair (a, b): 0 = none, 1 = a above b,
 2 = a below b. Graph edges run from the object on top to the object under
-it, so a "leaf" (nothing stacked on it) has no incoming edges and is safe
-to remove.
+it. The planner reads the graph only among the current detections: a
+"leaf" is a detected object with no incoming edge from another detected
+object (nothing seen is stacked on it), and it is safe to remove.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -75,6 +77,14 @@ class ManipulationGraph:
 
     def edge_list(self) -> list[tuple[int, int, float]]:
         return [(a, b, c) for (a, b), c in sorted(self.edges.items())]
+
+    @functools.cached_property
+    def incoming(self) -> dict[int, list[int]]:
+        """The objects directly on top of each node, built once: keep ``edges`` as built."""
+        incoming: dict[int, list[int]] = {n: [] for n in self.nodes}
+        for (a, b) in self.edges:
+            incoming[b].append(a)
+        return incoming
 
 
 def build_graph(
@@ -165,28 +175,14 @@ def build_graph(
     return ManipulationGraph(nodes=node_set, edges=edges, deleted_edges=tuple(deleted))
 
 
-def leaves(g: ManipulationGraph) -> set[int]:
-    """Nodes with nothing stacked on them (no incoming above-edge)."""
-    covered = {b for (_, b) in g.edges}
-    return set(g.nodes) - covered
-
-
-def _incoming(g: ManipulationGraph) -> dict[int, list[int]]:
-    # the objects directly on top of each node
-    incoming: dict[int, list[int]] = {n: [] for n in g.nodes}
-    for (a, b) in g.edges:
-        incoming[b].append(a)
-    return incoming
-
-
-def _above(incoming: dict[int, list[int]], node: int) -> set[int]:
-    # every node stacked, transitively, on top of ``node``
+def _above(incoming: dict[int, list[int]], detected, node: int) -> set[int]:
+    # the detected nodes stacked, transitively through detected ones, on ``node``
     seen: set[int] = set()
     frontier = [node]
     while frontier:
         cur = frontier.pop()
-        for up in incoming[cur]:
-            if up not in seen:
+        for up in incoming.get(cur, ()):
+            if up in detected and up not in seen:
                 seen.add(up)
                 frontier.append(up)
     return seen
@@ -227,28 +223,47 @@ def next_action(
     detections: Sequence[PerceivedObject],
     target: int | str | None,
 ) -> GraspAction:
-    """Choose the next object to grasp.
+    """Choose the next object to grasp, reading ``g`` only among the ids in
+    ``detections``: an undetected object covers nothing.
 
     If the target is detected (``resolve_target``): grasp it when nothing
-    is stacked on it, otherwise grasp the best-scoring leaf among the
-    objects stacked above it. If it is not detected (hidden, or absent):
-    grasp the best-scoring leaf overall to uncover more of the scene.
+    detected is stacked on it, otherwise grasp the best-scoring leaf among
+    the detected objects above it. If it is not detected (hidden, or
+    absent): grasp the best-scoring leaf overall to uncover more of the
+    scene, or the best detection if all are covered (a cyclic graph).
     Score ties go to the lower instance id.
     """
     if not detections:
         raise EmptySceneError("no detections to act on")
     scores = {p.detection.instance_id: p.detection.score for p in detections}
     target_id = resolve_target(detections, target)
+    incoming = g.incoming
     if target_id is None:
-        free = leaves(g) & set(scores)
-        if not free:
-            free = set(scores)
-        return GraspAction(object_id=_best(free, scores), is_final_target=False)
+        free = [n for n in scores if scores.keys().isdisjoint(incoming.get(n, ()))]
+        return GraspAction(object_id=_best(free or scores, scores), is_final_target=False)
 
-    incoming = _incoming(g)
-    above = _above(incoming, target_id) & set(scores)
+    above = _above(incoming, scores, target_id)
     if not above:
         return GraspAction(object_id=target_id, is_final_target=True)
     # leaves of the subgraph induced on the objects above the target
     sub_leaves = [n for n in above if above.isdisjoint(incoming[n])]
     return GraspAction(object_id=_best(sub_leaves, scores), is_final_target=False)
+
+
+def plan(
+    g: ManipulationGraph,
+    detections: Sequence[PerceivedObject],
+    target: int | str | None,
+) -> list[GraspAction]:
+    """The open-loop grasp plan: ``next_action`` at each step, with the
+    acted-on object dropped from the detections (never from ``g``), up to
+    the final target or until no detection is left."""
+    actions = []
+    remaining = list(detections)
+    while remaining:
+        action = next_action(g, remaining, target)
+        actions.append(action)
+        if action.is_final_target:
+            break
+        remaining = [p for p in remaining if p.detection.instance_id != action.object_id]
+    return actions

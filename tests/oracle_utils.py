@@ -282,7 +282,8 @@ def plan_document(preds, target: str) -> dict:
     """The ``stackgrasp plan`` document for ``preds`` as one dict, with each
     step's whole graph rebuilt and listed. The graph is repaired by
     :func:`restart_cycle_repair`; the decisions are the package's
-    ``symmetrize`` and ``next_action``."""
+    ``symmetrize`` and ``next_action``, each step's on a new graph of the
+    objects left, which is the reference for ``reasoning.plan``."""
     from stackgrasp.reasoning import ManipulationGraph, next_action, symmetrize
 
     perceived = preds.perceived()
@@ -490,21 +491,19 @@ def reference_vertex_list(r):
     ]
 
 
+def _side(p, a, b) -> float:
+    # positive left of the directed edge a->b of a counter-clockwise polygon
+    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+
 def _inside(p, a, b) -> bool:
-    # left of (or on) the directed edge a->b of a counter-clockwise polygon
-    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0.0
+    return _side(p, a, b) >= 0.0
 
 
 def _edge_intersection(s, e, a, b):
-    dcx, dcy = a[0] - b[0], a[1] - b[1]
-    dpx, dpy = s[0] - e[0], s[1] - e[1]
-    den = dcx * dpy - dcy * dpx
-    # an (anti)parallel segment crosses the clip line only through rounding
-    if abs(den) <= 1e-12 * math.hypot(dcx, dcy) * math.hypot(dpx, dpy):
-        return e
-    n1 = a[0] * b[1] - a[1] * b[0]
-    n2 = s[0] * e[1] - s[1] * e[0]
-    return ((n1 * dpx - n2 * dcx) / den, (n1 * dpy - n2 * dcy) / den)
+    # the crossing as a point of the segment s->e
+    t = _side(s, a, b) / (_side(s, a, b) - _side(e, a, b))
+    return (s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1]))
 
 
 def reference_clip_polygon(subject, clipper):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stackgrasp.execution import rect_vertices
@@ -232,6 +232,11 @@ class TestRotatedJaccard:
             assert rotated_jaccard(a, b) == pytest.approx(est, abs=0.02)
 
     @given(a=rect_strategy, b=rect_strategy)
+    # concentric, at one angle, with their short edges on the same lines
+    @example(
+        a=OrientedRect(41.0625, 80.73819726809063, 3.0, 1.0, 1.0),
+        b=OrientedRect(41.0625, 80.73819726809063, 3.0, 0.5, 1.0),
+    )
     @settings(max_examples=100)
     def test_symmetric_and_bounded(self, a, b):
         j_ab = rotated_jaccard(a, b)

@@ -1,26 +1,33 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackgrasp.geometry import AABox
-from stackgrasp.perception import ObjectDetection, PerceivedObject
+from stackgrasp import reasoning
+from stackgrasp.perception import ObjectDetection, PerceivedObject, ScenePredictions
 from stackgrasp.reasoning import (
     EmptySceneError,
     GraspAction,
     ManipulationGraph,
     _above,
-    _incoming,
     argmax_label,
     build_graph,
-    leaves,
     next_action,
+    plan,
     resolve_target,
     symmetrize,
 )
 
-from oracle_utils import argmax_by_key, order_is_valid, restart_cycle_repair, valid_orders
+from oracle_utils import (
+    argmax_by_key,
+    order_is_valid,
+    plan_document,
+    restart_cycle_repair,
+    valid_orders,
+)
 
 
 def perceived(instance_id, score=0.5, category="cup"):
@@ -234,15 +241,22 @@ class TestLeavesAncestors:
         )
 
     def test_leaves(self):
-        assert leaves(self.g()) == {1, 4}
+        # a leaf has an empty list in the incoming map, which is built once
+        g = self.g()
+        assert {n for n, up in g.incoming.items() if not up} == {1, 4}
+        assert g.incoming is g.incoming
 
     def test_ancestors_transitive(self):
-        # the ancestor walk next_action runs over its incoming-edge map
-        incoming = _incoming(self.g())
-        assert _above(incoming, 3) == {1, 2}
-        assert _above(incoming, 2) == {1}
-        assert _above(incoming, 1) == set()
-        assert _above(incoming, 4) == set()
+        # the ancestor walk next_action runs over the incoming-edge map
+        incoming = self.g().incoming
+        everything = {1, 2, 3, 4}
+        assert _above(incoming, everything, 3) == {1, 2}
+        assert _above(incoming, everything, 2) == {1}
+        assert _above(incoming, everything, 1) == set()
+        assert _above(incoming, everything, 4) == set()
+        # and passes only through detected objects
+        assert _above(incoming, {1, 3}, 3) == {1}
+        assert _above(incoming, {3, 4}, 3) == set()
 
 
 class TestNextAction:
@@ -296,16 +310,101 @@ class TestNextAction:
         assert next_action(g, dets, None).object_id == 3
 
     def test_no_free_leaf_falls_back_to_all_detected(self):
-        # graph says everything is covered by an undetected node 9
-        g = ManipulationGraph(
-            nodes=frozenset({1, 2, 9}), edges={(9, 1): 0.5, (9, 2): 0.5}
-        )
+        # a hand-built graph whose two detected objects cover each other
+        g = ManipulationGraph(nodes=frozenset({1, 2}), edges={(1, 2): 0.5, (2, 1): 0.5})
         dets = [perceived(1, score=0.4), perceived(2, score=0.6)]
         assert next_action(g, dets, None) == GraspAction(2, False)
+
+    def test_undetected_node_covers_nothing(self):
+        # 9 sits on 1 and on 3, and 3 sits on 2, but 9 is not detected
+        g = ManipulationGraph(
+            nodes=frozenset({1, 2, 3, 4, 9}), edges={(9, 1): 0.5, (9, 3): 0.5, (3, 2): 0.5}
+        )
+        dets = [perceived(i, score=s) for i, s in ((1, 0.9), (2, 0.6), (3, 0.4), (4, 0.1))]
+        assert next_action(g, dets, None) == GraspAction(1, False)
+        assert next_action(g, dets, 1) == GraspAction(1, True)
+        assert next_action(g, dets, 2) == GraspAction(3, False)
+        # the walk up from 1 does not pass through 9 to reach 3
+        g = ManipulationGraph(nodes=frozenset({1, 3, 9}), edges={(3, 9): 0.5, (9, 1): 0.5})
+        dets = [perceived(1, score=0.9), perceived(3, score=0.4)]
+        assert next_action(g, dets, 1) == GraspAction(1, True)
+
+    def test_detection_outside_the_graph_is_free(self):
+        g = build_graph([1, 2], {(1, 2): (1, 0.9)})
+        dets = [perceived(1, score=0.5), perceived(2, score=0.6), perceived(3, score=0.7)]
+        assert next_action(g, dets, 3) == GraspAction(3, True)
+        assert next_action(g, dets, None) == GraspAction(3, False)
+        assert next_action(g, dets, 2) == GraspAction(1, False)
 
     def test_empty_scene_rejected(self):
         with pytest.raises(EmptySceneError):
             next_action(self.g, [], 1)
+
+
+@st.composite
+def soft_predictions(draw):
+    """Up to 10 detections with repeated scores and categories, and a soft,
+    often tied, relation for every ordered pair, so that the symmetrized
+    graph usually has cycles to repair."""
+    ids = draw(st.lists(st.integers(-3, 30), min_size=1, max_size=10, unique=True))
+    preds = ScenePredictions()
+    for i in ids:
+        preds.detections.append(
+            ObjectDetection(
+                box=AABox(0.0, 0.0, 5.0, 5.0),
+                category=draw(st.sampled_from(["cup", "box", "pen"])),
+                score=draw(st.sampled_from([0.3, 0.5, 0.9])),
+                instance_id=i,
+            )
+        )
+    weights = st.tuples(*[st.integers(0, 3)] * 3).filter(any)
+    for a, b in itertools.permutations(ids, 2):
+        w = draw(weights)
+        preds.relations[(a, b)] = tuple(v / sum(w) for v in w)
+    return preds
+
+
+class TestPlan:
+    @given(
+        preds=soft_predictions(),
+        target=st.integers(-4, 31).map(str) | st.sampled_from(["cup", "box", "pen", "mug"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rebuild_every_step_oracle(self, preds, target):
+        # tests/oracle_utils.plan_document rebuilds the graph of the objects
+        # left at every step; plan keeps one graph and drops detections
+        doc = plan_document(preds, target)
+        objects = preds.perceived()
+        g = build_graph([p.detection.instance_id for p in objects], symmetrize(preds.relations))
+        goal = int(target) if re.fullmatch(r"-?[0-9]+", target) else target
+        expected = [GraspAction(a["object"], a["is_final_target"]) for a in doc["actions"]]
+        assert plan(g, objects, goal) == expected
+
+    def test_stops_at_target_or_when_nothing_is_left(self):
+        g = build_graph([1, 2, 3], {(1, 2): (1, 0.9), (2, 3): (1, 0.8)})
+        dets = [perceived(1, 0.2), perceived(2, 0.5), perceived(3, 0.9)]
+        assert plan(g, dets, 2) == [GraspAction(1, False), GraspAction(2, True)]
+        assert plan(g, dets, None) == [GraspAction(i, False) for i in (1, 2, 3)]
+        assert plan(g, dets, 7) == [GraspAction(i, False) for i in (1, 2, 3)]
+        assert plan(g, [], 2) == []
+        assert len(g.edges) == 2  # the graph is never changed
+
+    def test_calls_next_action_once_per_action(self, monkeypatch):
+        # the benchmark's tracer counts plan's steps at the module global
+        calls = []
+        original = reasoning.next_action
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(reasoning, "next_action", counting)
+        g = build_graph([1, 2, 3, 4], {(1, 2): (1, 0.9), (2, 3): (1, 0.8)})
+        dets = [perceived(i, score=0.5) for i in (1, 2, 3, 4)]
+        for target in (3, None, "umbrella"):
+            calls.clear()
+            actions = plan(g, dets, target)
+            assert len(calls) == len(actions) > 1
 
 
 class TestResolveTarget:
