@@ -88,11 +88,11 @@ def generate_anchors(roi: AABox, cfg: AnchorConfig) -> list[OrientedAnchor]:
     cell_h = roi.height / cfg.grid_h
     orients = list(enumerate(anchor_orientations(cfg.k)))
     size = cfg.anchor_size
+    xs = [roi.xmin + (col + 0.5) * cell_w for col in range(cfg.grid_w)]
     out = []
     for row in range(cfg.grid_h):
         cy = roi.ymin + (row + 0.5) * cell_h
-        for col in range(cfg.grid_w):
-            cx = roi.xmin + (col + 0.5) * cell_w
+        for col, cx in enumerate(xs):
             cell = (row, col)
             for i, theta in orients:
                 # positional: x, y, w, h, theta, cell, orient_index
@@ -125,17 +125,18 @@ def decode_grasp(anchor: OrientedAnchor, delta: GraspDelta, k: int) -> OrientedR
     x = dx * w_a + x_a, y = dy * h_a + y_a, w = exp(dw) * w_a,
     h = exp(dh) * h_a, theta = dtheta * (90 / k) + theta_a (normalized).
     """
+    aw, ah = anchor.w, anchor.h
     try:
-        w = math.exp(delta.dw) * anchor.w
-        h = math.exp(delta.dh) * anchor.h
+        w = math.exp(delta.dw) * aw
+        h = math.exp(delta.dh) * ah
     except OverflowError:
         raise ValueError(f"size delta overflow: dw={delta.dw}, dh={delta.dh}")
     if not (math.isfinite(w) and math.isfinite(h)):
         raise ValueError(f"size delta overflow: dw={delta.dw}, dh={delta.dh}")
     # positional: x, y, w, h, theta
     return OrientedRect(
-        delta.dx * anchor.w + anchor.x,
-        delta.dy * anchor.h + anchor.y,
+        delta.dx * aw + anchor.x,
+        delta.dy * ah + anchor.y,
         w,
         h,
         delta.dtheta * (90.0 / k) + anchor.theta,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -101,6 +102,12 @@ class AffineMap:
     def identity(cls) -> "AffineMap":
         return cls(linear=np.eye(3), offset=np.zeros(3))
 
+    @cached_property
+    def opening_scale(self) -> float:
+        """The mean in-plane singular value of the linear part, by which
+        ``to_robot_pose`` scales a grasp's width into a gripper opening."""
+        return float(np.mean(np.linalg.svd(self.linear[:, :2], compute_uv=False)))
+
     def apply(self, uvd) -> np.ndarray:
         return self.linear @ np.asarray(uvd, dtype=float) + self.offset
 
@@ -168,31 +175,22 @@ def fit_affine(pairs: Sequence[tuple[Sequence[float], Sequence[float]]]) -> Affi
         raise CalibrationError(str(e)) from e
 
 
-def rect_vertices(r: OrientedRect) -> np.ndarray:
-    """Corner coordinates of ``r``, shape (4, 2), counter-clockwise.
-
-    The first corner is the rotated image of ``(-w/2, -h/2)``; the centroid
-    of the four corners equals the rectangle center.
-    """
-    return np.array(_vertex_list(r), dtype=float)
-
-
 def grasp_point(depth: DepthImage, rect: OrientedRect) -> tuple[int, int, float]:
     """The valid pixel inside ``rect`` with minimum depth.
 
     Ties break toward the pixel nearest the rectangle center, then row-major
     (v, then u). Raises GraspPointError when no valid pixel lies inside.
     """
-    verts = rect_vertices(rect)
-    u0 = max(int(math.floor(verts[:, 0].min())), 0)
-    u1 = min(int(math.ceil(verts[:, 0].max())), depth.width - 1)
-    v0 = max(int(math.floor(verts[:, 1].min())), 0)
-    v1 = min(int(math.ceil(verts[:, 1].max())), depth.height - 1)
+    xs, ys = zip(*_vertex_list(rect))
+    u0 = max(math.floor(min(xs)), 0)
+    u1 = min(math.ceil(max(xs)), depth.width - 1)
+    v0 = max(math.floor(min(ys)), 0)
+    v1 = min(math.ceil(max(ys)), depth.height - 1)
     if u0 > u1 or v0 > v1:
         raise GraspPointError("grasp rectangle does not overlap the image")
-    us, vs = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
-    du = us - rect.x
-    dv = vs - rect.y
+    # a row of column offsets and a column of row offsets from the center
+    du = np.arange(u0, u1 + 1) - rect.x
+    dv = (np.arange(v0, v1 + 1) - rect.y)[:, None]
     t = math.radians(rect.theta)
     c, s = math.cos(t), math.sin(t)
     xr = c * du + s * dv
@@ -201,12 +199,13 @@ def grasp_point(depth: DepthImage, rect: OrientedRect) -> tuple[int, int, float]
     usable = inside & depth.valid[v0 : v1 + 1, u0 : u1 + 1]
     if not usable.any():
         raise GraspPointError("no valid depth pixel inside the grasp rectangle")
-    cand_u = us[usable]
-    cand_v = vs[usable]
-    cand_d = depth.values[v0 : v1 + 1, u0 : u1 + 1][usable]
-    dist2 = (cand_u - rect.x) ** 2 + (cand_v - rect.y) ** 2
-    pick = np.lexsort((cand_u, cand_v, dist2, cand_d))[0]
-    return int(cand_u[pick]), int(cand_v[pick]), float(cand_d[pick])
+    window = depth.values[v0 : v1 + 1, u0 : u1 + 1]
+    d = window[usable].min()
+    rows, cols = np.nonzero(usable & (window == d))
+    # the pixels come in row-major order, so the first one nearest the
+    # center is also first by v, then u
+    k = int(np.argmin(du[cols] ** 2 + dv[rows, 0] ** 2))
+    return u0 + int(cols[k]), v0 + int(rows[k]), float(d)
 
 
 def approach_vector(
@@ -232,28 +231,32 @@ def approach_vector(
     if int(window_valid.sum()) < 3:
         raise SurfaceNormalError("fewer than 3 valid depth pixels in the window")
 
-    # the window plus a one-pixel ring; pixels outside the image are invalid
-    rows = slice(max(lo_v - 1, 0), hi_v + 2)
-    cols = slice(max(lo_u - 1, 0), hi_u + 2)
-    pad = (
-        (int(lo_v == 0), int(hi_v == depth.height - 1)),
-        (int(lo_u == 0), int(hi_u == depth.width - 1)),
-    )
-    valid = np.pad(depth.valid[rows, cols], pad)
-    # masked pixels may hold anything, NaN included; zero keeps them finite
-    d = np.where(valid, np.pad(depth.values[rows, cols], pad), 0.0)
-    v, u = np.mgrid[lo_v - 1 : hi_v + 2, lo_u - 1 : hi_u + 2].astype(float)
+    # the window plus a one-pixel ring, zeroed, with the part inside the
+    # image copied in: pixels outside the image are invalid, and masked
+    # pixels, which may hold anything, NaN included, read as zero depth
+    top, left = max(lo_v - 1, 0), max(lo_u - 1, 0)
+    bottom, right = min(hi_v + 2, depth.height), min(hi_u + 2, depth.width)
+    shape = (hi_v - lo_v + 3, hi_u - lo_u + 3)
+    inner = (slice(top - lo_v + 1, bottom - lo_v + 1), slice(left - lo_u + 1, right - lo_u + 1))
+    valid = np.zeros(shape, dtype=bool)
+    valid[inner] = depth.valid[top:bottom, left:right]
+    d = np.zeros(shape)
+    np.copyto(d[inner], depth.values[top:bottom, left:right], where=valid[inner])
+    u = np.arange(lo_u - 1, hi_u + 2, dtype=float)
+    v = np.arange(lo_v - 1, hi_v + 2, dtype=float)[:, None]
     lin, off = affine.linear, affine.offset
-    mapped = np.stack(
-        [lin[i, 0] * u + lin[i, 1] * v + lin[i, 2] * d + off[i] for i in range(3)],
-        axis=-1,
-    )
-    # central-difference tangents over the window; a pixel counts only when
-    # it and its four neighbours are valid
-    du = mapped[1:-1, 2:] - mapped[1:-1, :-2]
-    dv = mapped[2:, 1:-1] - mapped[:-2, 1:-1]
-    normals = np.cross(du, dv)
+    # central-difference tangents over the window, one robot axis at a time
+    du, dv = [], []
+    for i in range(3):
+        mapped = lin[i, 0] * u + lin[i, 1] * v + lin[i, 2] * d + off[i]
+        du.append(mapped[1:-1, 2:] - mapped[1:-1, :-2])
+        dv.append(mapped[2:, 1:-1] - mapped[:-2, 1:-1])
+    (a0, a1, a2), (b0, b1, b2) = du, dv
+    normals = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    # einsum over the stacked normals: a sum of the squared components
+    # rounds differently, and the tests hold these bits fixed
     norms = np.sqrt(np.einsum("...i,...i->...", normals, normals))
+    # a pixel counts only when it and its four neighbours are valid
     keep = valid[1:-1, 1:-1] & valid[1:-1, 2:] & valid[1:-1, :-2]
     keep &= valid[2:, 1:-1] & valid[:-2, 1:-1] & (norms >= 1e-12)
     if not keep.any():
@@ -300,7 +303,7 @@ def to_robot_pose(
 
     Roll maps the grasp axis direction through the linear part and reads the
     in-plane angle of the image; opening scales the rectangle width by the
-    mean in-plane singular value of the linear part. An optional
+    map's ``opening_scale``. An optional
     ``max_opening`` rejects grasps wider than the gripper.
     """
     u, v, d = grasp_point(depth, grasp)
@@ -309,8 +312,7 @@ def to_robot_pose(
     t = math.radians(grasp.theta)
     axis = affine.linear @ np.array([math.cos(t), math.sin(t), 0.0])
     roll = normalize_angle(math.degrees(math.atan2(axis[1], axis[0])))
-    in_plane = affine.linear[:, :2]
-    opening = grasp.w * float(np.mean(np.linalg.svd(in_plane, compute_uv=False)))
+    opening = grasp.w * affine.opening_scale
     if max_opening is not None and opening > max_opening:
         raise OpeningLimitError(
             f"opening {opening:.1f} exceeds the maximum {max_opening:.1f}"
@@ -328,12 +330,13 @@ def load_depth_pgm(path) -> DepthImage:
     width, height, maxval = (int(m.group(i)) for i in (1, 2, 3))
     if maxval != 65535:
         raise ValueError(f"{path}: expected 16-bit PGM, maxval {maxval}")
-    data = raw[m.end() :]
-    expected = width * height * 2
-    if len(data) < expected:
+    start, end = m.end(), m.end() + width * height * 2
+    if len(raw) < end:
         raise ValueError(f"{path}: truncated pixel data")
-    arr = np.frombuffer(data[:expected], dtype=">u2").reshape(height, width)
-    return DepthImage.from_millimeters(arr.astype(float))
+    # one copy of the raster's bytes: a view at the header's offset, which is
+    # often odd, is unaligned, and numpy converts that about half as fast
+    raster = np.frombuffer(raw[start:end], dtype=">u2").reshape(height, width)
+    return DepthImage(values=raster.astype(float), valid=raster != 0)
 
 
 def _calibration_pairs(text: str) -> list[tuple[list[float], list[float]]]:

@@ -38,7 +38,7 @@ def smooth_l1(x: float) -> tuple[float, float]:
 
 def softmax2(a: float, b: float) -> tuple[float, float]:
     """Two-way softmax, numerically stable; components sum to 1."""
-    m = max(a, b)
+    m = b if b > a else a  # max(a, b), without the builtin's call
     ea, eb = math.exp(a - m), math.exp(b - m)
     z = ea + eb
     return ea / z, eb / z

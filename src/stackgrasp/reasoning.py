@@ -228,8 +228,9 @@ def next_action(
 
     If the target is detected (``resolve_target``): grasp it when nothing
     detected is stacked on it, otherwise grasp the best-scoring leaf among
-    the detected objects above it. If it is not detected (hidden, or
-    absent): grasp the best-scoring leaf overall to uncover more of the
+    the detected objects above it, or the best of those objects if they
+    all cover each other (a cyclic graph). If it is not detected (hidden,
+    or absent): grasp the best-scoring leaf overall to uncover more of the
     scene, or the best detection if all are covered (a cyclic graph).
     Score ties go to the lower instance id.
     """
@@ -247,7 +248,7 @@ def next_action(
         return GraspAction(object_id=target_id, is_final_target=True)
     # leaves of the subgraph induced on the objects above the target
     sub_leaves = [n for n in above if above.isdisjoint(incoming[n])]
-    return GraspAction(object_id=_best(sub_leaves, scores), is_final_target=False)
+    return GraspAction(object_id=_best(sub_leaves or above, scores), is_final_target=False)
 
 
 def plan(

@@ -23,7 +23,10 @@ the rectangle normalizes it again.
 
 It also holds two writers that the package, which only reads these
 formats, does not need: the predictions JSON writer and the 16-bit PGM
-depth writer, with which tests make input files.
+depth writer, with which tests make input files. Two forms the package
+gave up stay here as exact references: the approach vector over a padded
+whole window with ``np.cross``, whose rewrite must give the same bits,
+and the rectangle corners as a numpy array.
 """
 
 from __future__ import annotations
@@ -184,6 +187,70 @@ def loop_approach_vector(depth, at, affine, radius: int = 5):
     if norm < 1e-12:
         raise SurfaceNormalError("window normals cancel out")
     approach = total / norm
+    if approach[2] > 0 or (approach[2] == 0 and (approach[1] > 0 or (approach[1] == 0 and approach[0] > 0))):
+        approach = -approach
+    return approach
+
+
+def rect_vertices(r) -> np.ndarray:
+    """Corner coordinates of ``r``, shape (4, 2), counter-clockwise: the
+    package's ``geometry._vertex_list`` as a float array. The first corner
+    is the rotated image of ``(-w/2, -h/2)``."""
+    from stackgrasp.geometry import _vertex_list
+
+    return np.array(_vertex_list(r), dtype=float)
+
+
+def whole_window_approach_vector(depth, at, affine, radius: int = 5):
+    """Approach vector over the whole window at once, as the package
+    computed it before its window was filled by slice assignment: both
+    rasters padded by ``np.pad``, the pixel grid from ``np.mgrid``, the
+    mapped points stacked and the normals from ``np.cross``. Same rules
+    and errors as ``execution.approach_vector``, and the same bits."""
+    from stackgrasp.execution import SurfaceNormalError
+
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
+    u0, v0 = at
+    lo_u, hi_u = max(u0 - radius, 0), min(u0 + radius, depth.width - 1)
+    lo_v, hi_v = max(v0 - radius, 0), min(v0 + radius, depth.height - 1)
+    window_valid = depth.valid[lo_v : hi_v + 1, lo_u : hi_u + 1]
+    if int(window_valid.sum()) < 3:
+        raise SurfaceNormalError("fewer than 3 valid depth pixels in the window")
+
+    # the window plus a one-pixel ring; pixels outside the image are invalid
+    rows = slice(max(lo_v - 1, 0), hi_v + 2)
+    cols = slice(max(lo_u - 1, 0), hi_u + 2)
+    pad = (
+        (int(lo_v == 0), int(hi_v == depth.height - 1)),
+        (int(lo_u == 0), int(hi_u == depth.width - 1)),
+    )
+    valid = np.pad(depth.valid[rows, cols], pad)
+    # masked pixels may hold anything, NaN included; zero keeps them finite
+    d = np.where(valid, np.pad(depth.values[rows, cols], pad), 0.0)
+    v, u = np.mgrid[lo_v - 1 : hi_v + 2, lo_u - 1 : hi_u + 2].astype(float)
+    lin, off = affine.linear, affine.offset
+    mapped = np.stack(
+        [lin[i, 0] * u + lin[i, 1] * v + lin[i, 2] * d + off[i] for i in range(3)],
+        axis=-1,
+    )
+    # central-difference tangents over the window; a pixel counts only when
+    # it and its four neighbours are valid
+    du = mapped[1:-1, 2:] - mapped[1:-1, :-2]
+    dv = mapped[2:, 1:-1] - mapped[:-2, 1:-1]
+    normals = np.cross(du, dv)
+    norms = np.sqrt(np.einsum("...i,...i->...", normals, normals))
+    keep = valid[1:-1, 1:-1] & valid[1:-1, 2:] & valid[1:-1, :-2]
+    keep &= valid[2:, 1:-1] & valid[:-2, 1:-1] & (norms >= 1e-12)
+    if not keep.any():
+        raise SurfaceNormalError("no surface normal could be formed in the window")
+    total = (normals[keep] / norms[keep, None]).sum(axis=0)
+    norm = float(np.linalg.norm(total))
+    if norm < 1e-12:
+        raise SurfaceNormalError("window normals cancel out")
+    approach = total / norm
+    # orient into the surface: negative z, with deterministic fallbacks for
+    # perfectly vertical surfaces
     if approach[2] > 0 or (approach[2] == 0 and (approach[1] > 0 or (approach[1] == 0 and approach[0] > 0))):
         approach = -approach
     return approach

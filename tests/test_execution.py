@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from oracle_utils import (
     gather_depths_ok,
     loop_approach_vector,
     save_depth_pgm,
+    whole_window_approach_vector,
 )
 
 
@@ -257,9 +259,13 @@ class TestGraspPoint:
             grasp_point(depth, OrientedRect(5, 5, 4, 4,   0.0))
 
     def test_matches_exhaustive_scan(self):
+        # with two or three depth levels, many pixels tie at the minimum
         rng = np.random.default_rng(21)
-        for _ in range(40):
-            values = rng.integers(600, 1000, size=(25, 25)).astype(float)
+        for levels in [None] * 40 + [2, 3] * 20:
+            if levels is None:
+                values = rng.integers(600, 1000, size=(25, 25)).astype(float)
+            else:
+                values = rng.choice(rng.uniform(600.0, 1000.0, levels), size=(25, 25))
             holes = rng.random((25, 25)) < 0.2
             values[holes] = 0.0
             depth = DepthImage.from_millimeters(values)
@@ -329,13 +335,21 @@ def approach_or_error(fn, depth, at, affine, radius):
 
 def assert_same_approach(depth, at, affine, radius):
     """The array form agrees with the per-pixel loop to 1e-12, or both
-    raise the same error."""
+    raise the same error; and it gives the bits of the padded whole-window
+    form, or raises its error with the same text."""
     expected = approach_or_error(loop_approach_vector, depth, at, affine, radius)
     got = approach_or_error(approach_vector, depth, at, affine, radius)
     if isinstance(expected, type) or isinstance(got, type):
         assert got is expected
     else:
         assert np.abs(got - expected).max() <= 1e-12, (got, expected)
+    try:
+        previous = whole_window_approach_vector(depth, at, affine, radius)
+    except SurfaceNormalError as e:
+        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+            approach_vector(depth, at, affine, radius)
+    else:
+        assert approach_vector(depth, at, affine, radius).tolist() == previous.tolist()
     return expected
 
 
@@ -575,6 +589,14 @@ class TestPgmIo:
         path.write_bytes(b"P6\n2 2\n255\n")
         with pytest.raises(ValueError, match="not a binary PGM"):
             load_depth_pgm(path)
+
+    def test_bytes_after_the_raster_ignored(self, tmp_path):
+        payload = np.array([[256, 0, 7]], dtype=">u2").tobytes()
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P5\n3 1\n65535\n" + payload + b"\xff\xff\x01")
+        back = load_depth_pgm(path)
+        assert back.values.tolist() == [[256.0, 0.0, 7.0]]
+        assert back.valid.tolist() == [[True, False, True]]
 
     def test_comment_header_accepted(self, tmp_path):
         payload = np.array([[256]], dtype=">u2").tobytes()

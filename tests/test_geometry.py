@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stackgrasp.execution import rect_vertices
 from stackgrasp.geometry import (
     AABox,
     OrientedRect,
@@ -18,6 +17,7 @@ from stackgrasp.geometry import (
 )
 
 from oracle_utils import (
+    rect_vertices,
     mc_jaccard,
     reference_clip_polygon,
     reference_rotated_jaccard,

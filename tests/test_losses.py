@@ -1,4 +1,6 @@
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -42,6 +44,22 @@ class TestSmoothL1:
             assert smooth_l1(x)[1] == pytest.approx(fd, rel=1e-6)
 
 
+# signed zeros, infinities, nan, equal and unequal finite logits
+SPECIAL_LOGITS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -1.5, 700.0, -745.0]
+
+
+def max_softmax2(a: float, b: float) -> tuple[float, float]:
+    """The two-way softmax shifted by the builtin ``max``."""
+    m = max(a, b)
+    ea, eb = math.exp(a - m), math.exp(b - m)
+    z = ea + eb
+    return ea / z, eb / z
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
 class TestSoftmax2:
     def test_sums_to_one(self):
         p, q = softmax2(3.2, -1.7)
@@ -62,6 +80,10 @@ class TestSoftmax2:
         p, q = softmax2(1000.0, -1000.0)
         assert p == pytest.approx(1.0)
         assert q >= 0.0
+
+    def test_same_bits_as_the_builtin_max_form(self):
+        for a, b in itertools.product(SPECIAL_LOGITS, repeat=2):
+            assert _bits(softmax2(a, b)) == _bits(max_softmax2(a, b)), (a, b)
 
 
 def logits_for(p: float) -> tuple[float, float]:

@@ -315,6 +315,16 @@ class TestNextAction:
         dets = [perceived(1, score=0.4), perceived(2, score=0.6)]
         assert next_action(g, dets, None) == GraspAction(2, False)
 
+    def test_no_free_object_above_the_target_falls_back_to_those_above(self):
+        # 1 and 2 cover each other, and 1 covers the target 3
+        g = ManipulationGraph(
+            nodes=frozenset({1, 2, 3}), edges={(1, 2): 0.5, (2, 1): 0.5, (1, 3): 0.5}
+        )
+        dets = [perceived(1, score=0.4), perceived(2, score=0.6), perceived(3, score=0.9)]
+        assert next_action(g, dets, 3) == GraspAction(2, False)
+        dets = [perceived(1, score=0.6), perceived(2, score=0.6), perceived(3, score=0.9)]
+        assert next_action(g, dets, 3) == GraspAction(1, False)
+
     def test_undetected_node_covers_nothing(self):
         # 9 sits on 1 and on 3, and 3 sits on 2, but 9 is not detected
         g = ManipulationGraph(
