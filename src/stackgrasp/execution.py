@@ -9,16 +9,20 @@ approach direction averages surface normals over a window around it.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._json import json_object, load, number, number_list, read_file
+from ._json import integer, json_object, load, number, number_list, read_file
 from .geometry import OrientedRect, _vertex_list, normalize_angle
+
+
+_PGM_HEADER = re.compile(rb"^P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s")
+_PGM_CHUNK = 256  # bytes read for the header before it is matched
 
 
 class CalibrationError(ValueError):
@@ -43,22 +47,41 @@ class OpeningLimitError(GraspExecutionError):
     """Required gripper opening exceeds the configured maximum."""
 
 
-@dataclass
 class DepthImage:
-    """Depth raster in millimeters with a validity mask (0 = missing)."""
+    """Depth raster in millimeters with a validity mask.
 
-    values: np.ndarray  # (height, width) float
-    valid: np.ndarray  # (height, width) bool
+    ``DepthImage(values, valid)`` takes a float raster and a mask of one
+    2-d shape, and every valid depth must be positive and finite; masked
+    pixels may hold anything. A frame read by ``load_depth_pgm`` keeps its
+    16-bit raster and is not checked: its depths are finite and
+    non-negative, and its valid pixels are exactly its non-zero ones. Its
+    ``values``, the float64 raster, and its ``valid`` mask are built on
+    first read. ``grasp_point`` and ``approach_vector`` convert only the
+    windows they look at.
+    """
 
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.values.ndim != 2 or self.values.shape != self.valid.shape:
+    def __init__(self, values, valid) -> None:
+        values = np.asarray(values, dtype=float)
+        valid = np.asarray(valid, dtype=bool)
+        if values.ndim != 2 or values.shape != valid.shape:
             raise ValueError("values and valid mask must be equal 2-d shapes")
         # NaN fails both comparisons
-        good = (self.values > 0) & (self.values < math.inf)
-        if not (good | ~self.valid).all():
+        good = (values > 0) & (values < math.inf)
+        if not (good | ~valid).all():
             raise ValueError("valid depths must be positive and finite")
+        # set on the instance, these shadow the cached properties below
+        self.values, self.valid = values, valid
+        # the depths that grasp_point and approach_vector read: 0 wherever
+        # one is missing, as in a PGM file. A loaded frame's are the file's
+        # 16-bit raster, whose every value converts to a float exactly.
+        self._depths = np.where(valid, values, 0.0)
+
+    @classmethod
+    def _from_raster(cls, raster: np.ndarray) -> "DepthImage":
+        """The frame of a 16-bit raster, which is valid by construction."""
+        frame = cls.__new__(cls)
+        frame._depths = raster
+        return frame
 
     @classmethod
     def from_millimeters(cls, values) -> "DepthImage":
@@ -66,13 +89,21 @@ class DepthImage:
         arr = np.asarray(values, dtype=float)
         return cls(values=arr, valid=arr > 0)
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self._depths.astype(float)
+
+    @cached_property
+    def valid(self) -> np.ndarray:
+        return self._depths != 0
+
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self._depths.shape[0]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self._depths.shape[1]
 
 
 @dataclass(frozen=True)
@@ -196,16 +227,25 @@ def grasp_point(depth: DepthImage, rect: OrientedRect) -> tuple[int, int, float]
     xr = c * du + s * dv
     yr = -s * du + c * dv
     inside = (np.abs(xr) <= rect.w / 2.0 + 1e-9) & (np.abs(yr) <= rect.h / 2.0 + 1e-9)
-    usable = inside & depth.valid[v0 : v1 + 1, u0 : u1 + 1]
+    window = depth._depths[v0 : v1 + 1, u0 : u1 + 1]
+    usable = inside & (window != 0)
     if not usable.any():
         raise GraspPointError("no valid depth pixel inside the grasp rectangle")
-    window = depth.values[v0 : v1 + 1, u0 : u1 + 1]
     d = window[usable].min()
     rows, cols = np.nonzero(usable & (window == d))
     # the pixels come in row-major order, so the first one nearest the
     # center is also first by v, then u
     k = int(np.argmin(du[cols] ** 2 + dv[rows, 0] ** 2))
     return u0 + int(cols[k]), v0 + int(rows[k]), float(d)
+
+
+def _radius(radius) -> int:
+    """``radius`` when it is an integer of at least 1; anything else is a
+    ValueError."""
+    radius = integer("radius", radius)
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
+    return radius
 
 
 def approach_vector(
@@ -222,26 +262,23 @@ def approach_vector(
     downward (negative z). Raises SurfaceNormalError when fewer than 3
     valid pixels fall in the window or no normal can be formed.
     """
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
+    radius = _radius(radius)
     u0, v0 = at
     lo_u, hi_u = max(u0 - radius, 0), min(u0 + radius, depth.width - 1)
     lo_v, hi_v = max(v0 - radius, 0), min(v0 + radius, depth.height - 1)
-    window_valid = depth.valid[lo_v : hi_v + 1, lo_u : hi_u + 1]
-    if int(window_valid.sum()) < 3:
+    if np.count_nonzero(depth._depths[lo_v : hi_v + 1, lo_u : hi_u + 1]) < 3:
         raise SurfaceNormalError("fewer than 3 valid depth pixels in the window")
 
     # the window plus a one-pixel ring, zeroed, with the part inside the
-    # image copied in: pixels outside the image are invalid, and masked
-    # pixels, which may hold anything, NaN included, read as zero depth
+    # image copied in: pixels outside the image, like missing ones, read as
+    # zero depth and are invalid
     top, left = max(lo_v - 1, 0), max(lo_u - 1, 0)
     bottom, right = min(hi_v + 2, depth.height), min(hi_u + 2, depth.width)
-    shape = (hi_v - lo_v + 3, hi_u - lo_u + 3)
-    inner = (slice(top - lo_v + 1, bottom - lo_v + 1), slice(left - lo_u + 1, right - lo_u + 1))
-    valid = np.zeros(shape, dtype=bool)
-    valid[inner] = depth.valid[top:bottom, left:right]
-    d = np.zeros(shape)
-    np.copyto(d[inner], depth.values[top:bottom, left:right], where=valid[inner])
+    d = np.zeros((hi_v - lo_v + 3, hi_u - lo_u + 3))
+    d[top - lo_v + 1 : bottom - lo_v + 1, left - lo_u + 1 : right - lo_u + 1] = depth._depths[
+        top:bottom, left:right
+    ]
+    valid = d != 0
     u = np.arange(lo_u - 1, hi_u + 2, dtype=float)
     v = np.arange(lo_v - 1, hi_v + 2, dtype=float)[:, None]
     lin, off = affine.linear, affine.offset
@@ -303,9 +340,15 @@ def to_robot_pose(
 
     Roll maps the grasp axis direction through the linear part and reads the
     in-plane angle of the image; opening scales the rectangle width by the
-    map's ``opening_scale``. An optional
-    ``max_opening`` rejects grasps wider than the gripper.
+    map's ``opening_scale``. An optional ``max_opening``, positive and
+    finite, rejects grasps wider than the gripper. ``radius`` is an integer
+    of at least 1, as for ``approach_vector``.
     """
+    radius = _radius(radius)
+    if max_opening is not None:
+        max_opening = number("max_opening", max_opening)
+        if not 0 < max_opening < math.inf:
+            raise ValueError(f"max_opening must be positive and finite, got {max_opening!r}")
     u, v, d = grasp_point(depth, grasp)
     point = affine.apply((float(u), float(v), d))
     approach = approach_vector(depth, (u, v), affine, radius)
@@ -322,21 +365,27 @@ def to_robot_pose(
 
 def load_depth_pgm(path) -> DepthImage:
     """Read a binary 16-bit PGM (``P5``, maxval 65535, big-endian millimeters,
-    0 meaning missing)."""
-    raw = Path(path).read_bytes()
-    m = re.match(rb"^P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s", raw)
-    if m is None:
-        raise ValueError(f"{path}: not a binary PGM")
-    width, height, maxval = (int(m.group(i)) for i in (1, 2, 3))
-    if maxval != 65535:
-        raise ValueError(f"{path}: expected 16-bit PGM, maxval {maxval}")
-    start, end = m.end(), m.end() + width * height * 2
-    if len(raw) < end:
-        raise ValueError(f"{path}: truncated pixel data")
-    # one copy of the raster's bytes: a view at the header's offset, which is
-    # often odd, is unaligned, and numpy converts that about half as fast
-    raster = np.frombuffer(raw[start:end], dtype=">u2").reshape(height, width)
-    return DepthImage(values=raster.astype(float), valid=raster != 0)
+    0 meaning missing) from a regular file. The frame keeps the file's
+    raster; bytes after it are ignored."""
+    with open(path, "rb") as f:
+        head = f.read(_PGM_CHUNK)
+        while (m := _PGM_HEADER.match(head)) is None:
+            more = f.read(len(head))  # comments may run past the first chunk
+            if not more:
+                raise ValueError(f"{path}: not a binary PGM")
+            head += more
+        width, height, maxval = (int(m.group(i)) for i in (1, 2, 3))
+        if maxval != 65535:
+            raise ValueError(f"{path}: expected 16-bit PGM, maxval {maxval}")
+        # the size first: a header may claim a raster far larger than memory
+        if os.fstat(f.fileno()).st_size < m.end() + width * height * 2:
+            raise ValueError(f"{path}: truncated pixel data")
+        # read straight into the array, which numpy allocates aligned
+        raster = np.empty((height, width), dtype=">u2")
+        f.seek(m.end())
+        if f.readinto(raster) < raster.nbytes:
+            raise ValueError(f"{path}: truncated pixel data")
+    return DepthImage._from_raster(raster)
 
 
 def _calibration_pairs(text: str) -> list[tuple[list[float], list[float]]]:

@@ -59,7 +59,6 @@ class PerceivedObject:
 
     detection: ObjectDetection
     best_grasp: OrientedRect | None
-    grasp_confidence: float
 
 
 def decode_roi_grasps(
@@ -119,11 +118,9 @@ def perceive(
     """Bind a detection to its selected grasp; empty candidate lists yield a
     grasp-less perceived object rather than an error."""
     if not candidates:
-        return PerceivedObject(detection=detection, best_grasp=None, grasp_confidence=0.0)
+        return PerceivedObject(detection=detection, best_grasp=None)
     best = select_best_grasp(candidates, detection.box, top_n)
-    return PerceivedObject(
-        detection=detection, best_grasp=best.rect, grasp_confidence=best.confidence
-    )
+    return PerceivedObject(detection=detection, best_grasp=best.rect)
 
 
 def nms(

@@ -23,10 +23,12 @@ the rectangle normalizes it again.
 
 It also holds two writers that the package, which only reads these
 formats, does not need: the predictions JSON writer and the 16-bit PGM
-depth writer, with which tests make input files. Two forms the package
+depth writer, with which tests make input files. Three forms the package
 gave up stay here as exact references: the approach vector over a padded
 whole window with ``np.cross``, whose rewrite must give the same bits,
-and the rectangle corners as a numpy array.
+the rectangle corners as a numpy array, and the depth loader that
+converts and checks the whole frame, on whose frames the grasp point,
+approach vector and robot pose must come out as on a loaded frame.
 """
 
 from __future__ import annotations
@@ -1029,3 +1031,26 @@ def save_depth_pgm(path, depth) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{depth.width} {depth.height}\n65535\n".encode("ascii"))
         f.write(arr.tobytes())
+
+
+def whole_frame_load_depth_pgm(path):
+    """A 16-bit PGM read as the package read it before its frames kept the
+    raster: the whole file as bytes, the raster converted to float64 and
+    checked by ``DepthImage(values, valid)``. Same errors as
+    ``execution.load_depth_pgm`` on a regular file."""
+    from pathlib import Path
+
+    from stackgrasp.execution import DepthImage
+
+    raw = Path(path).read_bytes()
+    m = re.match(rb"^P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s", raw)
+    if m is None:
+        raise ValueError(f"{path}: not a binary PGM")
+    width, height, maxval = (int(m.group(i)) for i in (1, 2, 3))
+    if maxval != 65535:
+        raise ValueError(f"{path}: expected 16-bit PGM, maxval {maxval}")
+    start, end = m.end(), m.end() + width * height * 2
+    if len(raw) < end:
+        raise ValueError(f"{path}: truncated pixel data")
+    raster = np.frombuffer(raw[start:end], dtype=">u2").reshape(height, width)
+    return DepthImage(values=raster.astype(float), valid=raster != 0)

@@ -277,7 +277,7 @@ def _stub(instance_id, score):
         score=score,
         instance_id=instance_id,
     )
-    return PerceivedObject(detection=det, best_grasp=None, grasp_confidence=0.0)
+    return PerceivedObject(detection=det, best_grasp=None)
 
 
 def _labels_for(nodes, above):

@@ -122,7 +122,7 @@ class TestGraspCorrect:
         det = ObjectDetection(
             box=AABox(100.0, 100.0, 200.0, 200.0), category="cup", score=1.0, instance_id=1
         )
-        return PerceivedObject(detection=det, best_grasp=rect, grasp_confidence=1.0)
+        return PerceivedObject(detection=det, best_grasp=rect)
 
     def test_exact_grasp_matches(self):
         rec = record_one()

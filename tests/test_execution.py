@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,8 +14,10 @@ from stackgrasp.execution import (
     AffineMap,
     CalibrationError,
     DepthImage,
+    GraspExecutionError,
     GraspPointError,
     OpeningLimitError,
+    RobotGraspPose,
     SurfaceNormalError,
     approach_vector,
     fit_affine,
@@ -31,6 +34,7 @@ from oracle_utils import (
     gather_depths_ok,
     loop_approach_vector,
     save_depth_pgm,
+    whole_frame_load_depth_pgm,
     whole_window_approach_vector,
 )
 
@@ -325,6 +329,16 @@ class TestApproachVector:
         with pytest.raises(ValueError):
             approach_vector(flat_depth(), (20, 20), AffineMap.identity(), radius=0)
 
+    @pytest.mark.parametrize("radius", [2.5, 3.0, True, "3", None])
+    def test_radius_must_be_an_integer(self, radius):
+        # 2.5 used to escape as a bare TypeError from slicing, True ran as 1
+        with pytest.raises(ValueError, match=f"^radius must be an integer, got {re.escape(repr(radius))}$"):
+            approach_vector(flat_depth(), (20, 20), AffineMap.identity(), radius=radius)
+
+    def test_numpy_integer_radius_accepted(self):
+        got = approach_vector(flat_depth(), (20, 20), AffineMap.identity(), radius=np.int64(3))
+        assert got.tolist() == approach_vector(flat_depth(), (20, 20), AffineMap.identity(), 3).tolist()
+
 
 def approach_or_error(fn, depth, at, affine, radius):
     try:
@@ -537,6 +551,33 @@ class TestToRobotPose:
                 max_opening=9.0,
             )
 
+    def test_opening_at_the_limit_passes(self):
+        pose = to_robot_pose(
+            OrientedRect(20, 20, 10, 4, 0.0), flat_depth(), AffineMap.identity(), max_opening=10
+        )
+        assert pose.opening == 10.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_max_opening_must_be_positive_and_finite(self, bad):
+        # nan used to turn the limit off: a 10-unit opening passed
+        with pytest.raises(ValueError, match="^max_opening must be positive and finite"):
+            to_robot_pose(
+                OrientedRect(20, 20, 10, 4, 0.0), flat_depth(), AffineMap.identity(), max_opening=bad
+            )
+
+    @pytest.mark.parametrize("bad", [True, "9"])
+    def test_max_opening_must_be_a_number(self, bad):
+        with pytest.raises(ValueError, match="^max_opening must be a number"):
+            to_robot_pose(
+                OrientedRect(20, 20, 10, 4, 0.0), flat_depth(), AffineMap.identity(), max_opening=bad
+            )
+
+    @pytest.mark.parametrize("radius, message", [(2.5, "an integer"), (True, "an integer"), (0, "at least 1")])
+    def test_radius_checked_before_the_grasp_point(self, radius, message):
+        # the rectangle misses the image, yet the argument is reported
+        with pytest.raises(ValueError, match=f"^radius must be {message}"):
+            to_robot_pose(OrientedRect(100, 100, 4, 4, 0.0), flat_depth(), AffineMap.identity(), radius)
+
     def test_json_dict(self):
         pose = to_robot_pose(
             OrientedRect(20, 20, 10, 4, 0.0), flat_depth(), AffineMap.identity()
@@ -604,6 +645,177 @@ class TestPgmIo:
         path.write_bytes(b"P5\n# made by hand\n1 1\n65535\n" + payload)
         back = load_depth_pgm(path)
         assert back.values[0, 0] == 256.0
+
+    def test_comments_past_the_first_chunk(self, tmp_path):
+        payload = np.array([[256, 0], [9, 65535]], dtype=">u2").tobytes()
+        comments = b"".join(b"# " + bytes([97 + i]) * 3000 + b"\n" for i in range(4))
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n" + comments + b"2 2\n65535\n" + payload)
+        back = load_depth_pgm(path)
+        assert back.values.tolist() == [[256.0, 0.0], [9.0, 65535.0]]
+        assert back.valid.tolist() == [[True, False], [True, True]]
+
+    def test_unterminated_comment_is_not_a_pgm(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n# " + b"x" * 5000)
+        with pytest.raises(ValueError, match="not a binary PGM"):
+            load_depth_pgm(path)
+
+    def test_huge_header_over_two_bytes_allocates_nothing(self, tmp_path):
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P5\n100000 100000\n65535\n\x00\x01")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated pixel data"):
+                load_depth_pgm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_raster_one_byte_short(self, tmp_path):
+        payload = np.arange(1, 7, dtype=">u2").tobytes()
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P5\n3 2\n65535\n" + payload[:-1])
+        with pytest.raises(ValueError, match="truncated pixel data"):
+            load_depth_pgm(path)
+        path.write_bytes(b"P5\n3 2\n65535\n" + payload)
+        assert load_depth_pgm(path).values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+    @pytest.mark.parametrize(
+        "header", [b"P5\n3 2\n65535\n", b"P5\n3  2\n65535\n", b"P5 3 2 65535 ", b"P5\n#\n3 2\n65535\t"]
+    )
+    def test_odd_and_even_header_offsets(self, tmp_path, header):
+        raster = np.array([[513, 0, 65535], [1, 258, 7]], dtype=">u2")
+        path = tmp_path / "o.pgm"
+        path.write_bytes(header + raster.tobytes())
+        back = load_depth_pgm(path)
+        assert back.values.dtype == np.float64
+        assert back.values.tolist() == raster.astype(float).tolist()
+        assert back.valid.tolist() == (raster != 0).tolist()
+        assert (back.height, back.width) == (2, 3)
+
+    def test_values_built_once_on_first_read(self, tmp_path):
+        path = tmp_path / "d.pgm"
+        save_depth_pgm(path, flat_depth(3, 5))
+        back = load_depth_pgm(path)
+        assert back.values is back.values and back.valid is back.valid
+
+    def test_peak_memory_under_twice_the_raster(self, tmp_path):
+        # the frame holds its 16-bit raster; the float copy and the mask
+        # of the whole frame are never made
+        rng = np.random.default_rng(11)
+        values = np.rint(rng.uniform(900.0, 1000.0, (480, 640)))
+        values[rng.random(values.shape) < 0.02] = 0.0
+        path = tmp_path / "vga.pgm"
+        save_depth_pgm(path, DepthImage.from_millimeters(values))
+        affine = AffineMap.identity()
+        rect = OrientedRect(320.0, 240.0, 40.0, 20.0, 30.0)
+        tracemalloc.start()
+        try:
+            to_robot_pose(rect, load_depth_pgm(path), affine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 480 * 640 * 2, peak
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives, as exact bits: a grasp point's ``(u, v)``
+    with its depth's bytes, a vector's or a pose's float64 bytes, or the
+    type and text of the error it raises."""
+    try:
+        got = fn(*args)
+    except (GraspExecutionError, ValueError) as e:
+        return type(e), str(e)
+    if isinstance(got, RobotGraspPose):
+        got = np.hstack([got.point, got.approach, [got.roll, got.opening]])
+    if isinstance(got, np.ndarray):
+        assert got.dtype == np.float64
+        return got.tobytes()
+    u, v, d = got
+    assert type(u) is int and type(v) is int and type(d) is float
+    return u, v, np.float64(d).tobytes()
+
+
+@st.composite
+def pgm_cases(draw):
+    """A 16-bit raster (a noisy plane, two or three depth levels, or the
+    extremes 0, 1, 65534 and 65535) with 0-50% zeros, written under a
+    header whose length is odd or even; a rectangle that may lie partly or
+    wholly off the image; a well-conditioned affine map; a window radius
+    and a pixel for the approach vector."""
+    height, width = draw(st.integers(1, 20)), draw(st.integers(1, 21))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["plane", "levels", "extremes"]))
+    if kind == "plane":
+        us, vs = np.meshgrid(np.arange(width), np.arange(height))
+        values = np.clip(
+            np.rint(
+                rng.uniform(1.0, 65535.0)
+                + rng.uniform(-300.0, 300.0) * us
+                + rng.uniform(-300.0, 300.0) * vs
+                + rng.uniform(0.0, 3.0) * rng.standard_normal((height, width))
+            ),
+            1,
+            65535,
+        )
+    elif kind == "levels":
+        values = rng.choice(rng.integers(1, 65536, draw(st.integers(2, 3))), size=(height, width))
+    else:
+        values = rng.choice([1, 65534, 65535], size=(height, width))
+    values[rng.random((height, width)) < draw(st.floats(0.0, 0.5))] = 0
+    raster = np.asarray(values, dtype=">u2")
+    header = b"P5" + b" " * draw(st.integers(1, 2)) + b"%d %d\n65535\n" % (width, height)
+    rect = OrientedRect(
+        draw(st.floats(-8.0, width + 8.0)),
+        draw(st.floats(-8.0, height + 8.0)),
+        draw(st.floats(1.0, 16.0)),
+        draw(st.floats(1.0, 10.0)),
+        draw(st.floats(-90.0, 90.0)),
+    )
+    q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    linear = q1 @ np.diag(rng.uniform(0.25, 4.0, 3) * rng.choice([-1.0, 1.0], 3)) @ q2
+    affine = AffineMap(linear=linear, offset=rng.uniform(-1000.0, 1000.0, 3))
+    at = (draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)))
+    return header + raster.tobytes(), rect, affine, draw(st.integers(1, 6)), at
+
+
+class TestLoadedFrameOracle:
+    """A loaded frame keeps its 16-bit raster; on the float frame of the
+    whole-frame loader every output comes out with the same bits."""
+
+    @given(pgm_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_whole_frame_loader(self, tmp_path_factory, case):
+        data, rect, affine, radius, at = case
+        path = tmp_path_factory.getbasetemp() / "oracle.pgm"
+        path.write_bytes(data)
+        loaded, oracle = load_depth_pgm(path), whole_frame_load_depth_pgm(path)
+        for fn, args in [
+            (grasp_point, (rect,)),
+            (approach_vector, (at, affine, radius)),
+            (to_robot_pose, (affine, radius)),
+        ]:
+            if fn is to_robot_pose:
+                got, expected = outcome(fn, rect, loaded, *args), outcome(fn, rect, oracle, *args)
+            else:
+                got, expected = outcome(fn, loaded, *args), outcome(fn, oracle, *args)
+            assert got == expected, fn.__name__
+        assert loaded.values.dtype == oracle.values.dtype == np.float64
+        assert np.array_equal(loaded.values, oracle.values)
+        assert np.array_equal(loaded.valid, oracle.valid)
+        assert (loaded.height, loaded.width) == (oracle.height, oracle.width)
+
+    def test_same_errors_as_the_whole_frame_loader(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        for data in [b"P6\n2 2\n255\n", b"P5\n2 1\n255\n\x00\x01", b"P5\n4 4\n65535\n\x00\x01"]:
+            path.write_bytes(data)
+            with pytest.raises(ValueError) as expected:
+                whole_frame_load_depth_pgm(path)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                load_depth_pgm(path)
 
 
 class TestLoadCalibrationPairs:

@@ -233,15 +233,14 @@ class TestPerceive:
         d = det(7, 0, 0, 10, 10)
         p = perceive(d, [])
         assert p.best_grasp is None
-        assert p.grasp_confidence == 0.0
         assert p.detection is d
 
     def test_binds_selected_grasp(self):
         d = det(7, 0, 0, 20, 20)
-        p = perceive(d, [cand(9, 9, 0.8), cand(1, 1, 0.9)])
-        assert p.best_grasp is not None
+        cands = [cand(9, 9, 0.8), cand(1, 1, 0.9)]
+        p = perceive(d, cands)
+        assert p.best_grasp is cands[0].rect
         assert (p.best_grasp.x, p.best_grasp.y) == (9, 9)
-        assert p.grasp_confidence == 0.8
 
 
 class TestNms:

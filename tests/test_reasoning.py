@@ -37,7 +37,7 @@ def perceived(instance_id, score=0.5, category="cup"):
         score=score,
         instance_id=instance_id,
     )
-    return PerceivedObject(detection=d, best_grasp=None, grasp_confidence=0.0)
+    return PerceivedObject(detection=d, best_grasp=None)
 
 
 def one_hot(label):
