@@ -460,14 +460,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _calibration_failed(e: ValueError) -> bool:
-    """Whether ``e`` is execution's CalibrationError. Only execution raises
-    one, so until some command has loaded it (and with it numpy) no error
-    is."""
-    execution = sys.modules.get(f"{__package__}.execution")
-    return execution is not None and isinstance(e, execution.CalibrationError)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -475,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:
         args.func(args)
-    except (OverflowError, FloatingPointError) as e:
+    except ArithmeticError as e:  # CalibrationError is one too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as e:  # an output file, or the trial log directory
@@ -484,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC if _calibration_failed(e) else EXIT_DATA
+        return EXIT_DATA
     return EXIT_OK
 
 

@@ -21,14 +21,15 @@ from ._json import integer, json_object, load, number, number_list, read_file
 from .geometry import OrientedRect, _vertex_list, normalize_angle
 
 
-_PGM_HEADER = re.compile(rb"^P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s")
+# a comment may come before each field; exactly one whitespace byte ends the header
+_PGM_HEADER = re.compile(rb"^P5" + rb"\s+(?:#[^\n]*\n\s*)*(\d+)" * 3 + rb"\s")
 _PGM_CHUNK = 256  # bytes read for the header before it is matched
 
 
-class CalibrationError(ValueError):
+class CalibrationError(ValueError, ArithmeticError):
     """The calibration fit failed: too few, degenerate or non-finite
-    reference pairs, or a singular map. A pairs file that cannot be read or
-    is invalid is a DocumentError, not this."""
+    reference pairs, or a singular map; as an ArithmeticError, a numerical
+    failure. An unreadable or invalid pairs file is a DocumentError."""
 
 
 class GraspExecutionError(RuntimeError):
@@ -48,16 +49,15 @@ class OpeningLimitError(GraspExecutionError):
 
 
 class DepthImage:
-    """Depth raster in millimeters with a validity mask.
+    """Depth raster in millimeters, 0 where a depth is missing.
 
     ``DepthImage(values, valid)`` takes a float raster and a mask of one
     2-d shape, and every valid depth must be positive and finite; masked
-    pixels may hold anything. A frame read by ``load_depth_pgm`` keeps its
-    16-bit raster and is not checked: its depths are finite and
-    non-negative, and its valid pixels are exactly its non-zero ones. Its
-    ``values``, the float64 raster, and its ``valid`` mask are built on
-    first read. ``grasp_point`` and ``approach_vector`` convert only the
-    windows they look at.
+    pixels may hold anything. A frame read by ``load_depth_pgm`` keeps the
+    file's 16-bit raster unchecked, as its depths are finite and
+    non-negative. Either way a frame holds one array and shares none with
+    its caller: ``values``, the float64 raster, and ``valid`` are read-only
+    arrays built from it on first read.
     """
 
     def __init__(self, values, valid) -> None:
@@ -69,12 +69,10 @@ class DepthImage:
         good = (values > 0) & (values < math.inf)
         if not (good | ~valid).all():
             raise ValueError("valid depths must be positive and finite")
-        # set on the instance, these shadow the cached properties below
-        self.values, self.valid = values, valid
-        # the depths that grasp_point and approach_vector read: 0 wherever
-        # one is missing, as in a PGM file. A loaded frame's are the file's
-        # 16-bit raster, whose every value converts to a float exactly.
+        # 0 wherever a depth is missing, as in a loaded frame's 16-bit
+        # raster, whose every value converts to a float exactly
         self._depths = np.where(valid, values, 0.0)
+        self._depths.flags.writeable = False  # so no view of it can be made writable
 
     @classmethod
     def _from_raster(cls, raster: np.ndarray) -> "DepthImage":
@@ -91,11 +89,15 @@ class DepthImage:
 
     @cached_property
     def values(self) -> np.ndarray:
-        return self._depths.astype(float)
+        values = np.asarray(self._depths, dtype=float).view()  # no copy of float depths
+        values.flags.writeable = False
+        return values
 
     @cached_property
     def valid(self) -> np.ndarray:
-        return self._depths != 0
+        valid = self._depths != 0
+        valid.flags.writeable = False
+        return valid
 
     @property
     def height(self) -> int:
@@ -115,8 +117,8 @@ class AffineMap:
     residual_rms: float = 0.0
 
     def __post_init__(self) -> None:
-        linear = np.asarray(self.linear, dtype=float)
-        offset = np.asarray(self.offset, dtype=float)
+        linear = np.array(self.linear, dtype=float)  # copies, as the caller's
+        offset = np.array(self.offset, dtype=float)  # arrays may change later
         if linear.shape != (3, 3) or offset.shape != (3,):
             raise ValueError("linear must be 3x3 and offset length 3")
         # NaN passes the singular check, so every value is checked first
@@ -126,12 +128,9 @@ class AffineMap:
         with np.errstate(over="ignore"):  # an overflow to inf is not singular
             if abs(float(np.linalg.det(linear))) <= 1e-9:
                 raise ValueError("linear part is singular")
+        linear.flags.writeable = offset.flags.writeable = False
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "offset", offset)
-
-    @classmethod
-    def identity(cls) -> "AffineMap":
-        return cls(linear=np.eye(3), offset=np.zeros(3))
 
     @cached_property
     def opening_scale(self) -> float:

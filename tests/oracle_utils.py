@@ -1043,7 +1043,7 @@ def whole_frame_load_depth_pgm(path):
     from stackgrasp.execution import DepthImage
 
     raw = Path(path).read_bytes()
-    m = re.match(rb"^P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s", raw)
+    m = re.match(rb"^P5" + rb"\s+(?:#[^\n]*\n\s*)*(\d+)" * 3 + rb"\s", raw)
     if m is None:
         raise ValueError(f"{path}: not a binary PGM")
     width, height, maxval = (int(m.group(i)) for i in (1, 2, 3))

@@ -110,6 +110,13 @@ class TestDecodeEncode:
         assert g.h == pytest.approx(12.0)
         assert g.theta == pytest.approx(-67.5 + 22.5)
 
+    @pytest.mark.parametrize("name", ["dx", "dy", "dw", "dh", "dtheta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_rejected(self, name, bad):
+        fields = dict.fromkeys(["dx", "dy", "dw", "dh", "dtheta"], 0.0)
+        with pytest.raises(ValueError, match=f"^non-finite delta component {name}$"):
+            GraspDelta(**{**fields, name: bad})
+
     def test_overflow_rejected(self):
         a = OrientedAnchor(x=0, y=0, w=24, h=24, theta=0, cell=(0, 0), orient_index=0)
         with pytest.raises(ValueError):

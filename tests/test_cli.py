@@ -914,6 +914,10 @@ def _bad_inputs():
             id=f"augment-{table}-row-not-an-object",
         )
     yield pytest.param(
+        "plan", [preds(lambda d: None)], "expected a JSON object at the top level",
+        id="plan-top-level-list",
+    )
+    yield pytest.param(
         "plan", preds(lambda d: d["detections"][0]["grasps"].insert(0, 5)),
         "detections[0].grasps[0]: expected an object, got int", id="plan-grasp-row-not-an-object",
     )

@@ -39,6 +39,9 @@ from oracle_utils import (
 )
 
 
+IDENTITY = AffineMap(linear=np.eye(3), offset=np.zeros(3))
+
+
 def flat_depth(height=40, width=40, value=800.0):
     return DepthImage.from_millimeters(np.full((height, width), value))
 
@@ -69,16 +72,81 @@ class TestDepthImage:
     def test_masked_non_finite_allowed(self):
         img = DepthImage(values=np.array([[math.inf, math.nan]]), valid=np.array([[False, False]]))
         assert not img.valid.any()
+        assert img.values.tolist() == [[0.0, 0.0]]
 
     def test_masked_negative_allowed(self):
-        img = DepthImage(values=np.array([[-1.0]]), valid=np.array([[False]]))
-        assert not img.valid.any()
+        img = DepthImage(values=np.array([[-1.0, 7.0]]), valid=np.array([[False, True]]))
+        assert img.valid.tolist() == [[False, True]]
+        assert img.values.tolist() == [[0.0, 7.0]]
+
+    def test_each_frame_holds_one_array(self, tmp_path):
+        values = np.full((3, 4), 900.0)
+        values[1, 2] = 0.0
+        path = tmp_path / "d.pgm"
+        save_depth_pgm(path, DepthImage.from_millimeters(values))
+        for frame in (
+            DepthImage(values=values, valid=values > 0),
+            DepthImage.from_millimeters(values),
+            load_depth_pgm(path),
+        ):
+            assert list(vars(frame)) == ["_depths"]
+            assert frame.values.tolist() == values.tolist()
+
+    def test_writes_to_the_callers_arrays_change_nothing(self):
+        values = np.full((9, 9), 500.0)
+        values[2, 2] = 400.0
+        valid = np.ones((9, 9), dtype=bool)
+        frame = DepthImage(values=values, valid=valid)
+        rect = OrientedRect(4.0, 4.0, 8.0, 8.0, 0.0)
+        before = grasp_point(frame, rect), approach_vector(frame, (4, 4), IDENTITY, 2).tolist()
+        values[4, 4] = math.nan
+        values[2, 2] = 600.0
+        valid[:] = False
+        assert frame.values[4, 4] == 500.0 and frame.values[2, 2] == 400.0
+        assert frame.valid.all()
+        assert (grasp_point(frame, rect), approach_vector(frame, (4, 4), IDENTITY, 2).tolist()) == before
+
+    def test_values_and_valid_are_read_only(self, tmp_path):
+        path = tmp_path / "d.pgm"
+        save_depth_pgm(path, flat_depth(3, 5))
+        for frame in (flat_depth(3, 5), load_depth_pgm(path)):
+            with pytest.raises(ValueError, match="read-only"):
+                frame.values[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                frame.valid[0, 0] = False
+            assert grasp_point(frame, OrientedRect(2.0, 1.0, 2.0, 2.0, 0.0)) == (2, 1, 800.0)
+        # a float frame's values view its depths, which stay read-only
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            flat_depth(3, 5).values.flags.writeable = True
+
+    def test_from_millimeters_retains_one_float_frame(self):
+        raster = np.random.default_rng(5).integers(0, 2000, (480, 640)).astype(np.uint16)
+        tracemalloc.start()
+        try:
+            frame = DepthImage.from_millimeters(raster)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert frame.height == 480
+        assert retained <= 2_500_000, retained
 
 
 class TestAffineMap:
     def test_identity_apply(self):
-        m = AffineMap.identity()
-        assert m.apply((3.0, 4.0, 5.0)).tolist() == [3.0, 4.0, 5.0]
+        assert IDENTITY.apply((3.0, 4.0, 5.0)).tolist() == [3.0, 4.0, 5.0]
+
+    def test_keeps_its_own_read_only_arrays(self):
+        linear, offset = np.eye(3), np.zeros(3)
+        m = AffineMap(linear=linear, offset=offset)
+        linear[:] = 0.0
+        linear[0, 0] = math.nan
+        offset[:] = 5.0
+        assert m.linear.tolist() == np.eye(3).tolist() and m.offset.tolist() == [0.0] * 3
+        assert m.opening_scale == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.linear[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.offset[0] = 2.0
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError, match="singular"):
@@ -116,7 +184,7 @@ class TestAffineMap:
         ],
     )
     def test_from_json_dict_reads_numbers_only(self, edit, message):
-        data = {**AffineMap.identity().to_json_dict(), **edit}
+        data = {**IDENTITY.to_json_dict(), **edit}
         with pytest.raises(ValueError, match=message):
             AffineMap.from_json_dict(data)
 
@@ -137,7 +205,7 @@ class TestAffineMap:
     )
     def test_non_finite_values_rejected(self, fields, name):
         # a NaN determinant passes the singular check; the field is named first
-        data = {**AffineMap.identity().to_json_dict(), **fields}
+        data = {**IDENTITY.to_json_dict(), **fields}
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             AffineMap(np.array(data["linear"]), np.array(data["offset"]), data["residual_rms"])
         # json.loads reads NaN and Infinity
@@ -194,6 +262,14 @@ class TestFitAffine:
         pairs = [((0, 0, 1), (0, 0, 1))] * 3
         with pytest.raises(CalibrationError, match="at least 4"):
             fit_affine(pairs)
+
+    def test_calibration_error_is_a_value_and_an_arithmetic_error(self):
+        # callers that catch ValueError still catch it; the command line
+        # maps an ArithmeticError to a numerical failure
+        with pytest.raises(ValueError) as failed:
+            fit_affine([])
+        assert type(failed.value) is CalibrationError
+        assert isinstance(failed.value, ArithmeticError)
 
     def test_rank_deficient_rejected(self):
         # all pixels share one depth: the d column is constant
@@ -290,7 +366,7 @@ class TestGraspPoint:
 
 class TestApproachVector:
     def test_flat_surface_points_straight_down(self):
-        v = approach_vector(flat_depth(), (20, 20), AffineMap.identity())
+        v = approach_vector(flat_depth(), (20, 20), IDENTITY)
         assert np.allclose(v, [0.0, 0.0, -1.0], atol=1e-12)
 
     def test_inclined_plane_normal(self):
@@ -298,7 +374,7 @@ class TestApproachVector:
         # identity map the inward normal is (0, 1, -1)/sqrt(2)
         rows = np.arange(40, dtype=float)[:, None]
         depth = DepthImage.from_millimeters(500.0 + rows + np.zeros((40, 40)))
-        v = approach_vector(depth, (20, 20), AffineMap.identity())
+        v = approach_vector(depth, (20, 20), IDENTITY)
         assert np.allclose(v, [0.0, 1.0 / math.sqrt(2), -1.0 / math.sqrt(2)], atol=1e-9)
 
     def test_affine_rescaling_changes_normal(self):
@@ -315,7 +391,7 @@ class TestApproachVector:
         values[10, 10] = 700.0
         depth = DepthImage.from_millimeters(values)
         with pytest.raises(SurfaceNormalError):
-            approach_vector(depth, (10, 10), AffineMap.identity())
+            approach_vector(depth, (10, 10), IDENTITY)
 
     def test_no_formable_normal(self):
         # a single valid row: vertical neighbors are always missing
@@ -323,21 +399,21 @@ class TestApproachVector:
         values[10, :] = 700.0
         depth = DepthImage.from_millimeters(values)
         with pytest.raises(SurfaceNormalError):
-            approach_vector(depth, (10, 10), AffineMap.identity())
+            approach_vector(depth, (10, 10), IDENTITY)
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
-            approach_vector(flat_depth(), (20, 20), AffineMap.identity(), radius=0)
+            approach_vector(flat_depth(), (20, 20), IDENTITY, radius=0)
 
     @pytest.mark.parametrize("radius", [2.5, 3.0, True, "3", None])
     def test_radius_must_be_an_integer(self, radius):
         # 2.5 used to escape as a bare TypeError from slicing, True ran as 1
         with pytest.raises(ValueError, match=f"^radius must be an integer, got {re.escape(repr(radius))}$"):
-            approach_vector(flat_depth(), (20, 20), AffineMap.identity(), radius=radius)
+            approach_vector(flat_depth(), (20, 20), IDENTITY, radius=radius)
 
     def test_numpy_integer_radius_accepted(self):
-        got = approach_vector(flat_depth(), (20, 20), AffineMap.identity(), radius=np.int64(3))
-        assert got.tolist() == approach_vector(flat_depth(), (20, 20), AffineMap.identity(), 3).tolist()
+        got = approach_vector(flat_depth(), (20, 20), IDENTITY, radius=np.int64(3))
+        assert got.tolist() == approach_vector(flat_depth(), (20, 20), IDENTITY, 3).tolist()
 
 
 def approach_or_error(fn, depth, at, affine, radius):
@@ -522,7 +598,7 @@ class TestDepthImageCheck:
 class TestToRobotPose:
     def test_identity_map_keeps_angle_and_width(self):
         pose = to_robot_pose(
-            OrientedRect(20, 20, 10, 4, 30.0), flat_depth(), AffineMap.identity()
+            OrientedRect(20, 20, 10, 4, 30.0), flat_depth(), IDENTITY
         )
         assert pose.roll == pytest.approx(30.0)
         assert pose.opening == pytest.approx(10.0)
@@ -547,13 +623,13 @@ class TestToRobotPose:
             to_robot_pose(
                 OrientedRect(20, 20, 10, 4, 0.0),
                 flat_depth(),
-                AffineMap.identity(),
+                IDENTITY,
                 max_opening=9.0,
             )
 
     def test_opening_at_the_limit_passes(self):
         pose = to_robot_pose(
-            OrientedRect(20, 20, 10, 4, 0.0), flat_depth(), AffineMap.identity(), max_opening=10
+            OrientedRect(20, 20, 10, 4, 0.0), flat_depth(), IDENTITY, max_opening=10
         )
         assert pose.opening == 10.0
 
@@ -562,25 +638,25 @@ class TestToRobotPose:
         # nan used to turn the limit off: a 10-unit opening passed
         with pytest.raises(ValueError, match="^max_opening must be positive and finite"):
             to_robot_pose(
-                OrientedRect(20, 20, 10, 4, 0.0), flat_depth(), AffineMap.identity(), max_opening=bad
+                OrientedRect(20, 20, 10, 4, 0.0), flat_depth(), IDENTITY, max_opening=bad
             )
 
     @pytest.mark.parametrize("bad", [True, "9"])
     def test_max_opening_must_be_a_number(self, bad):
         with pytest.raises(ValueError, match="^max_opening must be a number"):
             to_robot_pose(
-                OrientedRect(20, 20, 10, 4, 0.0), flat_depth(), AffineMap.identity(), max_opening=bad
+                OrientedRect(20, 20, 10, 4, 0.0), flat_depth(), IDENTITY, max_opening=bad
             )
 
     @pytest.mark.parametrize("radius, message", [(2.5, "an integer"), (True, "an integer"), (0, "at least 1")])
     def test_radius_checked_before_the_grasp_point(self, radius, message):
         # the rectangle misses the image, yet the argument is reported
         with pytest.raises(ValueError, match=f"^radius must be {message}"):
-            to_robot_pose(OrientedRect(100, 100, 4, 4, 0.0), flat_depth(), AffineMap.identity(), radius)
+            to_robot_pose(OrientedRect(100, 100, 4, 4, 0.0), flat_depth(), IDENTITY, radius)
 
     def test_json_dict(self):
         pose = to_robot_pose(
-            OrientedRect(20, 20, 10, 4, 0.0), flat_depth(), AffineMap.identity()
+            OrientedRect(20, 20, 10, 4, 0.0), flat_depth(), IDENTITY
         )
         d = pose.to_json_dict()
         assert set(d) == {"point", "approach", "roll", "opening"}
@@ -683,7 +759,16 @@ class TestPgmIo:
         assert load_depth_pgm(path).values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
     @pytest.mark.parametrize(
-        "header", [b"P5\n3 2\n65535\n", b"P5\n3  2\n65535\n", b"P5 3 2 65535 ", b"P5\n#\n3 2\n65535\t"]
+        "header",
+        [
+            b"P5\n3 2\n65535\n",
+            b"P5\n3  2\n65535\n",
+            b"P5 3 2 65535 ",
+            b"P5\n#\n3 2\n65535\t",
+            b"P5\n3\n# between width and height\n2\n65535\n",
+            b"P5\n3 2\n# between height and maxval\n65535\n",
+            b"P5 # one\n# two\n3 #three\n\t2\n# four\n#\n65535 ",
+        ],
     )
     def test_odd_and_even_header_offsets(self, tmp_path, header):
         raster = np.array([[513, 0, 65535], [1, 258, 7]], dtype=">u2")
@@ -709,7 +794,7 @@ class TestPgmIo:
         values[rng.random(values.shape) < 0.02] = 0.0
         path = tmp_path / "vga.pgm"
         save_depth_pgm(path, DepthImage.from_millimeters(values))
-        affine = AffineMap.identity()
+        affine = IDENTITY
         rect = OrientedRect(320.0, 240.0, 40.0, 20.0, 30.0)
         tracemalloc.start()
         try:
@@ -742,7 +827,8 @@ def outcome(fn, *args):
 def pgm_cases(draw):
     """A 16-bit raster (a noisy plane, two or three depth levels, or the
     extremes 0, 1, 65534 and 65535) with 0-50% zeros, written under a
-    header whose length is odd or even; a rectangle that may lie partly or
+    header whose length is odd or even and which may hold comments
+    before its fields; a rectangle that may lie partly or
     wholly off the image; a well-conditioned affine map; a window radius
     and a pixel for the approach vector."""
     height, width = draw(st.integers(1, 20)), draw(st.integers(1, 21))
@@ -766,7 +852,8 @@ def pgm_cases(draw):
         values = rng.choice([1, 65534, 65535], size=(height, width))
     values[rng.random((height, width)) < draw(st.floats(0.0, 0.5))] = 0
     raster = np.asarray(values, dtype=">u2")
-    header = b"P5" + b" " * draw(st.integers(1, 2)) + b"%d %d\n65535\n" % (width, height)
+    gaps = st.sampled_from([b" ", b"  ", b"\n# a comment\n", b" #\n\t"])
+    header = b"P5%s%d%s%d%s65535\n" % (draw(gaps), width, draw(gaps), height, draw(gaps))
     rect = OrientedRect(
         draw(st.floats(-8.0, width + 8.0)),
         draw(st.floats(-8.0, height + 8.0)),
@@ -810,7 +897,12 @@ class TestLoadedFrameOracle:
 
     def test_same_errors_as_the_whole_frame_loader(self, tmp_path):
         path = tmp_path / "bad.pgm"
-        for data in [b"P6\n2 2\n255\n", b"P5\n2 1\n255\n\x00\x01", b"P5\n4 4\n65535\n\x00\x01"]:
+        for data in [
+            b"P6\n2 2\n255\n",
+            b"P5\n2 1\n255\n\x00\x01",
+            b"P5\n4 4\n65535\n\x00\x01",
+            b"P5\n1 1\n65535# a comment straight after maxval\n\x01\x00",
+        ]:
             path.write_bytes(data)
             with pytest.raises(ValueError) as expected:
                 whole_frame_load_depth_pgm(path)

@@ -6,8 +6,9 @@ name bound by an import must be read somewhere in its module
 (``__init__.py`` re-exports, so it is left out), a ``_private`` function,
 class or constant must be read in some module of the package, by name or
 as an attribute, a public function, class or method must be read the same
-way by the package, a ``perfbench`` script or the acceptance tests, or be
-named in the README's code or be a command's entry point, and no module
+way by the package, a ``perfbench`` script or the acceptance tests (a
+bare name that script binds itself does not count), or be named in the
+README's code or be a command's entry point, and no module
 but ``_json.py`` may call ``json.loads``, ``json.load`` or a ``read_text``
 method, or import ``gc``. Only ``simulation.py`` and ``execution.py``
 import numpy outside a function, so importing the rest never loads it.
@@ -142,13 +143,33 @@ def unused_public_names(sources: dict[str, str], readers: set[str]) -> list[str]
     ]
 
 
+def _script_reads(tree: ast.Module) -> set[str]:
+    # as _reads, less the bare names that the script binds itself (by
+    # assignment, def, class or argument), unless it also takes them as
+    # attributes or imports them: those are its own, not the package's
+    own, taken = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            own.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.arg):
+            own.add(node.arg)
+        elif isinstance(node, ast.Attribute):
+            taken.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            taken.update(a.name for a in node.names)
+    return _reads(tree) - (own - taken)
+
+
 def outside_readers(root: Path = ROOT) -> set[str]:
     """The names read outside the package of the checkout at ``root``: by a
-    ``perfbench`` script or the acceptance tests, every identifier in a
-    README code span or block, and the function of each
-    ``module:function`` entry point in pyproject.toml."""
+    ``perfbench`` script or the acceptance tests, less the bare names that
+    script binds itself, every identifier in a README code span or block,
+    and the function of each ``module:function`` entry point in
+    pyproject.toml."""
     scripts = [*sorted((root / "perfbench").glob("*.py")), root / "tests" / "test_acceptance.py"]
-    out = set().union(*(_reads(ast.parse(p.read_text())) for p in scripts))
+    out = set().union(*(_script_reads(ast.parse(p.read_text())) for p in scripts))
     code = re.findall(r"```.*?```|`[^`]+`", (root / "README.md").read_text(), re.S)
     out.update(re.findall(r"[A-Za-z_]\w*", "\n".join(code)))
     out.update(re.findall(r'=\s*"[\w.]+:(\w+)"', (root / "pyproject.toml").read_text()))
@@ -172,14 +193,20 @@ def test_finds_an_unused_public_name():
 def test_finds_each_kind_of_outside_reader(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "tests").mkdir()
-    (tmp_path / "perfbench" / "bench.py").write_text("from pkg import timed\ntimed.call()\n")
-    (tmp_path / "tests" / "test_acceptance.py").write_text("def test_a():\n    checked()\n")
+    (tmp_path / "perfbench" / "bench.py").write_text(
+        "from pkg import timed\ntimed.call()\nlocal = 1\nprint(local)\n"
+        "def helper(arg):\n    return arg\nhelper(2)\n"
+    )
+    (tmp_path / "tests" / "test_acceptance.py").write_text(
+        "def test_a():\n    checked()\n    for item in checked.items:\n        item.size\n"
+    )
     (tmp_path / "README.md").write_text(
         "Prose names unread.\n`spanned(x)`\n```python\nblocked.attr\n```\n"
     )
     (tmp_path / "pyproject.toml").write_text('[project.scripts]\ntool = "pkg.cli:entry"\n')
     assert outside_readers(tmp_path) == {
-        "timed", "call", "checked", "spanned", "x", "python", "blocked", "attr", "entry",
+        "timed", "call", "print", "checked", "items", "size",
+        "spanned", "x", "python", "blocked", "attr", "entry",
     }
 
 

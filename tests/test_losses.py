@@ -143,6 +143,17 @@ class TestGraspLoss:
         assert res.mined_negatives == (0,)
         assert res.classification == pytest.approx(-math.log(0.5))
 
+    @pytest.mark.parametrize("logits", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0), (1.0,)])
+    def test_non_finite_or_missing_logits_rejected(self, logits):
+        with pytest.raises(ValueError, match="^logits must be two finite values$"):
+            GraspPrediction(GraspDelta(0, 0, 0, 0, 0), logits)
+
+    def test_positive_anchor_out_of_range(self):
+        preds = [GraspPrediction(GraspDelta(0, 0, 0, 0, 0), logits_for(0.5))]
+        assignment = AnchorAssignment(positives=((1, 0),), negatives=(0,), skipped=())
+        with pytest.raises(ValueError, match="^positive anchor 1 out of range$"):
+            grasp_loss(preds, assignment, [GraspDelta(0, 0, 0, 0, 0)])
+
     def test_target_count_mismatch(self):
         preds = [GraspPrediction(GraspDelta(0, 0, 0, 0, 0), logits_for(0.5))]
         assignment = AnchorAssignment(positives=((0, 0),), negatives=(), skipped=())
@@ -270,6 +281,12 @@ class TestRelationLoss:
         pred = RelationPrediction(pair=(1, 2), probs=(1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             relation_loss([pred], {(2, 1): 0})
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_the_classes_rejected(self, label):
+        pred = RelationPrediction(pair=(1, 2), probs=(1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match=rf"^bad relation label {label} for pair \(1, 2\)$"):
+            relation_loss([pred], {(1, 2): label})
 
     def test_gradients_match_finite_differences_on_simplex(self):
         # nudge two components in opposite directions so probabilities keep

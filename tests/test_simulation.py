@@ -163,6 +163,8 @@ class TestTrialConfig:
             TrialConfig(count_range=(0, 5))
         with pytest.raises(ValueError, match="count range"):
             TrialConfig(count_range=(5, 3))
+        with pytest.raises(ValueError, match="^max_stack_depth must be non-negative$"):
+            TrialConfig(max_stack_depth=-1)
 
     def test_capacity_limit(self):
         with pytest.raises(ValueError, match="at most 6 objects"):
