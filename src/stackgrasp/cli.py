@@ -226,8 +226,12 @@ def _cmd_plan(args) -> None:
     _emit(text, args.out, args.pretty, "\n".join(lines) + "\n")
 
 
-# simulate runs a regime in rounds of one block of this many trials per CPU
-_TRIAL_BLOCK = 64
+# simulate runs a regime one round at a time, a round holding at most
+# _ROUND_PER_CPU trials per CPU; _blocks cuts it into even blocks, one per
+# CPU but none under _MIN_BLOCK trials, so a regime under 2 * _MIN_BLOCK
+# trials forks nothing
+_ROUND_PER_CPU = 256
+_MIN_BLOCK = 64
 
 
 def _cpus() -> int:
@@ -237,6 +241,15 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _blocks(trials: range, cpus: int) -> list[range]:
+    """``trials`` cut into ``max(1, min(cpus, len(trials) // _MIN_BLOCK))``
+    contiguous blocks in order, whose sizes differ by at most one."""
+    count = max(1, min(cpus, len(trials) // _MIN_BLOCK))
+    size, extra = divmod(len(trials), count)
+    ends = [i * size + min(i, extra) for i in range(count + 1)]
+    return [trials[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _trial_block(config, base_seed: int, ri: int, block: range, logs: bool):
@@ -282,12 +295,11 @@ def _fork_block(*block_args) -> tuple[int, int]:
     return pid, r
 
 
-def _trial_round(config, base_seed: int, ri: int, trials: range, logs: bool, where: str):
-    """Yield (block, results, error) for each block of ``trials`` in trial
-    order, as ``_trial_block`` gives them. This process runs the first
-    block while one forked child runs each other block; every child is
-    reaped however the caller leaves the round."""
-    blocks = [trials[i:i + _TRIAL_BLOCK] for i in range(0, len(trials), _TRIAL_BLOCK)]
+def _trial_round(config, base_seed: int, ri: int, blocks: list[range], logs: bool, where: str):
+    """Yield (block, results, error) for each of ``blocks`` in order, as
+    ``_trial_block`` gives them. This process runs the first block while
+    one forked child runs each other block; every child is reaped however
+    the caller leaves the round."""
     children = {}  # pid -> read end of its pipe, until it is reaped
     try:
         for block in blocks[1:]:
@@ -332,15 +344,16 @@ def _cmd_simulate(args) -> None:
     # Each trial is a function of (base seed, regime, index) alone, so the
     # blocks of a round can run in any process; their outcomes are taken
     # in trial order, which makes every output the same for any CPU count.
-    round_size = _TRIAL_BLOCK * _cpus()
+    cpus = _cpus()
+    round_size = _ROUND_PER_CPU * cpus
     rows = []
     for ri, (name, trials, config) in enumerate(regimes):
         where = f"{path}: regimes[{ri}]"
         successes = 0
         for start in range(0, trials, round_size):
-            batch = range(start, min(start + round_size, trials))
+            blocks = _blocks(range(start, min(start + round_size, trials)), cpus)
             with contextlib.closing(
-                _trial_round(config, base_seed, ri, batch, log_dir is not None, where)
+                _trial_round(config, base_seed, ri, blocks, log_dir is not None, where)
             ) as outcomes:
                 for block, results, error in outcomes:
                     for ti, (success, text) in zip(block, results):

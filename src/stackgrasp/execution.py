@@ -48,6 +48,13 @@ class OpeningLimitError(GraspExecutionError):
     """Required gripper opening exceeds the configured maximum."""
 
 
+def _read_only_view(owner: np.ndarray) -> np.ndarray:
+    """A view of ``owner``, which is marked read-only first: a view of a
+    read-only array cannot be made writable."""
+    owner.flags.writeable = False
+    return owner.view()
+
+
 class DepthImage:
     """Depth raster in millimeters, 0 where a depth is missing.
 
@@ -57,7 +64,8 @@ class DepthImage:
     file's 16-bit raster unchecked, as its depths are finite and
     non-negative. Either way a frame holds one array and shares none with
     its caller: ``values``, the float64 raster, and ``valid`` are read-only
-    arrays built from it on first read.
+    properties whose arrays, built from it on first read, cannot be made
+    writable.
     """
 
     def __init__(self, values, valid) -> None:
@@ -72,7 +80,6 @@ class DepthImage:
         # 0 wherever a depth is missing, as in a loaded frame's 16-bit
         # raster, whose every value converts to a float exactly
         self._depths = np.where(valid, values, 0.0)
-        self._depths.flags.writeable = False  # so no view of it can be made writable
 
     @classmethod
     def _from_raster(cls, raster: np.ndarray) -> "DepthImage":
@@ -87,17 +94,23 @@ class DepthImage:
         arr = np.asarray(values, dtype=float)
         return cls(values=arr, valid=arr > 0)
 
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
-        values = np.asarray(self._depths, dtype=float).view()  # no copy of float depths
-        values.flags.writeable = False
-        return values
+        """The float64 depths, 0 where a depth is missing."""
+        return self._values
+
+    @property
+    def valid(self) -> np.ndarray:
+        """Where a depth was measured."""
+        return self._valid
 
     @cached_property
-    def valid(self) -> np.ndarray:
-        valid = self._depths != 0
-        valid.flags.writeable = False
-        return valid
+    def _values(self) -> np.ndarray:
+        return _read_only_view(np.asarray(self._depths, dtype=float))  # no copy of float depths
+
+    @cached_property
+    def _valid(self) -> np.ndarray:
+        return _read_only_view(self._depths != 0)
 
     @property
     def height(self) -> int:

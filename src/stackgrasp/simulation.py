@@ -197,20 +197,93 @@ def _eligible(node: _Node, max_depth: int) -> bool:
     return node.free_quads is None or bool(node.free_quads)
 
 
+class _RawDraws:
+    """The draws of ``np.random.default_rng(seed)``, decoded from the raw
+    words of its PCG64 bit generator, which are read ahead in batches, so
+    no other reader may share the generator.
+
+    ``random()`` is the next word's top 53 bits times 2**-53. ``integers``
+    is numpy's Lemire draw from the next 32-bit half: the pending upper
+    half of an earlier word, or else the lower half of a fresh word, whose
+    upper half becomes pending."""
+
+    __slots__ = ("_bits", "_next", "_half")
+
+    def __init__(self, seed: int):
+        self._bits = np.random.PCG64(seed)  # seeded as default_rng(seed) seeds it
+        self._next = iter(()).__next__
+        self._half = None  # the pending upper half, if any
+
+    def _word(self) -> int:
+        try:
+            return self._next()
+        except StopIteration:
+            self._next = iter(self._bits.random_raw(64).tolist()).__next__
+            return self._next()
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def randoms(self, k: int) -> list[float]:
+        """``random(k).tolist()``."""
+        word = self._word
+        return [(word() >> 11) * 2.0**-53 for _ in range(k)]
+
+    def _bounded(self, rng: int) -> int:
+        """Lemire's draw from 0..``rng``, for ``rng`` under 2**32, rejection
+        loop included, as numpy makes it for ``integers``."""
+        if rng == 0:
+            return 0
+        excl = rng + 1
+        while True:
+            half = self._half
+            if half is None:
+                word = self._word()
+                half, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                self._half = None
+            m = half * excl
+            low = m & 0xFFFFFFFF
+            # numpy computes the rejection threshold only when low < excl
+            if low >= excl or low >= (0xFFFFFFFF - rng) % excl:
+                return m >> 32
+
+    def integers(self, lo: int, hi: int) -> int:
+        """``int(integers(lo, hi))``, for ``hi - lo`` up to 2**32."""
+        return lo + self._bounded(hi - 1 - lo)
+
+    def sample_all(self, n: int) -> list[int]:
+        """``choice(n, size=n, replace=False).tolist()``: Floyd's sample of
+        ``n`` of ``n`` (a repeated value becomes ``j``), then a shuffle of
+        it; numpy draws every index by the Lemire rule."""
+        out: list[int] = []
+        for j in range(n):
+            v = self._bounded(j)
+            out.append(j if v in out else v)
+        for i in range(n - 1, 0, -1):
+            j = self._bounded(i)
+            out[i], out[j] = out[j], out[i]
+        return out
+
+
 def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
     """Deterministic random scene for a seed: disjoint base objects, nested
-    stacks on top of them, one to three grasps per object."""
-    rng = np.random.default_rng(seed)
+    stacks on top of them, one to three grasps per object.
+
+    The draws are those of ``np.random.default_rng(seed)``'s scalar calls,
+    in the same order, decoded from raw words by ``_RawDraws``; the
+    seeded stream does not move."""
+    rng = _RawDraws(seed)
     lo, hi = cfg.count_range
-    n = int(rng.integers(lo, hi + 1))
+    n = rng.integers(lo, hi + 1)
 
     slot_w = SCENE_WIDTH // _ROOT_COLS
     slot_h = SCENE_HEIGHT // _ROOT_ROWS
     if cfg.max_stack_depth == 0:
         num_roots = n
     else:
-        num_roots = int(rng.integers(1, min(n, 4) + 1))
-    slots = [int(s) for s in rng.choice(_ROOT_COLS * _ROOT_ROWS, size=_ROOT_COLS * _ROOT_ROWS, replace=False)]
+        num_roots = rng.integers(1, min(n, 4) + 1)
+    slots = rng.sample_all(_ROOT_COLS * _ROOT_ROWS)
 
     nodes: list[_Node] = []
     roots = 0
@@ -221,31 +294,31 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
             roots += 1
             sx = (slot % _ROOT_COLS) * slot_w
             sy = (slot // _ROOT_COLS) * slot_h
-            w = int(rng.integers(110, 171))
-            h = int(rng.integers(110, 171))
-            x0 = sx + int(rng.integers(8, slot_w - w - 8 + 1))
-            y0 = sy + int(rng.integers(8, slot_h - h - 8 + 1))
+            w = rng.integers(110, 171)
+            h = rng.integers(110, 171)
+            x0 = sx + rng.integers(8, slot_w - w - 8 + 1)
+            y0 = sy + rng.integers(8, slot_h - h - 8 + 1)
             nodes.append(_Node(x0, y0, w, h, level=0, parent=None, index=i))
             continue
-        parent = candidates[int(rng.integers(0, len(candidates)))]
+        parent = candidates[rng.integers(0, len(candidates))]
         if parent.free_quads is None and rng.random() < 0.4:
             # one large child that hides most of the parent
             cw = min(max(int(round(parent.w * _uniform(0.92, 0.97, rng.random()))), _MIN_CHILD_SIDE), parent.w - 2)
             ch = min(max(int(round(parent.h * _uniform(0.92, 0.97, rng.random()))), _MIN_CHILD_SIDE), parent.h - 2)
-            x0 = parent.x0 + int(rng.integers(0, parent.w - cw + 1))
-            y0 = parent.y0 + int(rng.integers(0, parent.h - ch + 1))
+            x0 = parent.x0 + rng.integers(0, parent.w - cw + 1)
+            y0 = parent.y0 + rng.integers(0, parent.h - ch + 1)
             parent.free_quads = []
         else:
             if parent.free_quads is None:
                 parent.free_quads = [0, 1, 2, 3]
-            quad = parent.free_quads.pop(int(rng.integers(0, len(parent.free_quads))))
+            quad = parent.free_quads.pop(rng.integers(0, len(parent.free_quads)))
             qw, qh = parent.w // 2, parent.h // 2
             qx0 = parent.x0 + (quad % 2) * qw
             qy0 = parent.y0 + (quad // 2) * qh
             cw = min(max(int(round(parent.w * _uniform(0.34, 0.46, rng.random()))), _MIN_CHILD_SIDE), qw - 2)
             ch = min(max(int(round(parent.h * _uniform(0.34, 0.46, rng.random()))), _MIN_CHILD_SIDE), qh - 2)
-            x0 = qx0 + int(rng.integers(1, qw - cw))
-            y0 = qy0 + int(rng.integers(1, qh - ch))
+            x0 = qx0 + rng.integers(1, qw - cw)
+            y0 = qy0 + rng.integers(1, qh - ch)
         nodes.append(_Node(x0, y0, cw, ch, level=parent.level + 1, parent=parent, index=i))
 
     objects = []
@@ -257,11 +330,12 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
         while anc is not None:
             edges.add((instance_id, anc.index + 1))
             anc = anc.parent
-        category = CATEGORIES[int(rng.integers(0, len(CATEGORIES)))]
+        category = CATEGORIES[rng.integers(0, len(CATEGORIES))]
         side = float(min(nd.w, nd.h))
         cx0 = nd.x0 + nd.w / 2.0
         cy0 = nd.y0 + nd.h / 2.0
-        for ux, uy, uw, uh, ut in rng.random((int(rng.integers(1, 4)), 5)).tolist():
+        for _ in range(rng.integers(1, 4)):
+            ux, uy, uw, uh, ut = rng.randoms(5)
             rect = OrientedRect(
                 x=cx0 + _uniform(-0.05, 0.05, ux) * side,
                 y=cy0 + _uniform(-0.05, 0.05, uy) * side,

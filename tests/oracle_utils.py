@@ -10,7 +10,8 @@ after every deletion, the plan document is built whole and encoded by
 json.dumps, box coverage tests every grid cell against every box, relation
 rows are converted and checked one at a time, the relation argmax
 takes the maximum of a sort key, and a simulated trial rebuilds its scene
-record at every removal and draws each relation flip by scalar calls.
+record at every removal and draws each relation flip, and each draw of
+a generated scene, by scalar calls.
 The polygon clip calls one helper per side test and per crossing, the
 evaluator scans the record for every query, clips before it compares
 angles and makes a Fraction at every rank, and scene and detection rows
@@ -547,6 +548,103 @@ def rebuilt_run_trial(seed, cfg):
             break
     log = TrialLog(seed, target, scene, tuple(steps), reason, cfg.noise)
     return log, coverages
+
+
+def numpy_calls_generate_scene(seed, cfg):
+    """``simulation.generate_scene`` drawing from ``np.random.default_rng(seed)``
+    by its own scalar calls (``integers``, ``random``, ``choice``), one per
+    value, where the package decodes the same values from raw words."""
+    from stackgrasp.dataset import SceneGrasp, SceneObject, SceneRecord
+    from stackgrasp.geometry import AABox, OrientedRect
+    from stackgrasp.simulation import (
+        _MIN_CHILD_SIDE, _ROOT_COLS, _ROOT_ROWS, CATEGORIES, SCENE_HEIGHT, SCENE_WIDTH,
+        _eligible, _Node, _uniform,
+    )
+
+    rng = np.random.default_rng(seed)
+    lo, hi = cfg.count_range
+    n = int(rng.integers(lo, hi + 1))
+
+    slot_w = SCENE_WIDTH // _ROOT_COLS
+    slot_h = SCENE_HEIGHT // _ROOT_ROWS
+    if cfg.max_stack_depth == 0:
+        num_roots = n
+    else:
+        num_roots = int(rng.integers(1, min(n, 4) + 1))
+    slots = [int(s) for s in rng.choice(_ROOT_COLS * _ROOT_ROWS, size=_ROOT_COLS * _ROOT_ROWS, replace=False)]
+
+    nodes: list[_Node] = []
+    roots = 0
+    for i in range(n):
+        candidates = [] if i < num_roots else [p for p in nodes if _eligible(p, cfg.max_stack_depth)]
+        if not candidates:
+            slot = slots[roots]
+            roots += 1
+            sx = (slot % _ROOT_COLS) * slot_w
+            sy = (slot // _ROOT_COLS) * slot_h
+            w = int(rng.integers(110, 171))
+            h = int(rng.integers(110, 171))
+            x0 = sx + int(rng.integers(8, slot_w - w - 8 + 1))
+            y0 = sy + int(rng.integers(8, slot_h - h - 8 + 1))
+            nodes.append(_Node(x0, y0, w, h, level=0, parent=None, index=i))
+            continue
+        parent = candidates[int(rng.integers(0, len(candidates)))]
+        if parent.free_quads is None and rng.random() < 0.4:
+            # one large child that hides most of the parent
+            cw = min(max(int(round(parent.w * _uniform(0.92, 0.97, rng.random()))), _MIN_CHILD_SIDE), parent.w - 2)
+            ch = min(max(int(round(parent.h * _uniform(0.92, 0.97, rng.random()))), _MIN_CHILD_SIDE), parent.h - 2)
+            x0 = parent.x0 + int(rng.integers(0, parent.w - cw + 1))
+            y0 = parent.y0 + int(rng.integers(0, parent.h - ch + 1))
+            parent.free_quads = []
+        else:
+            if parent.free_quads is None:
+                parent.free_quads = [0, 1, 2, 3]
+            quad = parent.free_quads.pop(int(rng.integers(0, len(parent.free_quads))))
+            qw, qh = parent.w // 2, parent.h // 2
+            qx0 = parent.x0 + (quad % 2) * qw
+            qy0 = parent.y0 + (quad // 2) * qh
+            cw = min(max(int(round(parent.w * _uniform(0.34, 0.46, rng.random()))), _MIN_CHILD_SIDE), qw - 2)
+            ch = min(max(int(round(parent.h * _uniform(0.34, 0.46, rng.random()))), _MIN_CHILD_SIDE), qh - 2)
+            x0 = qx0 + int(rng.integers(1, qw - cw))
+            y0 = qy0 + int(rng.integers(1, qh - ch))
+        nodes.append(_Node(x0, y0, cw, ch, level=parent.level + 1, parent=parent, index=i))
+
+    objects = []
+    grasps = []
+    edges = set()
+    for nd in nodes:
+        instance_id = nd.index + 1
+        anc = nd.parent
+        while anc is not None:
+            edges.add((instance_id, anc.index + 1))
+            anc = anc.parent
+        category = CATEGORIES[int(rng.integers(0, len(CATEGORIES)))]
+        side = float(min(nd.w, nd.h))
+        cx0 = nd.x0 + nd.w / 2.0
+        cy0 = nd.y0 + nd.h / 2.0
+        for ux, uy, uw, uh, ut in rng.random((int(rng.integers(1, 4)), 5)).tolist():
+            rect = OrientedRect(
+                x=cx0 + _uniform(-0.05, 0.05, ux) * side,
+                y=cy0 + _uniform(-0.05, 0.05, uy) * side,
+                w=side * _uniform(0.45, 0.6, uw),
+                h=side * _uniform(0.25, 0.4, uh),
+                theta=_uniform(-90.0, 90.0, ut),
+            )
+            grasps.append(SceneGrasp(owner=instance_id, rect=rect))
+        objects.append(
+            SceneObject(
+                instance_id=instance_id,
+                category=category,
+                box=AABox(float(nd.x0), float(nd.y0), float(nd.x0 + nd.w), float(nd.y0 + nd.h)),
+            )
+        )
+    return SceneRecord(
+        width=SCENE_WIDTH,
+        height=SCENE_HEIGHT,
+        objects=tuple(objects),
+        grasps=tuple(grasps),
+        relations=tuple(sorted(edges)),
+    )
 
 
 def reference_vertex_list(r):

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stackgrasp
-from stackgrasp.cli import _TRIAL_BLOCK, CALIBRATION_WARN_RMS_MM, main
+from stackgrasp.cli import _MIN_BLOCK, _ROUND_PER_CPU, CALIBRATION_WARN_RMS_MM, _blocks, main
 from stackgrasp.dataset import (
     SceneGrasp,
     SceneObject,
@@ -618,7 +618,7 @@ README_SIM = {
 }
 _ALL_NOISE = {"drop_prob": 0.1, "box_sigma": 3.0, "angle_sigma": 20.0,
               "relation_flip_prob": 0.2, "score_sigma": 0.1}
-# trial counts off the block size, and a last regime smaller than a block
+# a regime split in two blocks on 2 and 3 CPUs, and two too small to split
 NOISY_SIM = {
     "seed": 23,
     "regimes": [
@@ -631,9 +631,11 @@ NOISY_SIM = {
     ],
 }
 # the first trial whose noisy box overflows is trial 82 (past the first
-# block) at this box_sigma, and trial 6 (inside it) at the second
+# block) at this box_sigma, and trial 6 (inside it) at the second, in a
+# regime of OVERFLOW_TRIALS trials
 OVERFLOW_PAST_FIRST_BLOCK = 4e153
 OVERFLOW_IN_FIRST_BLOCK = 6e153
+OVERFLOW_TRIALS = 150
 
 
 def on_cpus(monkeypatch, cpus: int) -> list[int]:
@@ -676,17 +678,39 @@ def run_simulate(tmp_path, capsys, config: dict, tag: str, *flags: str):
     return code, captured.out, err, out.read_bytes() if out.exists() else None, files
 
 
-def rounds_forks(trials: int, cpus: int) -> int:
-    """Children a regime of ``trials`` forks on ``cpus`` CPUs: one per
-    block of each round but the first, which the calling process runs."""
-    size = _TRIAL_BLOCK * cpus
-    return sum(math.ceil(min(size, trials - start) / _TRIAL_BLOCK) - 1
-               for start in range(0, trials, size))
+def regime_rounds(trials: int, cpus: int) -> list[list[range]]:
+    """The blocks of each round a regime of ``trials`` runs in on ``cpus``
+    CPUs: a round holds at most ``_ROUND_PER_CPU`` trials per CPU, and the
+    calling process runs its first block while a forked child runs each
+    other block."""
+    size = _ROUND_PER_CPU * cpus
+    return [_blocks(range(start, min(start + size, trials)), cpus)
+            for start in range(0, trials, size)]
+
+
+def regime_forks(trials: int, cpus: int) -> int:
+    """Children a regime of ``trials`` forks on ``cpus`` CPUs."""
+    return sum(len(blocks) - 1 for blocks in regime_rounds(trials, cpus))
+
+
+@settings(max_examples=500, deadline=None)
+@given(start=st.integers(0, 2**32), length=st.integers(1, 10_000), cpus=st.integers(1, 8))
+def test_blocks_split_a_round_evenly(start, length, cpus):
+    trials = range(start, start + length)
+    blocks = _blocks(trials, cpus)
+    assert len(blocks) == max(1, min(cpus, length // _MIN_BLOCK))
+    # contiguous, in order, and covering the round
+    assert [b.step for b in blocks] == [1] * len(blocks)
+    assert blocks[0].start == start and blocks[-1].stop == trials.stop
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [len(b) for b in blocks]
+    assert max(sizes) - min(sizes) <= 1
+    assert len(blocks) == 1 or min(sizes) >= _MIN_BLOCK
 
 
 class TestSimulateCpuCount:
-    """Trials run in rounds of one block per CPU the process may use; every
-    output is the same bytes for any CPU count."""
+    """Trials run in rounds of even blocks, one per CPU the process may use;
+    every output is the same bytes for any CPU count."""
 
     @pytest.mark.parametrize("config", [README_SIM, NOISY_SIM], ids=["readme", "noisy"])
     def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, capsys, config):
@@ -694,8 +718,10 @@ class TestSimulateCpuCount:
         for cpus in (1, 2, 3):
             forks = on_cpus(monkeypatch, cpus)
             runs[cpus] = run_simulate(tmp_path, capsys, config, f"cpus{cpus}", "--pretty")
-            expected = sum(rounds_forks(r["trials"], cpus) for r in config["regimes"])
+            expected = sum(regime_forks(r["trials"], cpus) for r in config["regimes"])
             assert len(forks) == expected
+            if config is README_SIM and cpus == 2:
+                assert len(forks) == 2  # one round of 250 + 250 trials a regime
             assert no_child_left()
         code, out, err, result, logs = runs[1]
         assert code == 0 and err == "" and result is not None
@@ -708,7 +734,7 @@ class TestSimulateCpuCount:
 
     def test_a_regime_of_one_block_forks_nothing(self, tmp_path, monkeypatch, capsys):
         small = {"seed": 3, "regimes": [NOISY_SIM["regimes"][2],
-                                        dict(NOISY_SIM["regimes"][1], trials=_TRIAL_BLOCK)]}
+                                        dict(NOISY_SIM["regimes"][1], trials=2 * _MIN_BLOCK - 1)]}
         forks = on_cpus(monkeypatch, 3)
         assert run_simulate(tmp_path, capsys, small, "small")[0] == 0
         assert forks == []
@@ -728,13 +754,17 @@ class TestSimulateCpuCount:
     ])
     def test_failing_trial_reports_like_one_cpu(self, tmp_path, monkeypatch, capsys, sigma, first_bad):
         config = {"seed": 5, "regimes": [
-            {"count_range": [2, 4], "trials": 300, "noise": {"box_sigma": sigma}}]}
+            {"count_range": [2, 4], "trials": OVERFLOW_TRIALS, "noise": {"box_sigma": sigma}}]}
         runs = {}
         for cpus in (1, 2, 3):
             forks = on_cpus(monkeypatch, cpus)
             runs[cpus] = run_simulate(tmp_path, capsys, config, f"cpus{cpus}")
-            assert len(forks) == cpus - 1
+            assert len(forks) == regime_forks(OVERFLOW_TRIALS, cpus)
             assert no_child_left()
+            if cpus > 1:
+                # trial 82 fails in a child's block (75 + 75 trials), trial 6 in the caller's
+                caller = regime_rounds(OVERFLOW_TRIALS, cpus)[0][0]
+                assert (first_bad in caller) == (first_bad == 6)
         code, out, err, result, logs = runs[1]
         assert code == 2 and out == "" and result is None
         assert err.startswith(f"error: sim.json: regimes[0]: trial {first_bad}: box area overflows")
@@ -743,11 +773,12 @@ class TestSimulateCpuCount:
         assert runs[3] == runs[1]
 
     def test_a_log_write_error_reports_like_one_cpu(self, tmp_path, monkeypatch, capsys):
-        config = {"regimes": [{"count_range": [2, 4], "trials": 300}]}
+        config = {"regimes": [{"count_range": [2, 4], "trials": 140}]}
+        assert regime_rounds(140, 2)[0][1].start == 70
         runs = {}
         for cpus in (1, 2):
             on_cpus(monkeypatch, cpus)
-            # a directory where the log of trial 70, in the second block, goes
+            # a directory where the log of trial 70, the second block's first, goes
             (tmp_path / f"cpus{cpus}" / "logs" / "regime0_0070.json").mkdir(parents=True)
             runs[cpus] = run_simulate(tmp_path, capsys, config, f"cpus{cpus}")
             assert no_child_left()
@@ -773,20 +804,22 @@ class TestSimulateCpuCount:
         monkeypatch.setattr(stackgrasp.simulation, "run_trial", dying_run_trial)
         on_cpus(monkeypatch, 2)
         config = {"regimes": [{"count_range": [2, 4], "trials": 200}]}
+        [[caller, child]] = regime_rounds(200, 2)
+        assert (caller, child) == (range(100), range(100, 200))
         code, out, err, result, logs = run_simulate(tmp_path, capsys, config, "dead")
         assert code == 2 and out == "" and result is None
-        assert err == ("error: sim.json: regimes[0]: trials 64 to 127: "
+        assert err == (f"error: sim.json: regimes[0]: trials {child.start} to {child.stop - 1}: "
                        f"a worker process ended without a result ({how})\n")
-        assert sorted(logs) == [f"regime0_{i:04d}.json" for i in range(_TRIAL_BLOCK)]
+        assert sorted(logs) == [f"regime0_{i:04d}.json" for i in caller]
         assert no_child_left()
 
     @pytest.mark.parametrize("where", ["caller", "child"])
     def test_a_huge_regime_runs_one_round_at_a_time(self, tmp_path, monkeypatch, capsys, where):
         # a stand-in trial: one real log, returned for every seed
         log = run_trial(1, TrialConfig(count_range=(2, 4)))
-        round_size = 2 * _TRIAL_BLOCK
+        round_size = 2 * _ROUND_PER_CPU
         # the fourth round's first block is the caller's, its second a child's
-        bad = 3 * round_size + 5 + (_TRIAL_BLOCK if where == "child" else 0)
+        bad = 3 * round_size + 5 + (_ROUND_PER_CPU if where == "child" else 0)
         bad_seed = trial_seed(0, 0, bad)
         started = tmp_path / "started"
 

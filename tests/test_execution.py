@@ -119,6 +119,32 @@ class TestDepthImage:
         with pytest.raises(ValueError, match="WRITEABLE"):
             flat_depth(3, 5).values.flags.writeable = True
 
+    def test_values_and_valid_cannot_be_replaced_or_made_writable(self, tmp_path):
+        path = tmp_path / "d.pgm"
+        save_depth_pgm(path, flat_depth(5, 5))
+        for frame in (flat_depth(5, 5), load_depth_pgm(path)):
+            for name in ("values", "valid"):
+                with pytest.raises(AttributeError):
+                    setattr(frame, name, np.zeros((5, 5)))
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    getattr(frame, name).flags.writeable = True
+            assert frame.values.tolist() == [[800.0] * 5] * 5 and frame.valid.all()
+            assert grasp_point(frame, OrientedRect(2.0, 2.0, 2.0, 2.0, 0.0)) == (2, 2, 800.0)
+
+    def test_the_grasp_functions_read_only_the_depths(self):
+        class DepthsOnly(DepthImage):
+            values = valid = property(lambda self: pytest.fail("read values or valid"))
+
+        values = np.full((9, 9), 500.0)
+        values[2, 2] = 400.0
+        frame, plain = DepthsOnly(values, values > 0), DepthImage(values, values > 0)
+        rect = OrientedRect(4.0, 4.0, 8.0, 8.0, 0.0)
+        assert grasp_point(frame, rect) == grasp_point(plain, rect)
+        got = approach_vector(frame, (4, 4), IDENTITY, 2)
+        assert got.tolist() == approach_vector(plain, (4, 4), IDENTITY, 2).tolist()
+        pose = to_robot_pose(rect, frame, IDENTITY, 2).to_json_dict()
+        assert pose == to_robot_pose(rect, plain, IDENTITY, 2).to_json_dict()
+
     def test_from_millimeters_retains_one_float_frame(self):
         raster = np.random.default_rng(5).integers(0, 2000, (480, 640)).astype(np.uint16)
         tracemalloc.start()

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from oracle_utils import (
     grid_coverage_fraction,
+    numpy_calls_generate_scene,
     predictions_to_json_dict,
     rebuilt_predict,
     rebuilt_run_trial,
 )
 from stackgrasp import simulation
 from stackgrasp._json import DocumentError
-from stackgrasp.dataset import SceneGrasp, SceneObject, SceneRecord, serialize_scene
+from stackgrasp.dataset import SceneGrasp, SceneObject, SceneRecord, scene_to_json_dict, serialize_scene
 from stackgrasp.geometry import AABox, OrientedRect, aabb_iou
 from stackgrasp.simulation import (
     CATEGORIES,
@@ -816,6 +817,81 @@ class TestTrialOracle:
         want = rebuilt_predict(scene, noise, twin, threshold)
         assert predictions_to_json_dict(got) == predictions_to_json_dict(want)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestRawDraws:
+    """Each primitive of the scene generator's raw-word decoder gives what
+    the same call on ``np.random.default_rng(seed)`` gives, in any order,
+    rejected draws included."""
+
+    @staticmethod
+    def numpy_call(rng, op, arg):
+        if op == "random":
+            return rng.random()
+        if op == "randoms":
+            return rng.random((arg, 5)).ravel().tolist()
+        if op == "sample_all":
+            return rng.choice(arg, size=arg, replace=False).tolist()
+        return int(rng.integers(*arg))
+
+    @staticmethod
+    def decoded(draws, op, arg):
+        if op == "random":
+            return draws.random()
+        if op == "randoms":
+            return draws.randoms(5 * arg)
+        if op == "sample_all":
+            return draws.sample_all(arg)
+        return draws.integers(*arg)
+
+    _WIDTHS = st.one_of(
+        st.integers(1, 200),
+        st.integers(1, 2**32),
+        st.sampled_from([1, 2, 2**31 - 1, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1, 2**32]),
+    )
+    _CALLS = st.one_of(
+        st.tuples(st.just("random"), st.none()),
+        st.tuples(st.just("randoms"), st.integers(0, 30)),
+        st.tuples(st.just("sample_all"), st.integers(1, 12)),
+        st.tuples(
+            st.just("integers"),
+            st.builds(lambda lo, width: (lo, lo + width), st.integers(-(2**40), 2**40), _WIDTHS),
+        ),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), calls=st.lists(_CALLS, max_size=60))
+    def test_matches_numpy_calls(self, seed, calls):
+        rng, draws = np.random.default_rng(seed), simulation._RawDraws(seed)
+        for op, arg in calls:
+            assert self.decoded(draws, op, arg) == self.numpy_call(rng, op, arg), (op, arg)
+
+    @pytest.mark.parametrize("hi", [2**31 + 1, 3 * 2**30 + 1, 2**32 - 3])
+    def test_ranges_that_reject_often(self, hi):
+        # integers(0, 2**31 + 1) rejects about half its 32-bit draws, so
+        # one draw that rejects wrongly shifts every value after it
+        rng, draws = np.random.default_rng(7), simulation._RawDraws(7)
+        want = rng.integers(0, hi, size=2000).tolist()
+        assert [draws.integers(0, hi) for _ in range(2000)] == want
+        assert draws.random() == rng.random()
+
+    def test_a_zero_width_range_draws_nothing(self):
+        rng, draws = np.random.default_rng(3), simulation._RawDraws(3)
+        got = [draws.integers(0, 3), draws.integers(5, 6), draws.integers(0, 3), draws.random()]
+        want = [int(rng.integers(0, 3)), int(rng.integers(5, 6)), int(rng.integers(0, 3)), rng.random()]
+        assert got == want and got[1] == 5
+        assert [draws.sample_all(1), draws.integers(0, 9)] == [[0], int(rng.integers(0, 9))]
+
+
+class TestSceneOracle:
+    """generate_scene decodes its draws from raw words; the oracle makes
+    numpy's scalar calls, and both must build the same scene."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), cfg=_trial_configs())
+    def test_equals_the_numpy_call_oracle(self, seed, cfg):
+        got = scene_to_json_dict(generate_scene(seed, cfg))
+        assert got == scene_to_json_dict(numpy_calls_generate_scene(seed, cfg))
 
 
 class TestFlipDraws:
