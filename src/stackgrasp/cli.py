@@ -11,6 +11,13 @@ Exit codes: 0 success, 1 usage error, 2 data error (missing, malformed or
 inconsistent input, or a file that cannot be read or written), 3 numerical
 failure (degenerate calibration, non-finite values, grasp coordinates too
 large to compare). ``main`` alone maps an error to its code.
+
+``simulate`` and ``eval`` run their trials or scenes in even contiguous
+blocks, one per CPU the process may use: the caller runs the first block
+and ``_run_blocks`` forks one worker for each other block, placed off the
+caller's CPU. The caller takes the blocks' outcomes in order, so every
+output is the same bytes for any CPU count; a worker that dies without a
+result is a data error naming its block.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .dataset import (
     rot90,
     serialize_scene,
 )
-from .evaluation import MatchThresholds, evaluate, sequential_success
+from .evaluation import MatchThresholds, metrics_report, score_scene, sequential_success
 from .perception import ScenePredictions, parse_predictions
 from .reasoning import build_graph, plan, resolve_target, symmetrize
 
@@ -101,25 +108,53 @@ def _collect_eval_inputs(gt: Path, pred: Path) -> list[tuple[str, Path, Path]]:
     return pairs
 
 
+def _score_block(pairs: list[tuple[str, Path, Path]], thresholds: MatchThresholds,
+                 block: range):
+    """The scenes of ``pairs`` in ``block``: (problems, scores, error).
+    Every file of the block is read first; if any is unreadable, problems
+    lists each one and no scene is scored. Otherwise each scene is scored
+    up to the first that fails, whose error names its ground-truth file."""
+    inputs, problems = [], []
+    for i in block:
+        _, gt_path, pred_path = pairs[i]
+        try:
+            inputs.append((gt_path, load_scene(gt_path), read_file(pred_path, _predictions)))
+        except DocumentError as e:
+            problems.append(str(e))
+    if problems:
+        return problems, [], None
+    scores = []
+    for gt_path, record, preds in inputs:
+        try:
+            scores.append(score_scene(record, preds, thresholds))
+        except ArithmeticError as e:
+            return [], scores, ArithmeticError(f"{gt_path}: {e}")
+    return [], scores, None
+
+
 def _cmd_eval(args) -> None:
     thresholds = MatchThresholds(
         iou=args.iou, jaccard=args.jaccard, angle_deg=args.angle, top_n=args.topn
     )
     pairs = _collect_eval_inputs(Path(args.gt), Path(args.pred))
-    records = []
-    preds = []
-    problems = []
-    for _, gt_path, pred_path in pairs:
-        try:
-            records.append(load_scene(gt_path))
-            preds.append(read_file(pred_path, _predictions))
-        except DocumentError as e:
-            problems.append(str(e))
+    # Scenes are scored independently, so contiguous blocks of them can run
+    # in any process; the blocks' outcomes are taken in scene order, which
+    # makes every output the same for any CPU count.
+    blocks = _blocks(range(len(pairs)), _cpus(), _MIN_SCENE_BLOCK)
+    outcomes = list(_run_blocks(
+        functools.partial(_score_block, pairs, thresholds), blocks, args.gt, "scenes"
+    ))
+    problems = [p for block_problems, _, _ in outcomes for p in block_problems]
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
         raise ValueError(f"{len(problems)} unreadable input file(s)")
-    report = evaluate(records, preds, thresholds)
+    scores = []
+    for _, block_scores, error in outcomes:
+        if error is not None:
+            raise error
+        scores += block_scores
+    report = metrics_report(scores, thresholds)
     data = report.to_json_dict()
     lines = [
         f"scenes                 {report.scenes}",
@@ -226,12 +261,14 @@ def _cmd_plan(args) -> None:
     _emit(text, args.out, args.pretty, "\n".join(lines) + "\n")
 
 
-# simulate runs a regime one round at a time, a round holding at most
-# _ROUND_PER_CPU trials per CPU; _blocks cuts it into even blocks, one per
-# CPU but none under _MIN_BLOCK trials, so a regime under 2 * _MIN_BLOCK
-# trials forks nothing
+# simulate and eval cut their work into even contiguous blocks, one per
+# CPU, but none under a minimum size: _MIN_TRIAL_BLOCK trials a block for
+# simulate, which runs a regime in rounds of at most _ROUND_PER_CPU trials
+# per CPU, and _MIN_SCENE_BLOCK scenes for eval. Work under twice the
+# minimum forks nothing.
 _ROUND_PER_CPU = 256
-_MIN_BLOCK = 64
+_MIN_TRIAL_BLOCK = 64
+_MIN_SCENE_BLOCK = 16
 
 
 def _cpus() -> int:
@@ -243,33 +280,56 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _blocks(trials: range, cpus: int) -> list[range]:
-    """``trials`` cut into ``max(1, min(cpus, len(trials) // _MIN_BLOCK))``
+def _blocks(items: range, cpus: int, min_block: int) -> list[range]:
+    """``items`` cut into ``max(1, min(cpus, len(items) // min_block))``
     contiguous blocks in order, whose sizes differ by at most one."""
-    count = max(1, min(cpus, len(trials) // _MIN_BLOCK))
-    size, extra = divmod(len(trials), count)
+    count = max(1, min(cpus, len(items) // min_block))
+    size, extra = divmod(len(items), count)
     ends = [i * size + min(i, extra) for i in range(count + 1)]
-    return [trials[a:b] for a, b in zip(ends, ends[1:])]
+    return [items[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _trial_block(config, base_seed: int, ri: int, block: range, logs: bool):
+def _current_cpu() -> int:
+    """The CPU this process is running on now: field 39 of /proc/self/stat,
+    counted past the command name, which may hold spaces and parentheses."""
+    with open("/proc/self/stat", "rb") as f:
+        return int(f.read().rsplit(b")", 1)[1].split()[36])
+
+
+def _other_cpus() -> set[int] | None:
+    """The CPUs this process may use but the one it is running on now, or
+    None where /proc cannot be read or that leaves none."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        return os.sched_getaffinity(0) - {_current_cpu()} or None
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _trial_block(config, base_seed: int, ri: int, logs: bool, block: range):
     """Regime ``ri``'s trials in ``block``: (success, log text or None) for
-    each trial up to the first that fails, and that trial's error or None."""
+    each trial up to the first that fails, and that trial's error or None.
+    A ValueError is returned as a plain one with its text, since only its
+    text is reported and a subclass such as DocumentError need not unpickle."""
     from . import simulation
 
     results = []
     for ti in block:
         try:
             log = simulation.run_trial(simulation.trial_seed(base_seed, ri, ti), config)
+        except ValueError as e:
+            return results, ValueError(str(e))
         except Exception as e:
             return results, e
         results.append((sequential_success(log), _json_text(log.to_json_dict()) if logs else None))
     return results, None
 
 
-def _fork_block(*block_args) -> tuple[int, int]:
-    """Fork a child that runs ``_trial_block(*block_args)`` and pickles its
-    outcome into a pipe; the child's pid and the pipe's read end."""
+def _fork_block(work, block: range, cpus: set[int] | None) -> tuple[int, int]:
+    """Fork a child that pickles ``work(block)`` into a pipe, and let it run
+    only on ``cpus`` where that is given and the system allows it; the
+    child's pid and the pipe's read end."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -281,31 +341,37 @@ def _fork_block(*block_args) -> tuple[int, int]:
         code = 1
         try:
             os.close(r)
-            results, error = _trial_block(*block_args)
-            if isinstance(error, ValueError):
-                # only its text is reported, and a subclass such as
-                # DocumentError need not unpickle
-                error = ValueError(str(error))
+            result = work(block)
             with open(w, "wb") as pipe:
-                pickle.dump((results, error), pipe)
+                pickle.dump(result, pipe)
             code = 0
         finally:
             os._exit(code)
     os.close(w)
+    if cpus:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(pid, cpus)
     return pid, r
 
 
-def _trial_round(config, base_seed: int, ri: int, blocks: list[range], logs: bool, where: str):
-    """Yield (block, results, error) for each of ``blocks`` in order, as
-    ``_trial_block`` gives them. This process runs the first block while
-    one forked child runs each other block; every child is reaped however
-    the caller leaves the round."""
+def _run_blocks(work, blocks: list[range], where: str, unit: str):
+    """Yield ``work(block)`` for each of ``blocks`` in order. This process
+    runs the first block while one forked child runs each other block; a
+    child that ends without a result is a ChildProcessError naming
+    ``where`` and the block's ``unit``. Every child is reaped however the
+    caller leaves.
+
+    Each child is placed off the CPU this process is on as the round
+    starts, read before the first fork so that the child is placed the
+    moment it exists: a child left on its caller's CPU can hold it for
+    the whole round while another CPU idles."""
     children = {}  # pid -> read end of its pipe, until it is reaped
+    cpus = _other_cpus() if len(blocks) > 1 else None
     try:
         for block in blocks[1:]:
-            pid, fd = _fork_block(config, base_seed, ri, block, logs)
+            pid, fd = _fork_block(work, block, cpus)
             children[pid] = fd
-        yield blocks[0], *_trial_block(config, base_seed, ri, blocks[0], logs)
+        yield work(blocks[0])
         for block, pid in zip(blocks[1:], list(children)):
             with open(children[pid], "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -315,12 +381,12 @@ def _trial_round(config, base_seed: int, ri: int, blocks: list[range], logs: boo
                 code = os.waitstatus_to_exitcode(status)
                 how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 raise ChildProcessError(
-                    f"{where}: trials {block.start} to {block.stop - 1}: "
+                    f"{where}: {unit} {block.start} to {block.stop - 1}: "
                     f"a worker process ended without a result ({how})"
                 )
-            yield block, *pickle.loads(data)
+            yield pickle.loads(data)
     finally:
-        if children:  # the round was abandoned: stop the children still running
+        if children:  # the caller left early: stop the children still running
             import signal
             for pid, fd in children.items():
                 os.kill(pid, signal.SIGKILL)
@@ -351,11 +417,11 @@ def _cmd_simulate(args) -> None:
         where = f"{path}: regimes[{ri}]"
         successes = 0
         for start in range(0, trials, round_size):
-            blocks = _blocks(range(start, min(start + round_size, trials)), cpus)
-            with contextlib.closing(
-                _trial_round(config, base_seed, ri, blocks, log_dir is not None, where)
-            ) as outcomes:
-                for block, results, error in outcomes:
+            trial_round = range(start, min(start + round_size, trials))
+            blocks = _blocks(trial_round, cpus, _MIN_TRIAL_BLOCK)
+            work = functools.partial(_trial_block, config, base_seed, ri, log_dir is not None)
+            with contextlib.closing(_run_blocks(work, blocks, where, "trials")) as outcomes:
+                for block, (results, error) in zip(blocks, outcomes):
                     for ti, (success, text) in zip(block, results):
                         successes += success
                         if log_dir is not None:

@@ -8,6 +8,11 @@ threshold) and its best grasp fits one of that object's annotated grasps
 below the angle threshold). Average precision is accumulated in exact
 rational arithmetic so a perfect prediction set scores exactly 1.0 instead
 of 0.9999999999999998.
+
+Scoring is map then reduce: ``score_scene`` matches one scene and returns
+its ``SceneScore``; ``average_precision``, ``relation_metrics`` and
+``metrics_report`` reduce the scores of a scene list, in scene order.
+``evaluate`` does both for parallel ground-truth and prediction lists.
 """
 
 from __future__ import annotations
@@ -136,31 +141,54 @@ def _class_ap(flags: list[bool], gt_count: int) -> Fraction:
     return total / gt_count
 
 
-def average_precision(
-    records: Sequence[SceneRecord],
-    predictions: Sequence[ScenePredictions],
-    thresholds: MatchThresholds = MatchThresholds(),
-) -> tuple[Fraction, dict[str, Fraction]]:
-    """Exact (mAP, per-class AP) over parallel ground-truth/prediction
-    lists. Classes are those present in the ground truth; a class with no
+@dataclass(frozen=True)
+class SceneScore:
+    """What one scene adds to the metrics, as ``score_scene`` finds it.
+    It is small and picklable, so scenes can be scored in any process and
+    their scores reduced in another."""
+
+    categories: tuple[str, ...]  # each ground-truth object's, in record order
+    # (category, score, true positive) of each detection, in detection order
+    detections: tuple[tuple[str, float, bool], ...]
+    predicted_pairs: int
+    correct_pairs: int
+    all_correct: bool  # every object detected and every ordered pair right
+
+
+def score_scene(record: SceneRecord, preds: ScenePredictions,
+                thresholds: MatchThresholds = MatchThresholds()) -> SceneScore:
+    """Match one scene's predictions against its ground truth: the
+    grasp-aware true positives for AP and the relation tallies."""
+    perceived = preds.perceived(thresholds.top_n)
+    flags = _scene_tp_flags(record, perceived, thresholds)
+    correct, all_correct = _scene_relations(record, preds, thresholds.iou)
+    return SceneScore(
+        categories=tuple(o.category for o in record.objects),
+        detections=tuple((p.detection.category, p.detection.score, flag)
+                         for p, flag in zip(perceived, flags)),
+        predicted_pairs=len(preds.relations),
+        correct_pairs=correct,
+        all_correct=all_correct,
+    )
+
+
+def average_precision(scores: Sequence[SceneScore]) -> tuple[Fraction, dict[str, Fraction]]:
+    """Exact (mAP, per-class AP) over the scenes' scores, in scene order.
+    Classes are those present in the ground truth; a class with no
     predictions scores zero."""
-    if len(records) != len(predictions):
-        raise ValueError("ground truth and prediction counts differ")
     gt_counts: dict[str, int] = {}
-    for rec in records:
-        for o in rec.objects:
-            gt_counts[o.category] = gt_counts.get(o.category, 0) + 1
+    for score in scores:
+        for c in score.categories:
+            gt_counts[c] = gt_counts.get(c, 0) + 1
 
     # (-score, scene index, detection index, true positive): the first three
     # are unique, so a plain sort ranks by score, then scene, then detection
     pooled: dict[str, list[tuple[float, int, int, bool]]] = {c: [] for c in gt_counts}
-    for scene_index, (rec, preds) in enumerate(zip(records, predictions)):
-        perceived = preds.perceived(thresholds.top_n)
-        flags = _scene_tp_flags(rec, perceived, thresholds)
-        for i, p in enumerate(perceived):
-            entries = pooled.get(p.detection.category)
+    for scene_index, score in enumerate(scores):
+        for i, (category, confidence, flag) in enumerate(score.detections):
+            entries = pooled.get(category)
             if entries is not None:
-                entries.append((-p.detection.score, scene_index, i, flags[i]))
+                entries.append((-confidence, scene_index, i, flag))
 
     per_class: dict[str, Fraction] = {}
     for cat, entries in pooled.items():
@@ -211,57 +239,52 @@ class RelationMetrics:
         return self.images_correct / self.images_total if self.images_total else 0.0
 
 
-def relation_metrics(
-    records: Sequence[SceneRecord],
-    predictions: Sequence[ScenePredictions],
-    iou_threshold: float = 0.5,
-) -> RelationMetrics:
-    """Pairwise relation scoring. A ground-truth ordered pair counts as
-    correct when both objects are detected and the predicted label for the
-    matching detection pair is the true one. A scene is fully correct when
-    every object is detected and every ordered pair is labeled right."""
-    if len(records) != len(predictions):
-        raise ValueError("ground truth and prediction counts differ")
-    correct = gt_pairs = predicted_pairs = 0
-    images_correct = 0
+def _scene_relations(record: SceneRecord, preds: ScenePredictions,
+                     iou_threshold: float) -> tuple[int, bool]:
+    """(correct ordered pairs, whether the scene is fully correct). A
+    ground-truth ordered pair counts as correct when both objects are
+    detected and the predicted label for the matching detection pair is
+    the true one. A scene is fully correct when every object is detected
+    and every ordered pair is labeled right."""
+    mapping = match_detections(record, preds, iou_threshold)
+    det_of = {g: d for d, g in mapping.items()}
+    # an undetected object leaves its pairs unscored and the scene wrong
+    scene_correct = len(mapping) == len(record.objects)
+    matched = [(o.instance_id, det_of[o.instance_id])
+               for o in record.objects if o.instance_id in det_of]
+    # the label of dataset.relation_label: 1 for a pair in the relation
+    # set, 2 for its reverse, 0 otherwise
+    above = set(record.relations)
+    correct = 0
+    for a, da in matched:
+        for b, db in matched:
+            if a == b:
+                continue
+            probs = preds.relations.get((da, db))
+            if probs is None:
+                scene_correct = False
+                continue
+            label = 1 if (a, b) in above else 2 if (b, a) in above else 0
+            if argmax_label(probs) == label:
+                correct += 1
+            else:
+                scene_correct = False
+    return correct, scene_correct
+
+
+def relation_metrics(scores: Sequence[SceneScore]) -> RelationMetrics:
+    """Pairwise relation scores summed over the scenes' scores."""
     by_count: dict[int, list[int]] = {}
-    for rec, preds in zip(records, predictions):
-        mapping = match_detections(rec, preds, iou_threshold)
-        det_of = {g: d for d, g in mapping.items()}
-        n = len(rec.objects)
-        gt_pairs += n * (n - 1)
-        predicted_pairs += len(preds.relations)
-        # an undetected object leaves its pairs unscored and the scene wrong
-        scene_correct = len(mapping) == n
-        matched = [(o.instance_id, det_of[o.instance_id])
-                   for o in rec.objects if o.instance_id in det_of]
-        # the label of dataset.relation_label: 1 for a pair in the relation
-        # set, 2 for its reverse, 0 otherwise
-        above = set(rec.relations)
-        for a, da in matched:
-            for b, db in matched:
-                if a == b:
-                    continue
-                probs = preds.relations.get((da, db))
-                if probs is None:
-                    scene_correct = False
-                    continue
-                label = 1 if (a, b) in above else 2 if (b, a) in above else 0
-                if argmax_label(probs) == label:
-                    correct += 1
-                else:
-                    scene_correct = False
-        bucket = by_count.setdefault(n, [0, 0])
+    for score in scores:
+        bucket = by_count.setdefault(len(score.categories), [0, 0])
+        bucket[0] += score.all_correct
         bucket[1] += 1
-        if scene_correct:
-            bucket[0] += 1
-            images_correct += 1
     return RelationMetrics(
-        correct_pairs=correct,
-        gt_pairs=gt_pairs,
-        predicted_pairs=predicted_pairs,
-        images_correct=images_correct,
-        images_total=len(records),
+        correct_pairs=sum(s.correct_pairs for s in scores),
+        gt_pairs=sum(len(s.categories) * (len(s.categories) - 1) for s in scores),
+        predicted_pairs=sum(s.predicted_pairs for s in scores),
+        images_correct=sum(c for c, _ in by_count.values()),
+        images_total=len(scores),
         by_object_count={n: (c, t) for n, (c, t) in sorted(by_count.items())},
     )
 
@@ -318,19 +341,31 @@ class MetricsReport:
         }
 
 
+def metrics_report(scores: Sequence[SceneScore],
+                   thresholds: MatchThresholds = MatchThresholds()) -> MetricsReport:
+    """The report of the scenes whose scores, in scene order, are
+    ``scores``; ``thresholds`` are the ones they were scored with."""
+    mean_ap, per_class = average_precision(scores)
+    return MetricsReport(
+        map_with_grasp=float(mean_ap),
+        per_class_ap={c: float(v) for c, v in per_class.items()},
+        relations=relation_metrics(scores),
+        scenes=len(scores),
+        gt_objects=sum(len(s.categories) for s in scores),
+        detections=sum(len(s.detections) for s in scores),
+        thresholds=thresholds,
+    )
+
+
 def evaluate(
     records: Sequence[SceneRecord],
     predictions: Sequence[ScenePredictions],
     thresholds: MatchThresholds = MatchThresholds(),
 ) -> MetricsReport:
-    mean_ap, per_class = average_precision(records, predictions, thresholds)
-    rel = relation_metrics(records, predictions, thresholds.iou)
-    return MetricsReport(
-        map_with_grasp=float(mean_ap),
-        per_class_ap={c: float(v) for c, v in per_class.items()},
-        relations=rel,
-        scenes=len(records),
-        gt_objects=sum(len(r.objects) for r in records),
-        detections=sum(len(p.detections) for p in predictions),
-        thresholds=thresholds,
+    """The report of parallel ground-truth and prediction lists: each
+    scene scored by ``score_scene``, then reduced by ``metrics_report``."""
+    if len(records) != len(predictions):
+        raise ValueError("ground truth and prediction counts differ")
+    return metrics_report(
+        [score_scene(r, p, thresholds) for r, p in zip(records, predictions)], thresholds
     )

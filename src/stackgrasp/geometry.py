@@ -202,11 +202,16 @@ def rotated_jaccard(a: OrientedRect, b: OrientedRect) -> float:
 
     The intersection of two convex quadrilaterals is computed exactly by
     clipping one against the other; areas come from the shoelace formula.
-    Result is clamped into [0, 1].
+    Result is clamped into [0, 1]. Centers so far apart that their squared
+    distance overflows raise OverflowError.
     """
     ra = math.hypot(a.w, a.h) / 2.0
     rb = math.hypot(b.w, b.h) / 2.0
-    if (a.x - b.x) ** 2 + (a.y - b.y) ** 2 >= (ra + rb) ** 2:
+    try:
+        apart = (a.x - b.x) ** 2 + (a.y - b.y) ** 2 >= (ra + rb) ** 2
+    except OverflowError:
+        raise OverflowError("grasp coordinates too large to compare") from None
+    if apart:
         return 0.0
     inter = polygon_area(clip_polygon(_vertex_list(a), _vertex_list(b)))
     # the areas as OrientedRect.area computes them

@@ -20,7 +20,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stackgrasp
-from stackgrasp.cli import _MIN_BLOCK, _ROUND_PER_CPU, CALIBRATION_WARN_RMS_MM, _blocks, main
+from stackgrasp import cli
+from stackgrasp.cli import (
+    _MIN_SCENE_BLOCK,
+    _MIN_TRIAL_BLOCK,
+    _ROUND_PER_CPU,
+    CALIBRATION_WARN_RMS_MM,
+    _blocks,
+    main,
+)
 from stackgrasp.dataset import (
     SceneGrasp,
     SceneObject,
@@ -37,7 +45,7 @@ from stackgrasp.perception import (
     ScenePredictions,
     parse_predictions,
 )
-from stackgrasp.simulation import TrialConfig, run_trial, trial_seed
+from stackgrasp.simulation import TrialConfig, generate_scene, run_trial, trial_seed
 
 from oracle_utils import (
     per_field_detections,
@@ -193,6 +201,8 @@ class TestEval:
         assert "Traceback" not in captured.err
         if code == 0:
             assert json.loads(captured.out)["perception"]["per_class_ap"]["cup"] == 0.0
+        else:
+            assert captured.err == f"error: {gt}: grasp coordinates too large to compare\n"
 
     def test_empty_gt_directory(self, tmp_path, capsys):
         gt_dir = tmp_path / "gt"
@@ -684,7 +694,7 @@ def regime_rounds(trials: int, cpus: int) -> list[list[range]]:
     calling process runs its first block while a forked child runs each
     other block."""
     size = _ROUND_PER_CPU * cpus
-    return [_blocks(range(start, min(start + size, trials)), cpus)
+    return [_blocks(range(start, min(start + size, trials)), cpus, _MIN_TRIAL_BLOCK)
             for start in range(0, trials, size)]
 
 
@@ -694,18 +704,19 @@ def regime_forks(trials: int, cpus: int) -> int:
 
 
 @settings(max_examples=500, deadline=None)
-@given(start=st.integers(0, 2**32), length=st.integers(1, 10_000), cpus=st.integers(1, 8))
-def test_blocks_split_a_round_evenly(start, length, cpus):
+@given(start=st.integers(0, 2**32), length=st.integers(1, 10_000), cpus=st.integers(1, 8),
+       min_block=st.sampled_from([_MIN_TRIAL_BLOCK, _MIN_SCENE_BLOCK]))
+def test_blocks_split_a_round_evenly(start, length, cpus, min_block):
     trials = range(start, start + length)
-    blocks = _blocks(trials, cpus)
-    assert len(blocks) == max(1, min(cpus, length // _MIN_BLOCK))
+    blocks = _blocks(trials, cpus, min_block)
+    assert len(blocks) == max(1, min(cpus, length // min_block))
     # contiguous, in order, and covering the round
     assert [b.step for b in blocks] == [1] * len(blocks)
     assert blocks[0].start == start and blocks[-1].stop == trials.stop
     assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
     sizes = [len(b) for b in blocks]
     assert max(sizes) - min(sizes) <= 1
-    assert len(blocks) == 1 or min(sizes) >= _MIN_BLOCK
+    assert len(blocks) == 1 or min(sizes) >= min_block
 
 
 class TestSimulateCpuCount:
@@ -734,7 +745,7 @@ class TestSimulateCpuCount:
 
     def test_a_regime_of_one_block_forks_nothing(self, tmp_path, monkeypatch, capsys):
         small = {"seed": 3, "regimes": [NOISY_SIM["regimes"][2],
-                                        dict(NOISY_SIM["regimes"][1], trials=2 * _MIN_BLOCK - 1)]}
+                                        dict(NOISY_SIM["regimes"][1], trials=2 * _MIN_TRIAL_BLOCK - 1)]}
         forks = on_cpus(monkeypatch, 3)
         assert run_simulate(tmp_path, capsys, small, "small")[0] == 0
         assert forks == []
@@ -844,6 +855,216 @@ class TestSimulateCpuCount:
         # every trial of the first three rounds ran; none past the fourth began
         assert 3 * round_size < started.stat().st_size <= 4 * round_size
         assert no_child_left()
+
+
+def noisy_eval_scene(seed: int) -> tuple[SceneRecord, ScenePredictions]:
+    """A seeded scene of 2 to 6 objects and a noisy detector's predictions
+    for it: about 10% of the detections dropped, jittered boxes and scores,
+    grasps turned by up to 40 degrees and flipped relation labels."""
+    record = generate_scene(seed, TrialConfig(count_range=(2, 6)))
+    preds = record_to_predictions(record)
+    rng = np.random.default_rng(seed)
+    detections = []
+    for d in preds.detections:
+        if rng.random() < 0.1:
+            continue
+        b, dx = d.box, float(rng.normal(0.0, 4.0))
+        detections.append(replace(d, box=AABox(b.xmin + dx, b.ymin, b.xmax + dx, b.ymax),
+                                  score=float(rng.uniform(0.3, 1.0))))
+    kept = {d.instance_id for d in detections}
+    preds.detections = detections
+    preds.grasp_candidates = {
+        i: [GraspCandidate(OrientedRect(c.rect.x, c.rect.y, c.rect.w, c.rect.h,
+                                        c.rect.theta + float(rng.choice([0.0, 10.0, 40.0]))),
+                           c.confidence)
+            for c in cands]
+        for i, cands in preds.grasp_candidates.items() if i in kept
+    }
+    preds.relations = {
+        pair: probs[::-1] if rng.random() < 0.1 else probs
+        for pair, probs in preds.relations.items() if kept.issuperset(pair)
+    }
+    return record, preds
+
+
+def eval_dirs(root: Path, scenes: int = 50, unreadable=(), far=()) -> tuple[Path, Path]:
+    """``root/gt`` and ``root/pred`` holding ``scenes`` noisy scenes, named
+    in scene order. The prediction file of each scene in ``unreadable`` is
+    not JSON. Each scene in ``far`` is predicted exactly, and its
+    ground truth gains, first, a grasp at x = 1e200 at the angle of its
+    first detection's best grasp, which makes that scene's scoring overflow."""
+    gt, pred = root / "gt", root / "pred"
+    gt.mkdir(parents=True)
+    pred.mkdir()
+    for i in range(scenes):
+        record, preds = noisy_eval_scene(i)
+        if i in far:
+            preds = record_to_predictions(record)
+            best = preds.perceived()[0]
+            rect = OrientedRect(1e200, 150.0, 40.0, 16.0, best.best_grasp.theta)
+            record = replace(record, grasps=(SceneGrasp(best.detection.instance_id, rect),
+                                             *record.grasps))
+        (gt / f"s{i:02d}.json").write_text(serialize_scene(record))
+        text = "{broken" if i in unreadable else serialize_predictions(preds)
+        (pred / f"s{i:02d}.json").write_text(text)
+    return gt, pred
+
+
+def run_eval(monkeypatch, capsys, gt: Path, pred: Path, cpus: int):
+    """(exit code, stdout, stderr, --out bytes or None) of one ``eval
+    --out --pretty`` run seeing ``cpus`` CPUs, and the pids it forked."""
+    forks = on_cpus(monkeypatch, cpus)
+    out = gt.parent / "report.json"
+    out.unlink(missing_ok=True)
+    code = _run_guarded(["eval", "--gt", str(gt), "--pred", str(pred), "--out", str(out),
+                         "--pretty"])
+    captured = capsys.readouterr()
+    assert no_child_left()
+    return (code, captured.out, captured.err, out.read_bytes() if out.exists() else None), forks
+
+
+class TestEvalCpuCount:
+    """Scenes are scored in even blocks of at least ``_MIN_SCENE_BLOCK``,
+    one per CPU; every output is the same bytes for any CPU count."""
+
+    def runs(self, monkeypatch, capsys, gt, pred):
+        """The outcome on 1 CPU, once 2 and 3 CPUs gave the same bytes,
+        each forking one child for every block past the first."""
+        scenes = range(len(list(gt.glob("*.json"))))
+        outcomes = {}
+        for cpus in (1, 2, 3):
+            outcomes[cpus], forks = run_eval(monkeypatch, capsys, gt, pred, cpus)
+            assert len(forks) == len(_blocks(scenes, cpus, _MIN_SCENE_BLOCK)) - 1
+        assert outcomes[2] == outcomes[1]
+        assert outcomes[3] == outcomes[1]
+        return outcomes[1]
+
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, capsys):
+        gt, pred = eval_dirs(tmp_path)
+        assert _blocks(range(50), 2, _MIN_SCENE_BLOCK) == [range(25), range(25, 50)]
+        code, out, err, report = self.runs(monkeypatch, capsys, gt, pred)
+        assert code == 0 and err == "" and out.startswith("scenes                 50\n")
+        data = json.loads(report)
+        assert 0.0 < data["perception"]["map_with_grasp"] < 1.0
+        assert 0.0 < data["reasoning"]["image_accuracy"]["rate"] < 1.0
+
+    def test_unreadable_files_in_two_blocks(self, tmp_path, monkeypatch, capsys):
+        # scene 3 is in the caller's block, scene 40 in the last child's
+        gt, pred = eval_dirs(tmp_path, unreadable={3, 40})
+        code, out, err, report = self.runs(monkeypatch, capsys, gt, pred)
+        assert code == 2 and out == "" and report is None
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines[:2]] == [
+            str(pred / "s03.json"), str(pred / "s40.json")]
+        assert lines[2:] == ["error: 2 unreadable input file(s)"]
+
+    @pytest.mark.parametrize("far, first", [({30}, 30), ({6, 30}, 6)], ids=["child", "caller"])
+    def test_a_numeric_failure_reports_like_one_cpu(self, tmp_path, monkeypatch, capsys,
+                                                     far, first):
+        # scene 30 is scored in a child on 2 and 3 CPUs, scene 6 by the caller
+        gt, pred = eval_dirs(tmp_path, far=far)
+        code, out, err, report = self.runs(monkeypatch, capsys, gt, pred)
+        assert code == 3 and out == "" and report is None
+        assert err == f"error: {gt / f's{first:02d}.json'}: grasp coordinates too large to compare\n"
+
+    def test_an_unreadable_file_wins_over_a_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        gt, pred = eval_dirs(tmp_path, unreadable={40}, far={6})
+        code, out, err, report = self.runs(monkeypatch, capsys, gt, pred)
+        assert code == 2 and out == "" and report is None
+        assert err.startswith(f"{pred / 's40.json'}: ")
+        assert err.endswith("\nerror: 1 unreadable input file(s)\n")
+
+    @pytest.mark.parametrize("die, how", [
+        (lambda: os._exit(7), "exit status 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ], ids=["exit", "sigkill"])
+    def test_a_dead_worker_is_a_clean_error(self, tmp_path, monkeypatch, capsys, die, how):
+        parent = os.getpid()
+        real_score_scene = cli.score_scene
+
+        def dying_score_scene(*args):
+            if os.getpid() != parent:
+                die()
+            return real_score_scene(*args)
+
+        monkeypatch.setattr(cli, "score_scene", dying_score_scene)
+        gt, pred = eval_dirs(tmp_path)
+        (code, out, err, report), forks = run_eval(monkeypatch, capsys, gt, pred, 2)
+        assert code == 2 and out == "" and report is None and len(forks) == 1
+        assert err == (f"error: {gt}: scenes 25 to 49: "
+                       f"a worker process ended without a result ({how})\n")
+
+    def test_under_two_blocks_forks_nothing(self, tmp_path, monkeypatch, capsys):
+        gt, pred = eval_dirs(tmp_path, scenes=2 * _MIN_SCENE_BLOCK - 1)
+        (code, *_), forks = run_eval(monkeypatch, capsys, gt, pred, 3)
+        assert code == 0 and forks == []
+        (gt / "s31.json").write_text(serialize_scene(noisy_eval_scene(31)[0]))
+        (pred / "s31.json").write_text(serialize_predictions(noisy_eval_scene(31)[1]))
+        (code, *_), forks = run_eval(monkeypatch, capsys, gt, pred, 3)
+        assert code == 0 and len(forks) == 1
+
+    def test_without_fork_runs_in_one_process(self, tmp_path, monkeypatch, capsys):
+        gt, pred = eval_dirs(tmp_path)
+        one, _ = run_eval(monkeypatch, capsys, gt, pred, 1)
+        # a platform such as Windows, where os has no fork
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        out = gt.parent / "report.json"
+        out.unlink()
+        code = _run_guarded(["eval", "--gt", str(gt), "--pred", str(pred), "--out", str(out),
+                             "--pretty"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err, out.read_bytes()) == one
+        assert one[0] == 0
+
+    @pytest.mark.parametrize("refused", ["sched_setaffinity", "proc"])
+    def test_a_refused_placement_changes_nothing(self, tmp_path, monkeypatch, capsys, refused):
+        gt, pred = eval_dirs(tmp_path)
+        one, _ = run_eval(monkeypatch, capsys, gt, pred, 1)
+
+        def refuse(*args):
+            raise OSError(1, "Operation not permitted")
+
+        if refused == "proc":
+            monkeypatch.setattr(cli, "_current_cpu", refuse)
+        else:
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        two, forks = run_eval(monkeypatch, capsys, gt, pred, 2)
+        assert two == one and len(forks) == 1
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 or more usable CPUs")
+def test_a_worker_runs_off_the_callers_cpu(monkeypatch):
+    usable = os.sched_getaffinity(0)
+    assert cli._current_cpu() in usable
+    placed = []  # the CPU the caller was on as it started the round
+    real_current_cpu = cli._current_cpu
+
+    def recording_current_cpu():
+        placed.append(real_current_cpu())
+        return placed[-1]
+
+    monkeypatch.setattr(cli, "_current_cpu", recording_current_cpu)
+    parent = os.getpid()
+
+    def affinity(block):
+        # a worker waits, up to 10 s, for the caller to place it
+        deadline = time.monotonic() + 10
+        while os.getpid() != parent and os.sched_getaffinity(0) == usable:
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.001)
+        return os.sched_getaffinity(0)
+
+    blocks = [range(0, 1), range(1, 2), range(2, 3)]
+    got = list(cli._run_blocks(affinity, blocks, "here", "items"))
+    assert no_child_left()
+    assert len(placed) == 1
+    assert got == [usable, usable - set(placed), usable - set(placed)]
 
 
 def calibration_pairs():

@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,9 @@ from stackgrasp.evaluation import (
     evaluate,
     grasp_correct,
     match_detections,
+    metrics_report,
     relation_metrics,
+    score_scene,
     sequential_success,
 )
 from stackgrasp.geometry import AABox, OrientedRect
@@ -51,6 +54,11 @@ def preds_one(score=1.0, box=(100.0, 100.0, 200.0, 200.0), grasp=None, category=
     rect = OrientedRect(*grasp) if grasp else OrientedRect(150.0, 150.0, 60.0, 20.0, 0.0)
     p.grasp_candidates = {1: [GraspCandidate(rect=rect, confidence=1.0)]}
     return p
+
+
+def scored(records, preds, thresholds=MatchThresholds()):
+    """Each scene's ``score_scene``, in order."""
+    return [score_scene(r, p, thresholds) for r, p in zip(records, preds)]
 
 
 def chain_record():
@@ -179,7 +187,7 @@ class TestAveragePrecision:
     def test_perfect_prediction_is_exactly_one(self):
         records = [chain_record(), record_one()]
         preds = [record_to_predictions(r) for r in records]
-        mean_ap, per_class = average_precision(records, preds)
+        mean_ap, per_class = average_precision(scored(records, preds))
         assert mean_ap == Fraction(1)
         assert all(v == Fraction(1) for v in per_class.values())
         assert set(per_class) == {"cup", "box", "notebook"}
@@ -211,7 +219,7 @@ class TestAveragePrecision:
             12: [GraspCandidate(OrientedRect(550.0, 350.0, 60.0, 20.0, 0.0), 1.0)],
             13: [GraspCandidate(OrientedRect(350.0, 150.0, 60.0, 20.0, 0.0), 1.0)],
         }
-        mean_ap, per_class = average_precision([rec], [p])
+        mean_ap, per_class = average_precision(scored([rec], [p]))
         assert per_class["cup"] == Fraction(5, 6)
         assert mean_ap == Fraction(5, 6)
 
@@ -228,13 +236,13 @@ class TestAveragePrecision:
             11: [GraspCandidate(OrientedRect(150.0, 150.0, 60.0, 20.0, 80.0), 1.0)],
             12: [GraspCandidate(OrientedRect(150.0, 150.0, 60.0, 20.0, 0.0), 1.0)],
         }
-        mean_ap, per_class = average_precision([rec], [p])
+        mean_ap, per_class = average_precision(scored([rec], [p]))
         assert per_class["cup"] == Fraction(1, 2)
 
     def test_unpredicted_class_scores_zero(self):
         records = [record_one(category="cup"), record_one(category="pen")]
         preds = [record_to_predictions(records[0]), ScenePredictions()]
-        mean_ap, per_class = average_precision(records, preds)
+        mean_ap, per_class = average_precision(scored(records, preds))
         assert per_class == {"cup": Fraction(1), "pen": Fraction(0)}
         assert mean_ap == Fraction(1, 2)
 
@@ -245,22 +253,22 @@ class TestAveragePrecision:
             ObjectDetection(AABox(100.0, 100.0, 200.0, 200.0), "cup", 0.9, 11)
         ]
         p.grasp_candidates = {11: []}
-        mean_ap, _ = average_precision([rec], [p])
+        mean_ap, _ = average_precision(scored([rec], [p]))
         assert mean_ap == Fraction(0)
 
     def test_wrong_category_is_a_false_positive(self):
         rec = record_one(category="cup")
         p = preds_one(category="pen")
-        mean_ap, per_class = average_precision([rec], [p])
+        mean_ap, per_class = average_precision(scored([rec], [p]))
         assert per_class == {"cup": Fraction(0)}
         assert mean_ap == Fraction(0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="counts differ"):
-            average_precision([record_one()], [])
+            evaluate([record_one()], [])
 
     def test_empty_inputs(self):
-        assert average_precision([], []) == (Fraction(0), {})
+        assert average_precision([]) == (Fraction(0), {})
 
 
 class TestMatchDetections:
@@ -288,7 +296,7 @@ class TestMatchDetections:
 class TestRelationMetrics:
     def test_perfect(self):
         rec = chain_record()
-        m = relation_metrics([rec], [record_to_predictions(rec)])
+        m = relation_metrics(scored([rec], [record_to_predictions(rec)]))
         assert m.correct_pairs == 6 and m.gt_pairs == 6
         assert m.predicted_pairs == 6
         assert m.recall == 1.0 and m.precision == 1.0
@@ -302,7 +310,7 @@ class TestRelationMetrics:
         preds.relations = {
             pair: probs for pair, probs in preds.relations.items() if 3 not in pair
         }
-        m = relation_metrics([rec], [preds])
+        m = relation_metrics(scored([rec], [preds]))
         assert m.gt_pairs == 6
         assert m.correct_pairs == 2  # only the (1, 2) pair in both directions
         assert m.predicted_pairs == 2
@@ -314,7 +322,7 @@ class TestRelationMetrics:
         rec = chain_record()
         preds = record_to_predictions(rec)
         preds.relations[(1, 2)] = (1.0, 0.0, 0.0)  # truth is above
-        m = relation_metrics([rec], [preds])
+        m = relation_metrics(scored([rec], [preds]))
         assert m.correct_pairs == 5
         assert m.images_correct == 0
         assert m.by_object_count == {3: (0, 1)}
@@ -326,12 +334,12 @@ class TestRelationMetrics:
             ObjectDetection(AABox(100.0, 100.0, 200.0, 200.0), "cup", 1.0, 99)
         ]
         p.grasp_candidates = {99: []}
-        m = relation_metrics([rec], [p])
+        m = relation_metrics(scored([rec], [p]))
         assert m.images_correct == 1  # single object, no pairs to get wrong
         assert m.gt_pairs == 0
 
     def test_zero_denominators(self):
-        m = relation_metrics([], [])
+        m = relation_metrics([])
         assert m.recall == 0.0 and m.precision == 0.0 and m.image_accuracy == 0.0
 
 
@@ -467,8 +475,8 @@ def noisy_scene(draw):
 
 
 @st.composite
-def noisy_sets(draw):
-    scenes = draw(st.lists(noisy_scene(), max_size=4))
+def noisy_sets(draw, max_scenes=4):
+    scenes = draw(st.lists(noisy_scene(), max_size=max_scenes))
     thresholds = MatchThresholds(
         iou=draw(st.sampled_from([0.1, 0.5, 1.0])),
         jaccard=draw(st.sampled_from([0.0, 0.25, 0.5])),
@@ -487,11 +495,19 @@ def test_evaluate_equals_the_scanning_oracle(case):
     Fraction at every rank (tests/oracle_utils.reference_evaluate)."""
     records, preds, thresholds = case
     mean, per_class, relations = reference_evaluate(records, preds, thresholds)
-    got_mean, got_per_class = average_precision(records, preds, thresholds)
+    scores = scored(records, preds, thresholds)
+    got_mean, got_per_class = average_precision(scores)
     assert (got_mean, got_per_class) == (mean, per_class)
     assert all(type(v) is Fraction for v in [got_mean, *got_per_class.values()])
-    assert relation_metrics(records, preds, thresholds.iou) == relations
-    expected = MetricsReport(
+    assert relation_metrics(scores) == relations
+    assert evaluate(records, preds, thresholds).to_json_dict() == oracle_report(
+        records, preds, thresholds)
+
+
+def oracle_report(records, preds, thresholds) -> dict:
+    """The JSON report of ``reference_evaluate``'s exact values."""
+    mean, per_class, relations = reference_evaluate(records, preds, thresholds)
+    return MetricsReport(
         map_with_grasp=float(mean),
         per_class_ap={c: float(v) for c, v in per_class.items()},
         relations=relations,
@@ -499,5 +515,20 @@ def test_evaluate_equals_the_scanning_oracle(case):
         gt_objects=sum(len(r.objects) for r in records),
         detections=sum(len(p.detections) for p in preds),
         thresholds=thresholds,
-    )
-    assert evaluate(records, preds, thresholds).to_json_dict() == expected.to_json_dict()
+    ).to_json_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=noisy_sets(max_scenes=8), data=st.data())
+def test_any_contiguous_split_reduces_to_the_oracle_report(case, data):
+    """Scenes scored in contiguous blocks, each block's scores pickled as a
+    worker process sends them and the blocks joined in order, reduce to the
+    report of tests/oracle_utils.reference_evaluate."""
+    records, preds, thresholds = case
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=4)))
+    ends = [0, *cuts, len(records)]
+    scores = []
+    for a, b in zip(ends, ends[1:]):
+        scores += pickle.loads(pickle.dumps(scored(records[a:b], preds[a:b], thresholds)))
+    assert json.dumps(metrics_report(scores, thresholds).to_json_dict()) == json.dumps(
+        oracle_report(records, preds, thresholds))

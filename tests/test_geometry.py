@@ -189,6 +189,14 @@ class TestRotatedJaccard:
         b = OrientedRect(10, 0, 2, 2, 70)
         assert rotated_jaccard(a, b) == 0.0
 
+    @pytest.mark.parametrize("far", [OrientedRect(1e200, 0, 2, 2, 0), OrientedRect(0, -1e155, 2, 2, 0)])
+    def test_centers_too_far_apart_to_compare(self, far):
+        # the squared center distance overflows a float
+        near = OrientedRect(0, 0, 2, 2, 0)
+        for a, b in ((far, near), (near, far)):
+            with pytest.raises(OverflowError, match="^grasp coordinates too large to compare$"):
+                rotated_jaccard(a, b)
+
     def test_translated_squares(self):
         # side-2 squares offset by dx overlap in a (2-dx) x 2 strip:
         # J = (2-dx)/(2+dx)
