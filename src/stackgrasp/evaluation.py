@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from ._json import integer, number
@@ -127,18 +128,21 @@ def _class_ap(flags: list[bool], gt_count: int) -> Fraction:
     AP is the sum, over the true-positive ranks, of the highest precision
     at that rank or any later one, divided by gt_count. The running maximum is
     kept as an integer pair (true positives, rank) and compared by
-    cross-multiplication; a Fraction is made only at a true-positive rank.
+    cross-multiplication, and the sum as an integer pair over the least
+    common multiple of its ranks; one Fraction is made at the end.
     """
     tp = sum(flags)  # true positives at the last rank
     best_tp, best_rank = 0, 1
-    total = Fraction(0)
+    num, den = 0, 1  # the sum so far is num / den
     for rank in range(len(flags), 0, -1):
         if tp * best_rank > best_tp * rank:
             best_tp, best_rank = tp, rank
         if flags[rank - 1]:
-            total += Fraction(best_tp, best_rank)
+            common = lcm(den, best_rank)
+            num = num * (common // den) + best_tp * (common // best_rank)
+            den = common
             tp -= 1
-    return total / gt_count
+    return Fraction(num, den * gt_count)
 
 
 @dataclass(frozen=True)
