@@ -415,11 +415,11 @@ def _cmd_simulate(args) -> None:
     rows = []
     for ri, (name, trials, config) in enumerate(regimes):
         where = f"{path}: regimes[{ri}]"
+        work = functools.partial(_trial_block, config, base_seed, ri, log_dir is not None)
         successes = 0
         for start in range(0, trials, round_size):
             trial_round = range(start, min(start + round_size, trials))
             blocks = _blocks(trial_round, cpus, _MIN_TRIAL_BLOCK)
-            work = functools.partial(_trial_block, config, base_seed, ri, log_dir is not None)
             with contextlib.closing(_run_blocks(work, blocks, where, "trials")) as outcomes:
                 for block, (results, error) in zip(blocks, outcomes):
                     for ti, (success, text) in zip(block, results):
