@@ -193,10 +193,10 @@ def _cmd_plan(args) -> None:
         raise ValueError(f"{args.pred}: no detections to plan over")
     perceived = preds.perceived()
     try:
-        labels = symmetrize(preds.relations)
+        edges = symmetrize(preds.relations)
     except ValueError as e:
         raise ValueError(f"{args.pred}: {e}") from e
-    graph = build_graph([p.detection.instance_id for p in perceived], labels)
+    graph = build_graph([p.detection.instance_id for p in perceived], edges)
 
     # an id is ASCII digits with an optional minus; other text is a category
     target = args.target

@@ -9,8 +9,11 @@ formatting), so parse and serialize round-trip byte-identically.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Collection, Mapping
 
 from ._json import DocumentError, box_row, grasp_rect, integer, json_list, json_object, load, read_file, string
 from .geometry import AABox, OrientedRect
@@ -67,12 +70,31 @@ class SceneRecord:
     def grasps_of(self, instance_id: int) -> list[SceneGrasp]:
         return [g for g in self.grasps if g.owner == instance_id]
 
+    @functools.cached_property
+    def above(self) -> Mapping[int, frozenset[int]]:
+        """The record's relation index: each object's id, in record order,
+        mapped to the ids its relations put above it; read-only, built once."""
+        above: dict[int, set[int]] = {o.instance_id: set() for o in self.objects}
+        for a, b in self.relations:
+            above[b].add(a)
+        return MappingProxyType({i: frozenset(on) for i, on in above.items()})
 
-def relation_label(record: SceneRecord, a: int, b: int) -> int:
-    """Class of the ordered pair (a, b): 0 none, 1 a above b, 2 a below b."""
-    if (a, b) in record.relations:
+    def __getstate__(self) -> dict:
+        # ``above`` is a cache that cannot be pickled; a copy rebuilds it
+        state = dict(self.__dict__)
+        state.pop("above", None)
+        return state
+
+
+ONE_HOT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def relation_label(above: Mapping[int, Collection[int]], a: int, b: int) -> int:
+    """Class of the ordered pair (a, b) under ``above``, a map from an id to the
+    ids resting on it such as ``SceneRecord.above``: 0 none, 1 a above b, 2 a below b."""
+    if a in above.get(b, ()):
         return 1
-    if (b, a) in record.relations:
+    if b in above.get(a, ()):
         return 2
     return 0
 
@@ -233,12 +255,9 @@ def record_to_predictions(record: SceneRecord) -> ScenePredictions:
         preds.grasp_candidates[o.instance_id] = [
             GraspCandidate(rect=g.rect, confidence=1.0) for g in record.grasps_of(o.instance_id)
         ]
-    ids = [o.instance_id for o in record.objects]
-    for a in ids:
-        for b in ids:
-            if a == b:
-                continue
-            onehot = [0.0, 0.0, 0.0]
-            onehot[relation_label(record, a, b)] = 1.0
-            preds.relations[(a, b)] = tuple(onehot)
+    above = record.above
+    for a in above:
+        for b in above:
+            if a != b:
+                preds.relations[(a, b)] = ONE_HOT[relation_label(above, a, b)]
     return preds

@@ -23,7 +23,7 @@ from math import lcm
 from typing import Sequence
 
 from ._json import integer, number
-from .dataset import SceneGrasp, SceneObject, SceneRecord
+from .dataset import SceneGrasp, SceneObject, SceneRecord, relation_label
 from .geometry import aabb_iou, angle_difference, rotated_jaccard
 from .perception import PerceivedObject, ScenePredictions
 from .reasoning import argmax_label
@@ -256,20 +256,13 @@ def _scene_relations(record: SceneRecord, preds: ScenePredictions,
     scene_correct = len(mapping) == len(record.objects)
     matched = [(o.instance_id, det_of[o.instance_id])
                for o in record.objects if o.instance_id in det_of]
-    # the label of dataset.relation_label: 1 for a pair in the relation
-    # set, 2 for its reverse, 0 otherwise
-    above = set(record.relations)
     correct = 0
     for a, da in matched:
         for b, db in matched:
             if a == b:
                 continue
             probs = preds.relations.get((da, db))
-            if probs is None:
-                scene_correct = False
-                continue
-            label = 1 if (a, b) in above else 2 if (b, a) in above else 0
-            if argmax_label(probs) == label:
+            if probs is not None and argmax_label(probs) == relation_label(record.above, a, b):
                 correct += 1
             else:
                 scene_correct = False

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._json import integer
 from .anchors import AnchorAssignment, GraspDelta
 
 PROB_FLOOR = 1e-12
@@ -198,7 +199,7 @@ def relation_loss(
     """Negative log-likelihood of the labeled class, summed over pairs.
 
     Probabilities are clamped to 1e-12 before the log; clamped pairs are
-    reported. A pair without a ground-truth label is an error.
+    reported. A missing label, or any label but the integer 0, 1 or 2, is an error.
     """
     import numpy as np
 
@@ -208,7 +209,7 @@ def relation_loss(
     for i, pred in enumerate(preds):
         if pred.pair not in labels:
             raise ValueError(f"no ground-truth label for pair {pred.pair}")
-        label = labels[pred.pair]
+        label = integer(f"relation label for pair {pred.pair}", labels[pred.pair])
         if label not in (0, 1, 2):
             raise ValueError(f"bad relation label {label} for pair {pred.pair}")
         p = pred.probs[label]

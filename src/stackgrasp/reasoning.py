@@ -2,10 +2,12 @@
 directed acyclic graph and pick the next object to grasp.
 
 Relation classes for an ordered pair (a, b): 0 = none, 1 = a above b,
-2 = a below b. Graph edges run from the object on top to the object under
-it. The planner reads the graph only among the current detections: a
-"leaf" is a detected object with no incoming edge from another detected
-object (nothing seen is stacked on it), and it is safe to remove.
+2 = a below b. ``symmetrize`` decides each pair's class once and turns it
+into a graph edge from the object on top to the object under it: a -> b for
+class 1, b -> a for class 2, none for class 0. The planner reads the graph
+only among the current detections: a "leaf" is a detected object with no
+incoming edge from another detected object (nothing seen is stacked on
+it), and it is safe to remove.
 """
 
 from __future__ import annotations
@@ -36,17 +38,18 @@ def argmax_label(probs: Sequence[float]) -> int:
 
 def symmetrize(
     relations: Mapping[tuple[int, int], Sequence[float]],
-) -> dict[tuple[int, int], tuple[int, float]]:
-    """Fuse the two ordered predictions of each pair into one label.
+) -> dict[tuple[int, int], float]:
+    """Fuse the two ordered predictions of each pair into a graph edge.
 
     For i < j the joint score of each consistent labeling averages the two
     directions: none = (p_ij[0] + p_ji[0]) / 2, i-above-j =
     (p_ij[1] + p_ji[2]) / 2, i-below-j = (p_ij[2] + p_ji[1]) / 2, and
-    ``argmax_label`` picks the winner. Returns {(i, j): (label, confidence)}
-    keyed with i < j.
+    ``argmax_label`` picks the winner. Returns {(above, below): winning
+    score} for each pair labeled above or below.
     """
-    out: dict[tuple[int, int], tuple[int, float]] = {}
-    for (a, b), p_ij in relations.items():
+    out: dict[tuple[int, int], float] = {}
+    for pair, p_ij in relations.items():
+        a, b = pair
         try:
             p_ji = relations[(b, a)]
         except KeyError:
@@ -59,7 +62,8 @@ def symmetrize(
             (p_ij[2] + p_ji[1]) / 2.0,
         )
         label = argmax_label(joint)
-        out[(a, b)] = (label, joint[label])
+        if label != RELATION_NONE:
+            out[pair if label == RELATION_ABOVE else (b, a)] = joint[label]
     return out
 
 
@@ -89,9 +93,10 @@ class ManipulationGraph:
 
 def build_graph(
     nodes: Sequence[int],
-    labels: Mapping[tuple[int, int], tuple[int, float]],
+    edges: Mapping[tuple[int, int], float],
 ) -> ManipulationGraph:
-    """Build the acyclic stacking graph from symmetrized labels.
+    """Build the acyclic stacking graph of ``nodes`` on a copy of ``edges``,
+    ``symmetrize``'s above->below confidences; an unknown endpoint is an error.
 
     Any directed cycle is repaired by deleting its lowest-confidence edge
     (ties broken by edge endpoints); repairs repeat until acyclic and are
@@ -105,16 +110,11 @@ def build_graph(
     reach the same state and skip the edge.
     """
     node_set = frozenset(int(n) for n in nodes)
-    edges: dict[tuple[int, int], float] = {}
-    for (i, j), (label, conf) in labels.items():
-        if i not in node_set or j not in node_set:
-            raise ValueError(f"labeled pair ({i}, {j}) references unknown node")
-        if label == RELATION_ABOVE:
-            edges[(i, j)] = conf
-        elif label == RELATION_BELOW:
-            edges[(j, i)] = conf
+    edges = dict(edges)
     adj: dict[int, list[int]] = {n: [] for n in node_set}
     for (a, b) in sorted(edges):
+        if a not in adj or b not in adj:
+            raise ValueError(f"edge ({a}, {b}) references unknown node")
         adj[a].append(b)
     # 0 new, 1 on the stack, 2 finished. ``order`` lists the nodes in
     # discovery order, ``found[n]`` is n's place in it, and ``pos[k]`` is

@@ -10,10 +10,11 @@ predictor has all of its coverers visible too, so the planner's leaf
 estimate over detected objects can never pick an object that secretly has
 something on it. Zero-noise trials therefore always succeed.
 
-Every random quantity is drawn from numpy Generators seeded from the trial
-seed, and noise variates are drawn unconditionally before being applied, so
-runs are reproducible and noise realizations are nested across noise levels
-that share a seed.
+Every random quantity is drawn from the trial seed: the scene generator
+decodes numpy's draws from raw PCG64 words, the oracle predictor draws
+from numpy Generators, and noise variates are drawn unconditionally before
+being applied, so runs are reproducible and noise realizations are nested
+across noise levels that share a seed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._json import DocumentError, integer, load, number, string
-from .dataset import SceneGrasp, SceneObject, SceneRecord, scene_to_json_dict
+from .dataset import ONE_HOT, SceneGrasp, SceneObject, SceneRecord, relation_label, scene_to_json_dict
 from .evaluation import sequential_success
 from .geometry import AABox, OrientedRect
 from .perception import GraspCandidate, ObjectDetection, ScenePredictions
@@ -184,13 +185,6 @@ class _Node:
         self.free_quads: list[int] | None = None
 
 
-def _uniform(lo: float, hi: float, u: float) -> float:
-    """``rng.uniform(lo, hi)`` from the ``rng.random()`` draw ``u``: numpy
-    computes exactly this, so a batch of ``random`` draws replaces as many
-    ``uniform`` calls without moving the stream or a value."""
-    return lo + (hi - lo) * u
-
-
 def _eligible(node: _Node, max_depth: int) -> bool:
     if node.level >= max_depth or min(node.w, node.h) < _MIN_PARENT_SIDE:
         return False
@@ -202,7 +196,8 @@ class _RawDraws:
     words of its PCG64 bit generator, which are read ahead in batches, so
     no other reader may share the generator.
 
-    ``random()`` is the next word's top 53 bits times 2**-53. ``integers``
+    ``random()`` is the next word's top 53 bits times 2**-53, and
+    ``uniform`` scales it. ``integers``
     is numpy's Lemire draw from the next 32-bit half: the pending upper
     half of an earlier word, or else the lower half of a fresh word, whose
     upper half becomes pending."""
@@ -224,10 +219,9 @@ class _RawDraws:
     def random(self) -> float:
         return (self._word() >> 11) * 2.0**-53
 
-    def randoms(self, k: int) -> list[float]:
-        """``random(k).tolist()``."""
-        word = self._word
-        return [(word() >> 11) * 2.0**-53 for _ in range(k)]
+    def uniform(self, lo: float, hi: float) -> float:
+        """``uniform(lo, hi)``, ``lo <= hi``: numpy scales one ``random()``."""
+        return lo + (hi - lo) * self.random()
 
     def _bounded(self, rng: int) -> int:
         """Lemire's draw from 0..``rng``, for ``rng`` under 2**32, rejection
@@ -303,8 +297,8 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
         parent = candidates[rng.integers(0, len(candidates))]
         if parent.free_quads is None and rng.random() < 0.4:
             # one large child that hides most of the parent
-            cw = min(max(int(round(parent.w * _uniform(0.92, 0.97, rng.random()))), _MIN_CHILD_SIDE), parent.w - 2)
-            ch = min(max(int(round(parent.h * _uniform(0.92, 0.97, rng.random()))), _MIN_CHILD_SIDE), parent.h - 2)
+            cw = min(max(int(round(parent.w * rng.uniform(0.92, 0.97))), _MIN_CHILD_SIDE), parent.w - 2)
+            ch = min(max(int(round(parent.h * rng.uniform(0.92, 0.97))), _MIN_CHILD_SIDE), parent.h - 2)
             x0 = parent.x0 + rng.integers(0, parent.w - cw + 1)
             y0 = parent.y0 + rng.integers(0, parent.h - ch + 1)
             parent.free_quads = []
@@ -315,8 +309,8 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
             qw, qh = parent.w // 2, parent.h // 2
             qx0 = parent.x0 + (quad % 2) * qw
             qy0 = parent.y0 + (quad // 2) * qh
-            cw = min(max(int(round(parent.w * _uniform(0.34, 0.46, rng.random()))), _MIN_CHILD_SIDE), qw - 2)
-            ch = min(max(int(round(parent.h * _uniform(0.34, 0.46, rng.random()))), _MIN_CHILD_SIDE), qh - 2)
+            cw = min(max(int(round(parent.w * rng.uniform(0.34, 0.46))), _MIN_CHILD_SIDE), qw - 2)
+            ch = min(max(int(round(parent.h * rng.uniform(0.34, 0.46))), _MIN_CHILD_SIDE), qh - 2)
             x0 = qx0 + rng.integers(1, qw - cw)
             y0 = qy0 + rng.integers(1, qh - ch)
         nodes.append(_Node(x0, y0, cw, ch, level=parent.level + 1, parent=parent, index=i))
@@ -335,13 +329,12 @@ def generate_scene(seed: int, cfg: TrialConfig) -> SceneRecord:
         cx0 = nd.x0 + nd.w / 2.0
         cy0 = nd.y0 + nd.h / 2.0
         for _ in range(rng.integers(1, 4)):
-            ux, uy, uw, uh, ut = rng.randoms(5)
             rect = OrientedRect(
-                x=cx0 + _uniform(-0.05, 0.05, ux) * side,
-                y=cy0 + _uniform(-0.05, 0.05, uy) * side,
-                w=side * _uniform(0.45, 0.6, uw),
-                h=side * _uniform(0.25, 0.4, uh),
-                theta=_uniform(-90.0, 90.0, ut),
+                x=cx0 + rng.uniform(-0.05, 0.05) * side,
+                y=cy0 + rng.uniform(-0.05, 0.05) * side,
+                w=side * rng.uniform(0.45, 0.6),
+                h=side * rng.uniform(0.25, 0.4),
+                theta=rng.uniform(-90.0, 90.0),
             )
             grasps.append(SceneGrasp(owner=instance_id, rect=rect))
         objects.append(
@@ -394,8 +387,8 @@ def _coverage_fraction(target: AABox, covers: Sequence[AABox]) -> float:
 class LiveScene:
     """A scene as a trial takes it apart, indexed for the per-step queries:
     the live objects in order (by id), each one's grasp rects, the ids
-    above each object (its relations), each object's coverage and, for
-    zero angle and score noise, its grasp candidates.
+    above each object (a copy of the record's), each object's coverage
+    and, for zero angle and score noise, its grasp candidates.
     A coverage is computed when first asked for and kept until
     ``remove_object`` takes an object above it, the one change to it."""
 
@@ -406,9 +399,7 @@ class LiveScene:
         self.rects: dict[int, list[OrientedRect]] = {i: [] for i in self.objects}
         for g in scene.grasps:
             self.rects[g.owner].append(g.rect)
-        self.above: dict[int, set[int]] = {i: set() for i in self.objects}
-        for a, b in scene.relations:
-            self.above[b].add(a)
+        self.above = {i: set(on) for i, on in scene.above.items()}
         self._coverage: dict[int, float] = {}
         self._exact: dict[int, list[GraspCandidate]] = {}
 
@@ -444,7 +435,6 @@ def visible(live: LiveScene, instance_id: int, coverage_threshold: float) -> boo
 
 
 _OTHER_LABELS = ((1, 2), (0, 2), (0, 1))
-_ONE_HOT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def _flip_draws(rng: np.random.Generator, m: int) -> list[tuple[float, int]]:
@@ -537,13 +527,11 @@ def oracle_predict(
 
     det_ids = [d.instance_id for d in preds.detections]
     pairs = [(a, b) for a in det_ids for b in det_ids if a != b]
-    above = live.above
     for (a, b), (u_flip, alt) in zip(pairs, _flip_draws(rng, len(pairs))):
-        # the class of dataset.relation_label: 0 none, 1 a above b, 2 a below b
-        label = 1 if a in above[b] else 2 if b in above[a] else 0
+        label = relation_label(live.above, a, b)
         if u_flip < noise.relation_flip_prob:
             label = _OTHER_LABELS[label][alt]
-        preds.relations[(a, b)] = _ONE_HOT[label]
+        preds.relations[(a, b)] = ONE_HOT[label]
     return preds
 
 
@@ -563,8 +551,7 @@ def select_target(scene: SceneRecord, rule: str, rng: np.random.Generator) -> in
     if rule == "random":
         return ids[int(rng.integers(0, len(ids)))]
     if rule == "deepest":
-        buried = {i: sum(1 for (a, b) in scene.relations if b == i) for i in ids}
-        return min(ids, key=lambda i: (-buried[i], i))
+        return min(ids, key=lambda i: (-len(scene.above[i]), i))
     raise ValueError(f"unknown target rule {rule!r}")
 
 
@@ -640,9 +627,8 @@ def run_trial(seed: int, cfg: TrialConfig) -> TrialLog:
         if not preds.detections:
             break
         perceived = preds.perceived()
-        labels = symmetrize(preds.relations)
         detected = tuple(d.instance_id for d in preds.detections)
-        graph = build_graph(detected, labels)
+        graph = build_graph(detected, symmetrize(preds.relations))
         action = next_action(graph, perceived, target)
         removed = action.object_id
         steps.append(

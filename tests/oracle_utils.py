@@ -9,7 +9,9 @@ one window pixel at a time, cycles are repaired by restarting the search
 after every deletion, the plan document is built whole and encoded by
 json.dumps, box coverage tests every grid cell against every box, relation
 rows are converted and checked one at a time, the relation argmax
-takes the maximum of a sort key, and a simulated trial rebuilds its scene
+takes the maximum of a sort key, a fused pair gets a label that a second
+loop turns into a graph edge, a ground-truth relation class comes from a
+scan of the record's relations tuple, and a simulated trial rebuilds its scene
 record at every removal and draws each relation flip, and each draw of
 a generated scene, by scalar calls.
 The polygon clip calls one helper per side test and per crossing, the
@@ -350,21 +352,16 @@ def restart_cycle_repair(nodes, edges):
 
 def plan_document(preds, target: str) -> dict:
     """The ``stackgrasp plan`` document for ``preds`` as one dict, with each
-    step's whole graph rebuilt and listed. The graph is repaired by
-    :func:`restart_cycle_repair`; the decisions are the package's
-    ``symmetrize`` and ``next_action``, each step's on a new graph of the
-    objects left, which is the reference for ``reasoning.plan``."""
-    from stackgrasp.reasoning import ManipulationGraph, next_action, symmetrize
+    step's whole graph rebuilt and listed. The edges come from
+    :func:`pair_labels` through :func:`label_edges`, and the graph is
+    repaired by :func:`restart_cycle_repair`; the decisions are the
+    package's ``next_action``, each step's on a new graph of the objects
+    left, which is the reference for ``reasoning.plan``."""
+    from stackgrasp.reasoning import ManipulationGraph, next_action
 
     perceived = preds.perceived()
     nodes = frozenset(p.detection.instance_id for p in perceived)
-    edges = {}
-    for (i, j), (label, conf) in symmetrize(preds.relations).items():
-        if label == 1:
-            edges[(i, j)] = conf
-        elif label == 2:
-            edges[(j, i)] = conf
-    edges, deleted = restart_cycle_repair(nodes, edges)
+    edges, deleted = restart_cycle_repair(nodes, label_edges(pair_labels(preds.relations)))
     current = ManipulationGraph(nodes=nodes, edges=edges, deleted_edges=tuple(deleted))
     if re.fullmatch(r"-?[0-9]+", target):
         goal = int(target)
@@ -442,6 +439,45 @@ def argmax_by_key(probs) -> int:
     return max(range(3), key=lambda k: (probs[k], -k))
 
 
+def pair_labels(relations) -> dict:
+    """{(i, j): (label, confidence)} for each pair i < j of ``relations``:
+    the class of the two directions' averaged joint scores by
+    :func:`argmax_by_key`, and that class's joint score. The per-pair
+    labels that ``reasoning.symmetrize`` once returned."""
+    labels = {}
+    for (i, j), p_ij in relations.items():
+        if i > j:
+            continue
+        p_ji = relations[(j, i)]
+        joint = [(p_ij[0] + p_ji[0]) / 2.0, (p_ij[1] + p_ji[2]) / 2.0, (p_ij[2] + p_ji[1]) / 2.0]
+        label = argmax_by_key(joint)
+        labels[(i, j)] = (label, joint[label])
+    return labels
+
+
+def label_edges(labels) -> dict:
+    """The stacking graph's {(above, below): confidence} edges of per-pair
+    ``labels``: (i, j) labeled 1 is the edge i -> j, labeled 2 the edge
+    j -> i, and labeled 0 no edge."""
+    edges = {}
+    for (i, j), (label, conf) in labels.items():
+        if label == 1:
+            edges[(i, j)] = conf
+        elif label == 2:
+            edges[(j, i)] = conf
+    return edges
+
+
+def scan_relation_label(record, a, b) -> int:
+    """Class of the ordered pair (a, b) of ``record`` from a scan of its
+    relations tuple: 1 when (a, b) is in it, 2 when (b, a) is, else 0."""
+    if (a, b) in record.relations:
+        return 1
+    if (b, a) in record.relations:
+        return 2
+    return 0
+
+
 def grid_coverages(scene) -> list[tuple[int, float]]:
     """(id, coverage) of every object of ``scene`` in order, each from its
     covers gathered by a scan of the relations tuple and summed by
@@ -456,10 +492,9 @@ def grid_coverages(scene) -> list[tuple[int, float]]:
 def rebuilt_predict(scene, noise, rng, coverage_threshold: float):
     """``simulation.oracle_predict`` on a scene record alone: visibility
     from ``grid_coverages``, each relation class from a scan of the
-    relations tuple (``dataset.relation_label``), and the flip draws made
+    relations tuple (:func:`scan_relation_label`), and the flip draws made
     by one scalar ``random()`` and one ``integers(0, 2)`` call per ordered
     pair."""
-    from stackgrasp.dataset import relation_label
     from stackgrasp.geometry import AABox, OrientedRect
     from stackgrasp.perception import GraspCandidate, ObjectDetection, ScenePredictions
 
@@ -494,7 +529,7 @@ def rebuilt_predict(scene, noise, rng, coverage_threshold: float):
                 continue
             u_flip = rng.random()
             alt = int(rng.integers(0, 2))
-            label = relation_label(scene, a, b)
+            label = scan_relation_label(scene, a, b)
             if u_flip < noise.relation_flip_prob:
                 label = [k for k in range(3) if k != label][alt]
             preds.relations[(a, b)] = tuple(float(k == label) for k in range(3))
@@ -552,13 +587,14 @@ def rebuilt_run_trial(seed, cfg):
 
 def numpy_calls_generate_scene(seed, cfg):
     """``simulation.generate_scene`` drawing from ``np.random.default_rng(seed)``
-    by its own scalar calls (``integers``, ``random``, ``choice``), one per
-    value, where the package decodes the same values from raw words."""
+    by its own scalar calls (``integers``, ``random``, ``uniform``,
+    ``choice``), one per value, where the package decodes the same values
+    from raw words."""
     from stackgrasp.dataset import SceneGrasp, SceneObject, SceneRecord
     from stackgrasp.geometry import AABox, OrientedRect
     from stackgrasp.simulation import (
         _MIN_CHILD_SIDE, _ROOT_COLS, _ROOT_ROWS, CATEGORIES, SCENE_HEIGHT, SCENE_WIDTH,
-        _eligible, _Node, _uniform,
+        _eligible, _Node,
     )
 
     rng = np.random.default_rng(seed)
@@ -591,8 +627,8 @@ def numpy_calls_generate_scene(seed, cfg):
         parent = candidates[int(rng.integers(0, len(candidates)))]
         if parent.free_quads is None and rng.random() < 0.4:
             # one large child that hides most of the parent
-            cw = min(max(int(round(parent.w * _uniform(0.92, 0.97, rng.random()))), _MIN_CHILD_SIDE), parent.w - 2)
-            ch = min(max(int(round(parent.h * _uniform(0.92, 0.97, rng.random()))), _MIN_CHILD_SIDE), parent.h - 2)
+            cw = min(max(int(round(parent.w * rng.uniform(0.92, 0.97))), _MIN_CHILD_SIDE), parent.w - 2)
+            ch = min(max(int(round(parent.h * rng.uniform(0.92, 0.97))), _MIN_CHILD_SIDE), parent.h - 2)
             x0 = parent.x0 + int(rng.integers(0, parent.w - cw + 1))
             y0 = parent.y0 + int(rng.integers(0, parent.h - ch + 1))
             parent.free_quads = []
@@ -603,8 +639,8 @@ def numpy_calls_generate_scene(seed, cfg):
             qw, qh = parent.w // 2, parent.h // 2
             qx0 = parent.x0 + (quad % 2) * qw
             qy0 = parent.y0 + (quad // 2) * qh
-            cw = min(max(int(round(parent.w * _uniform(0.34, 0.46, rng.random()))), _MIN_CHILD_SIDE), qw - 2)
-            ch = min(max(int(round(parent.h * _uniform(0.34, 0.46, rng.random()))), _MIN_CHILD_SIDE), qh - 2)
+            cw = min(max(int(round(parent.w * rng.uniform(0.34, 0.46))), _MIN_CHILD_SIDE), qw - 2)
+            ch = min(max(int(round(parent.h * rng.uniform(0.34, 0.46))), _MIN_CHILD_SIDE), qh - 2)
             x0 = qx0 + int(rng.integers(1, qw - cw))
             y0 = qy0 + int(rng.integers(1, qh - ch))
         nodes.append(_Node(x0, y0, cw, ch, level=parent.level + 1, parent=parent, index=i))
@@ -622,13 +658,13 @@ def numpy_calls_generate_scene(seed, cfg):
         side = float(min(nd.w, nd.h))
         cx0 = nd.x0 + nd.w / 2.0
         cy0 = nd.y0 + nd.h / 2.0
-        for ux, uy, uw, uh, ut in rng.random((int(rng.integers(1, 4)), 5)).tolist():
+        for _ in range(int(rng.integers(1, 4))):
             rect = OrientedRect(
-                x=cx0 + _uniform(-0.05, 0.05, ux) * side,
-                y=cy0 + _uniform(-0.05, 0.05, uy) * side,
-                w=side * _uniform(0.45, 0.6, uw),
-                h=side * _uniform(0.25, 0.4, uh),
-                theta=_uniform(-90.0, 90.0, ut),
+                x=cx0 + rng.uniform(-0.05, 0.05) * side,
+                y=cy0 + rng.uniform(-0.05, 0.05) * side,
+                w=side * rng.uniform(0.45, 0.6),
+                h=side * rng.uniform(0.25, 0.4),
+                theta=rng.uniform(-90.0, 90.0),
             )
             grasps.append(SceneGrasp(owner=instance_id, rect=rect))
         objects.append(
@@ -770,10 +806,9 @@ def reference_evaluate(records, predictions, thresholds):
     """``evaluation.evaluate`` as (mAP, per-class AP, RelationMetrics), with
     the exact Fractions: a (recall, precision) Fraction at every rank, the
     Jaccard tested before the angle, a scan of the record for every
-    grasp and box query, and ``dataset.relation_label`` for every pair."""
+    grasp and box query, and :func:`scan_relation_label` for every pair."""
     from fractions import Fraction
 
-    from stackgrasp.dataset import relation_label
     from stackgrasp.evaluation import RelationMetrics
 
     gt_counts = {}
@@ -830,7 +865,7 @@ def reference_evaluate(records, predictions, thresholds):
                     continue
                 da, db = det_of.get(a), det_of.get(b)
                 probs = None if da is None or db is None else preds.relations.get((da, db))
-                if probs is not None and argmax_by_key(probs) == relation_label(rec, a, b):
+                if probs is not None and argmax_by_key(probs) == scan_relation_label(rec, a, b):
                     correct += 1
                 else:
                     scene_correct = False

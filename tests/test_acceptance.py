@@ -39,7 +39,7 @@ from stackgrasp.losses import (
     relation_loss,
 )
 from stackgrasp.perception import GraspCandidate, ObjectDetection, PerceivedObject, ScenePredictions
-from stackgrasp.reasoning import build_graph, next_action
+from stackgrasp.reasoning import build_graph, next_action, symmetrize
 from stackgrasp.simulation import NoiseModel, TrialConfig, generate_scene, run_trial
 
 from oracle_utils import exhaustive_grasp_point, mc_jaccard, order_is_valid, valid_orders
@@ -280,16 +280,13 @@ def _stub(instance_id, score):
     return PerceivedObject(detection=det, best_grasp=None)
 
 
-def _labels_for(nodes, above):
-    labels = {}
-    for a, b in itertools.combinations(sorted(nodes), 2):
-        if (a, b) in above:
-            labels[(a, b)] = (1, 1.0)
-        elif (b, a) in above:
-            labels[(a, b)] = (2, 1.0)
-        else:
-            labels[(a, b)] = (0, 1.0)
-    return labels
+def _relations_for(nodes, above):
+    # a perfect predictor's one-hot relation for every ordered pair
+    relations = {}
+    for a, b in itertools.permutations(sorted(nodes), 2):
+        label = 1 if (a, b) in above else 2 if (b, a) in above else 0
+        relations[(a, b)] = tuple(float(k == label) for k in range(3))
+    return relations
 
 
 def _clear_scene(nodes, above, scores, target=None):
@@ -299,7 +296,7 @@ def _clear_scene(nodes, above, scores, target=None):
     reached_target = False
     for _ in range(len(nodes)):
         live_above = {(a, b) for a, b in above if a in alive and b in alive}
-        graph = build_graph(sorted(alive), _labels_for(alive, live_above))
+        graph = build_graph(sorted(alive), symmetrize(_relations_for(alive, live_above)))
         detections = [_stub(i, scores[i]) for i in sorted(alive)]
         action = next_action(graph, detections, target)
         # a removal is legal only when nothing is stacked on the object

@@ -1,4 +1,6 @@
+import itertools
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,9 @@ from stackgrasp.dataset import (
 )
 from stackgrasp.geometry import AABox, OrientedRect
 
-from oracle_utils import reference_hflip, reference_rot90
+from stackgrasp.simulation import TrialConfig, generate_scene
+
+from oracle_utils import reference_hflip, reference_rot90, scan_relation_label
 
 
 def sample_record() -> SceneRecord:
@@ -102,9 +106,62 @@ class TestSceneRecordValidation:
 class TestRelationLabel:
     def test_all_classes(self):
         rec = sample_record()
-        assert relation_label(rec, 2, 1) == 1
-        assert relation_label(rec, 1, 2) == 2
-        assert relation_label(rec, 1, 5) == 0
+        assert relation_label(rec.above, 2, 1) == 1
+        assert relation_label(rec.above, 1, 2) == 2
+        assert relation_label(rec.above, 1, 5) == 0
+        assert relation_label(rec.above, 2, 9) == relation_label(rec.above, 9, 2) == 0
+
+    def test_above_is_a_cached_read_only_index(self):
+        rec = sample_record()
+        assert rec.above == {1: {2}, 2: set(), 5: set()}
+        assert list(rec.above) == [1, 2, 5]  # record order
+        assert all(type(on) is frozenset for on in rec.above.values())
+        assert rec.above is rec.above
+        with pytest.raises(TypeError):
+            rec.above[5] = frozenset({1})
+
+    def test_a_record_pickles_after_its_index_is_read(self):
+        rec = sample_record()
+        assert rec.above[1] == {2}
+        copy = pickle.loads(pickle.dumps(rec))
+        assert copy == rec
+        assert copy.above == rec.above
+
+
+@st.composite
+def related_records(draw):
+    """A record of up to seven objects, each ordered pair related one way,
+    the other or not at all."""
+    ids = draw(st.lists(st.integers(-5, 50), max_size=7, unique=True))
+    relations = []
+    for a, b in itertools.combinations(ids, 2):
+        way = draw(st.sampled_from(["none", "above", "below"]))
+        if way != "none":
+            relations.append((a, b) if way == "above" else (b, a))
+    objects = tuple(SceneObject(i, "cup", AABox(0.0, 0.0, 1.0, 1.0)) for i in ids)
+    return SceneRecord(10, 10, objects, (), relations=tuple(draw(st.permutations(relations))))
+
+
+class TestRelationLabelOracle:
+    """``relation_label`` over ``SceneRecord.above`` gives the class of a
+    scan of the relations tuple (tests/oracle_utils.scan_relation_label),
+    for every ordered pair and for ids the record lacks."""
+
+    @staticmethod
+    def assert_matches_scan(rec):
+        ids = [o.instance_id for o in rec.objects] + [-6, 51]
+        for a, b in itertools.product(ids, repeat=2):
+            assert relation_label(rec.above, a, b) == scan_relation_label(rec, a, b), (a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(related_records())
+    def test_hand_built_records(self, rec):
+        self.assert_matches_scan(rec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), depth=st.integers(0, 4))
+    def test_generated_records(self, seed, depth):
+        self.assert_matches_scan(generate_scene(seed, TrialConfig(count_range=(1, 6), max_stack_depth=depth)))
 
 
 class TestParseSerialize:

@@ -282,6 +282,15 @@ class TestRelationLoss:
         with pytest.raises(ValueError):
             relation_loss([pred], {(2, 1): 0})
 
+    @pytest.mark.parametrize("label", [True, 1.0])
+    def test_label_that_is_not_an_integer_rejected(self, label):
+        # a bool is not class 1, and a float is no index
+        pred = RelationPrediction(pair=(1, 2), probs=(1.0, 0.0, 0.0))
+        with pytest.raises(
+            ValueError, match=rf"^relation label for pair \(1, 2\) must be an integer, got {label!r}$"
+        ):
+            relation_loss([pred], {(1, 2): label})
+
     @pytest.mark.parametrize("label", [-1, 3])
     def test_label_outside_the_classes_rejected(self, label):
         pred = RelationPrediction(pair=(1, 2), probs=(1.0, 0.0, 0.0))

@@ -23,7 +23,9 @@ from stackgrasp.reasoning import (
 
 from oracle_utils import (
     argmax_by_key,
+    label_edges,
     order_is_valid,
+    pair_labels,
     plan_document,
     restart_cycle_repair,
     valid_orders,
@@ -64,107 +66,128 @@ class TestSymmetrize:
     def test_consistent_pair(self):
         rel = {(1, 2): (0.1, 0.8, 0.1), (2, 1): (0.1, 0.1, 0.8)}
         out = symmetrize(rel)
-        assert out == {(1, 2): (1, pytest.approx(0.8))}
+        assert out == {(1, 2): pytest.approx(0.8)}
 
     def test_conflict_averages(self):
         # forward says above 0.9, reverse also says above (i.e. 2->1 above,
         # so 1 below 2) 0.7: joint above = (0.9 + 0.0)/2, below = (0.1+0.7)/2
         rel = {(1, 2): (0.0, 0.9, 0.1), (2, 1): (0.3, 0.7, 0.0)}
         out = symmetrize(rel)
-        assert out[(1, 2)][0] == 1
-        assert out[(1, 2)][1] == pytest.approx(0.45)
+        assert list(out) == [(1, 2)]
+        assert out[(1, 2)] == pytest.approx(0.45)
 
     def test_tie_prefers_none_then_above(self):
         rel = {(1, 2): (0.4, 0.4, 0.2), (2, 1): (0.4, 0.2, 0.4)}
-        # joint: none 0.4, above 0.4, below 0.2
-        assert symmetrize(rel)[(1, 2)][0] == 0
+        # joint: none 0.4, above 0.4, below 0.2: no edge
+        assert symmetrize(rel) == {}
         rel = {(1, 2): (0.2, 0.4, 0.4), (2, 1): (0.2, 0.4, 0.4)}
-        # joint: none 0.2, above 0.4, below 0.4
-        assert symmetrize(rel)[(1, 2)][0] == 1
+        # joint: none 0.2, above 0.4, below 0.4: 1 above 2
+        assert list(symmetrize(rel)) == [(1, 2)]
 
     def test_keys_are_low_high(self):
+        # (5 above 2) fused from both directions, in either key order, is
+        # the one edge 5 -> 2
         rel = {(5, 2): one_hot(1), (2, 5): one_hot(2)}
-        out = symmetrize(rel)
-        assert set(out) == {(2, 5)}
-        # (5 above 2) fused from both directions: for key (2, 5) that is below
-        assert out[(2, 5)] == (2, pytest.approx(1.0))
+        assert symmetrize(rel) == {(5, 2): 1.0}
+        assert symmetrize(dict(reversed(rel.items()))) == {(5, 2): 1.0}
 
     def test_missing_reverse_rejected(self):
         with pytest.raises(ValueError, match=r"\(1, 2\).*reverse"):
             symmetrize({(1, 2): one_hot(0)})
 
 
+@st.composite
+def relation_sets(draw):
+    """A relation vector for every ordered pair of up to 8 ids, from few
+    values so that exact ties between the fused classes are common."""
+    ids = draw(st.lists(st.integers(-3, 30), max_size=8, unique=True))
+    triples = st.tuples(_LABEL_VALUES, _LABEL_VALUES, _LABEL_VALUES)
+    return {pair: draw(triples) for pair in itertools.permutations(ids, 2)}
+
+
+class TestSymmetrizeOracle:
+    """The fused edges are the per-pair labels of the label-then-edge loop
+    (tests/oracle_utils.pair_labels and label_edges), exact ties included."""
+
+    @given(relation_sets())
+    @settings(max_examples=300)
+    def test_matches_labels_run_through_edge_loop(self, relations):
+        assert symmetrize(relations) == label_edges(pair_labels(relations))
+
+    @pytest.mark.parametrize("forward, reverse", [
+        ((1 / 3, 1 / 3, 1 / 3), (1 / 3, 1 / 3, 1 / 3)),  # three-way tie: none
+        ((0.25, 0.5, 0.25), (0.25, 0.5, 0.25)),  # above and below tie: above
+        ((0.5, 0.5, 0.0), (0.5, 0.0, 0.5)),  # none and above tie: none
+        ((0.5, 0.0, 0.5), (0.5, 0.5, 0.0)),  # none and below tie: none
+        ((0.0, 0.5, 0.5), (0.0, 0.5, 0.5)),
+    ])
+    def test_exact_ties(self, forward, reverse):
+        for rel in ({(1, 2): forward, (2, 1): reverse}, {(2, 1): forward, (1, 2): reverse}):
+            assert symmetrize(rel) == label_edges(pair_labels(rel))
+
+
 class TestBuildGraph:
     def test_chain(self):
-        labels = {(1, 2): (1, 0.9), (2, 3): (1, 0.8), (1, 3): (0, 0.6)}
-        g = build_graph([1, 2, 3], labels)
-        assert g.edges == {(1, 2): 0.9, (2, 3): 0.8}
+        edges = {(1, 2): 0.9, (2, 3): 0.8}
+        g = build_graph([1, 2, 3], edges)
+        assert g.edges == edges
+        assert g.edges is not edges  # the graph keeps its own copy
         assert g.deleted_edges == ()
 
     def test_below_label_flips_edge(self):
-        g = build_graph([1, 2], {(1, 2): (2, 0.7)})
-        assert g.edges == {(2, 1): 0.7}
+        rel = {(1, 2): one_hot(2), (2, 1): one_hot(1)}
+        g = build_graph([1, 2], symmetrize(rel))
+        assert g.edges == {(2, 1): 1.0}
 
     def test_unknown_node_rejected(self):
-        with pytest.raises(ValueError, match="unknown node"):
-            build_graph([1, 2], {(1, 3): (1, 0.5)})
+        with pytest.raises(ValueError, match=r"^edge \(3, 1\) references unknown node$"):
+            build_graph([1, 2], {(3, 1): 0.5})
 
     def test_cycle_repair_deletes_weakest(self):
-        labels = {(1, 2): (1, 0.9), (2, 3): (1, 0.4), (1, 3): (2, 0.8)}
         # edges 1->2 (0.9), 2->3 (0.4), 3->1 (0.8): cycle, weakest is 2->3
-        g = build_graph([1, 2, 3], labels)
+        g = build_graph([1, 2, 3], {(1, 2): 0.9, (2, 3): 0.4, (3, 1): 0.8})
         assert g.deleted_edges == ((2, 3, 0.4),)
         assert (2, 3) not in g.edges
         assert set(g.edges) == {(1, 2), (3, 1)}
 
     def test_cycle_tie_breaks_on_endpoints(self):
-        labels = {(1, 2): (1, 0.5), (2, 3): (1, 0.5), (1, 3): (2, 0.5)}
-        g = build_graph([1, 2, 3], labels)
+        g = build_graph([1, 2, 3], {(1, 2): 0.5, (2, 3): 0.5, (3, 1): 0.5})
         assert g.deleted_edges == ((1, 2, 0.5),)
 
     def test_two_cycles_both_repaired(self):
-        labels = {
-            (1, 2): (1, 0.9),
-            (2, 3): (1, 0.4),
-            (1, 3): (2, 0.8),
-            (4, 5): (1, 0.3),
-            (5, 6): (1, 0.6),
-            (4, 6): (2, 0.7),
+        edges = {
+            (1, 2): 0.9,
+            (2, 3): 0.4,
+            (3, 1): 0.8,
+            (4, 5): 0.3,
+            (5, 6): 0.6,
+            (6, 4): 0.7,
         }
-        g = build_graph([1, 2, 3, 4, 5, 6], labels)
+        g = build_graph([1, 2, 3, 4, 5, 6], edges)
         assert len(g.deleted_edges) == 2
         assert {(a, b) for (a, b, _) in g.deleted_edges} == {(2, 3), (4, 5)}
         assert _is_acyclic(g)
 
     def test_edge_list_sorted(self):
-        g = build_graph([1, 2, 3], {(2, 3): (1, 0.8), (1, 2): (1, 0.9)})
+        g = build_graph([1, 2, 3], {(2, 3): 0.8, (1, 2): 0.9})
         assert g.edge_list() == [(1, 2, 0.9), (2, 3, 0.8)]
 
 
-def _label_edges(labels):
-    edges = {}
-    for (i, j), (label, conf) in labels.items():
-        if label == 1:
-            edges[(i, j)] = conf
-        elif label == 2:
-            edges[(j, i)] = conf
-    return edges
-
-
-def _assert_matches_restart_oracle(nodes, labels):
-    g = build_graph(nodes, labels)
-    edges, deleted = restart_cycle_repair(frozenset(nodes), _label_edges(labels))
+def _assert_matches_restart_oracle(nodes, edges):
+    g = build_graph(nodes, edges)
+    survivors, deleted = restart_cycle_repair(frozenset(nodes), edges)
     assert list(g.deleted_edges) == deleted
-    assert g.edges == edges
+    assert g.edges == survivors
     assert _is_acyclic(g)
     return g
 
 
 @st.composite
 def noisy_graphs(draw):
-    """Dense noisy label sets over up to 60 nodes. Some carry a long chain
-    closed by a strong edge, whose weakest edge sits deep in the DFS stack
-    when the cycle is found; confidences repeat, so ties are common."""
+    """Dense noisy edge sets over up to 60 nodes, made from per-pair labels.
+    Some carry a long chain closed by a strong edge, whose weakest edge
+    sits deep in the DFS stack when the cycle is found; confidences
+    repeat, so ties are common."""
     n = draw(st.integers(1, 60))
     rng = draw(st.randoms(use_true_random=False))
     nodes = rng.sample(range(200), n)
@@ -180,7 +203,7 @@ def noisy_graphs(draw):
         for k in range(len(chain) - 1):
             labels[(chain[k], chain[k + 1])] = (1, 0.05 if k == weak else 0.95)
         labels[(chain[0], chain[-1])] = (2, 0.99)  # chain[-1] above chain[0]
-    return nodes, labels
+    return nodes, label_edges(labels)
 
 
 class TestCycleRepairOracle:
@@ -197,20 +220,20 @@ class TestCycleRepairOracle:
         # six levels below the top of the stack. After its deletion 5..9
         # are rediscovered from 2, closing 0 -> 1 -> 2 -> 5 -> ... -> 9 -> 0,
         # whose weakest edge 2 -> 5 is again a tree edge.
-        labels = {(k, k + 1): (1, 0.9) for k in range(9)}
-        labels[(3, 4)] = (1, 0.1)
-        labels[(0, 9)] = (2, 0.95)
-        labels[(2, 5)] = (1, 0.3)
-        g = _assert_matches_restart_oracle(range(10), labels)
+        edges = {(k, k + 1): 0.9 for k in range(9)}
+        edges[(3, 4)] = 0.1
+        edges[(9, 0)] = 0.95
+        edges[(2, 5)] = 0.3
+        g = _assert_matches_restart_oracle(range(10), edges)
         assert g.deleted_edges == ((3, 4, 0.1), (2, 5, 0.3))
 
     def test_back_edge_victim(self):
-        labels = {(1, 2): (1, 0.9), (2, 3): (1, 0.8), (1, 3): (2, 0.2)}
-        g = _assert_matches_restart_oracle([1, 2, 3], labels)
+        edges = {(1, 2): 0.9, (2, 3): 0.8, (3, 1): 0.2}
+        g = _assert_matches_restart_oracle([1, 2, 3], edges)
         assert g.deleted_edges == ((3, 1, 0.2),)
 
     def test_self_loop(self):
-        g = _assert_matches_restart_oracle([1, 2], {(1, 1): (1, 0.4), (1, 2): (1, 0.5)})
+        g = _assert_matches_restart_oracle([1, 2], {(1, 1): 0.4, (1, 2): 0.5})
         assert g.deleted_edges == ((1, 1, 0.4),)
 
 
@@ -236,9 +259,7 @@ class TestLeavesAncestors:
         #   2
         #   |
         #   3
-        return build_graph(
-            [1, 2, 3, 4], {(1, 2): (1, 0.9), (2, 3): (1, 0.8), (1, 3): (1, 0.7)}
-        )
+        return build_graph([1, 2, 3, 4], {(1, 2): 0.9, (2, 3): 0.8, (1, 3): 0.7})
 
     def test_leaves(self):
         # a leaf has an empty list in the incoming map, which is built once
@@ -267,9 +288,7 @@ class TestNextAction:
             perceived(3, score=0.7, category="stapler"),
             perceived(4, score=0.6),
         ]
-        self.g = build_graph(
-            [1, 2, 3, 4], {(1, 2): (1, 0.9), (2, 3): (1, 0.8), (1, 3): (1, 0.7)}
-        )
+        self.g = build_graph([1, 2, 3, 4], {(1, 2): 0.9, (2, 3): 0.8, (1, 3): 0.7})
 
     def test_free_target_is_final(self):
         assert next_action(self.g, self.dets, 1) == GraspAction(1, True)
@@ -296,7 +315,7 @@ class TestNextAction:
 
     def test_category_resolution_prefers_score(self):
         dets = self.dets + [perceived(5, score=0.95, category="stapler")]
-        g = build_graph([1, 2, 3, 4, 5], {(1, 2): (1, 0.9)})
+        g = build_graph([1, 2, 3, 4, 5], {(1, 2): 0.9})
         act = next_action(g, dets, "stapler")
         assert act == GraspAction(5, True)
 
@@ -340,7 +359,7 @@ class TestNextAction:
         assert next_action(g, dets, 1) == GraspAction(1, True)
 
     def test_detection_outside_the_graph_is_free(self):
-        g = build_graph([1, 2], {(1, 2): (1, 0.9)})
+        g = build_graph([1, 2], {(1, 2): 0.9})
         dets = [perceived(1, score=0.5), perceived(2, score=0.6), perceived(3, score=0.7)]
         assert next_action(g, dets, 3) == GraspAction(3, True)
         assert next_action(g, dets, None) == GraspAction(3, False)
@@ -391,7 +410,7 @@ class TestPlan:
         assert plan(g, objects, goal) == expected
 
     def test_stops_at_target_or_when_nothing_is_left(self):
-        g = build_graph([1, 2, 3], {(1, 2): (1, 0.9), (2, 3): (1, 0.8)})
+        g = build_graph([1, 2, 3], {(1, 2): 0.9, (2, 3): 0.8})
         dets = [perceived(1, 0.2), perceived(2, 0.5), perceived(3, 0.9)]
         assert plan(g, dets, 2) == [GraspAction(1, False), GraspAction(2, True)]
         assert plan(g, dets, None) == [GraspAction(i, False) for i in (1, 2, 3)]
@@ -409,7 +428,7 @@ class TestPlan:
             return original(*args)
 
         monkeypatch.setattr(reasoning, "next_action", counting)
-        g = build_graph([1, 2, 3, 4], {(1, 2): (1, 0.9), (2, 3): (1, 0.8)})
+        g = build_graph([1, 2, 3, 4], {(1, 2): 0.9, (2, 3): 0.8})
         dets = [perceived(i, score=0.5) for i in (1, 2, 3, 4)]
         for target in (3, None, "umbrella"):
             calls.clear()
@@ -447,25 +466,12 @@ class TestClearOutOracle:
     an order that never removes a covered object."""
 
     def run_clearout(self, nodes, relations, target=None):
-        labels = {}
-        for i, j in itertools.combinations(sorted(nodes), 2):
-            if (i, j) in relations:
-                labels[(i, j)] = (1, 0.9)
-            elif (j, i) in relations:
-                labels[(i, j)] = (2, 0.9)
-            else:
-                labels[(i, j)] = (0, 0.9)
         removed = []
         alive = set(nodes)
         while alive:
             dets = [perceived(i, score=0.5) for i in sorted(alive)]
             live_edges = {e for e in relations if e[0] in alive and e[1] in alive}
-            live_labels = {
-                (i, j): lab
-                for (i, j), lab in labels.items()
-                if i in alive and j in alive
-            }
-            g = build_graph(sorted(alive), live_labels)
+            g = build_graph(sorted(alive), dict.fromkeys(live_edges, 0.9))
             act = next_action(g, dets, target)
             assert act.object_id in alive
             # never remove a covered object

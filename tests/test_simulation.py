@@ -828,8 +828,8 @@ class TestRawDraws:
     def numpy_call(rng, op, arg):
         if op == "random":
             return rng.random()
-        if op == "randoms":
-            return rng.random((arg, 5)).ravel().tolist()
+        if op == "uniform":
+            return rng.uniform(*arg)
         if op == "sample_all":
             return rng.choice(arg, size=arg, replace=False).tolist()
         return int(rng.integers(*arg))
@@ -838,8 +838,8 @@ class TestRawDraws:
     def decoded(draws, op, arg):
         if op == "random":
             return draws.random()
-        if op == "randoms":
-            return draws.randoms(5 * arg)
+        if op == "uniform":
+            return draws.uniform(*arg)
         if op == "sample_all":
             return draws.sample_all(arg)
         return draws.integers(*arg)
@@ -851,7 +851,11 @@ class TestRawDraws:
     )
     _CALLS = st.one_of(
         st.tuples(st.just("random"), st.none()),
-        st.tuples(st.just("randoms"), st.integers(0, 30)),
+        st.tuples(
+            st.just("uniform"),
+            st.sampled_from([(0.92, 0.97), (0.34, 0.46), (-0.05, 0.05), (0.45, 0.6), (0.25, 0.4), (-90.0, 90.0)])
+            | st.tuples(st.floats(-1e9, 1e9), st.floats(-1e9, 1e9)).map(sorted).map(tuple),
+        ),
         st.tuples(st.just("sample_all"), st.integers(1, 12)),
         st.tuples(
             st.just("integers"),
